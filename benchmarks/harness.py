@@ -99,14 +99,21 @@ def backend_info() -> dict:
     }
 
 
+#: Where :func:`write_result`/:func:`write_json` put files.  Baselines are
+#: always read from ``RESULTS_DIR``; under pytest, ``conftest.py`` points this
+#: at a session temporary directory unless ``--bench-results DIR`` is given,
+#: so test runs never rewrite the tracked results.
+OUTPUT_DIR = RESULTS_DIR
+
+
 def write_result(name: str, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    (OUTPUT_DIR / f"{name}.txt").write_text(text)
 
 
 def write_json(name: str, payload: Any) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    (OUTPUT_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_baseline(figure: str) -> Optional[dict]:

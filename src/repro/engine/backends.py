@@ -38,9 +38,10 @@ op_id, pairs)``
     keys.
 ``("trace_narrow" | "trace_flatten" | "trace_join" | "trace_group", sa, op_id,
 ...)``
-    One schema-alternative group's share of a traced operator (see the
-    work-sharing notes in :mod:`repro.whynot.tracing`); the driver merges
-    the per-group results back into bitmask-flagged rows.
+    One schema-alternative group's share of a traced operator, evaluated
+    over the group's whole input column (see the columnar-snapshot notes in
+    :mod:`repro.whynot.tracing`); the driver merges the per-group results
+    into mask columns.
 
 Select a backend with ``Executor(backend="process", workers=4)``,
 ``explain(..., backend="process")``, the CLI's ``--backend/--workers`` flags,
@@ -232,44 +233,44 @@ def _task_group_keyed(state: WorkerState, op_id: int, pairs: list) -> Any:
 
 
 def _task_trace_narrow(state: WorkerState, sa: int, op_id: int, parent_vals: list) -> Any:
-    """One SA group's outputs for a non-filtering unary operator.
+    """One SA group's output column for a non-filtering 1:1 unary operator.
 
-    Mirrors the per-row relaxed evaluation of ``Tracer._trace_narrow``: each
-    parent tuple that exists under this group's representative SA is pushed
-    through the SA's operator; missing parents stay missing.
+    The parent tuples that exist under this group's representative SA go
+    through the SA's operator in one ``eval_rows`` batch; missing parents
+    stay missing, so the returned column is aligned with *parent_vals*.
     """
-    sa_op = state.sa_op(sa, op_id)
-    ctx = state.sa_ctx(sa)
-    outs: list = []
-    for v in parent_vals:
-        if v is None:
-            outs.append(None)
-        else:
-            produced = sa_op.eval_rows([[v]], ctx)
-            outs.append(produced[0] if produced else None)
-    return outs
+    present = [v for v in parent_vals if v is not None]
+    produced = state.sa_op(sa, op_id).eval_rows([present], state.sa_ctx(sa))
+    if len(present) == len(parent_vals):
+        return produced
+    outputs = iter(produced)
+    return [None if v is None else next(outputs) for v in parent_vals]
 
 
 def _task_trace_flatten(state: WorkerState, sa: int, op_id: int, parent_vals: list) -> Any:
-    """One SA group's outer-flatten expansions, one list per parent row.
+    """One SA group's outer-flatten expansions as ``(tuples, dropped, counts)``.
 
-    Each expansion entry is ``(tuple, retained)``; a padded expansion is
-    retained only when the SA's own flatten is the outer variant.
+    ``tuples`` concatenates every parent's expansions, ``counts[p]`` is the
+    number parent p contributed (0 when it is missing), and ``dropped`` lists
+    the positions in ``tuples`` that are not retained: padded expansions of
+    an SA whose own flatten is the inner variant.
     """
     sa_op = state.sa_op(sa, op_id)
     ctx = state.sa_ctx(sa)
     outer = sa_op.outer
-    expansions: list = []
+    tuples: list = []
+    dropped: list = []
+    counts: list = []
     for v in parent_vals:
         if v is None:
-            expansions.append([])
+            counts.append(0)
             continue
         expanded, padded = sa_op.expand(v, ctx)
-        if padded:
-            expansions.append([(expanded[0], outer)])
-        else:
-            expansions.append([(t, True) for t in expanded])
-    return expansions
+        if padded and not outer:
+            dropped.append(len(tuples))
+        tuples += expanded
+        counts.append(len(expanded))
+    return tuples, dropped, counts
 
 
 def _task_trace_join(

@@ -661,7 +661,7 @@ class IncrementalExplainer:
                 for op in question.query.ops
                 if not (self._reads_of[op.op_id] & stale)
             }
-            rid_start = max(self.trace.rows_by_rid, default=0)
+            rid_start = self.trace.max_rid()
             traced = trace(
                 question.query,
                 new_db,

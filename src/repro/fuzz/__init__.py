@@ -20,6 +20,8 @@ Modules:
 * :mod:`repro.fuzz.harness` — seeded sweeps and failure shrinking;
 * :mod:`repro.fuzz.mutations` — fuzzed mutation chains: delta-incremental
   evaluation and explanation maintenance vs from-scratch recomputation;
+* :mod:`repro.fuzz.reference` — the row-at-a-time reference tracer and
+  Algorithm 4 that the columnar tracer is checked against;
 * :mod:`repro.fuzz.serialize` — JSON round-tripping of cases for the pinned
   corpus in ``tests/fuzz/corpus/``.
 

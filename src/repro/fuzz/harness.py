@@ -81,6 +81,7 @@ class SweepResult:
     skipped_errors: int = 0  #: cases whose reference evaluation raised (consistently)
     configs_run: int = 0
     explain_configs_run: int = 0
+    tracer_checks: int = 0  #: traces compared against the reference tracer
     failures: list = field(default_factory=list)  #: (FuzzCase, OracleReport) pairs
 
     @property
@@ -96,7 +97,8 @@ class SweepResult:
             f"({self.with_question} with why-not questions, "
             f"{self.skipped_errors} consistently-erroring), "
             f"{self.configs_run} executor configs, "
-            f"{self.explain_configs_run} explain configs — {status}"
+            f"{self.explain_configs_run} explain configs, "
+            f"{self.tracer_checks} reference-tracer checks — {status}"
         )
 
 
@@ -116,6 +118,7 @@ def run_sweep(
         result.cases += 1
         result.configs_run += report.configs_run
         result.explain_configs_run += report.explain_configs_run
+        result.tracer_checks += report.tracer_checks
         if case.nip is not None:
             result.with_question += 1
         if report.reference_error is not None:

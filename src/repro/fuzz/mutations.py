@@ -18,7 +18,10 @@ version.  This module turns that promise into a differential gate:
   2. :class:`~repro.engine.deltas.IncrementalExplainer` against a
      from-scratch ``explain`` — identical ranked explanation label sets,
      and identical exception types when a version flips the question
-     ill-posed (an insert satisfied it) or back;
+     ill-posed (an insert satisfied it) or back — and every trace it keeps,
+     including delta re-traces that reuse retained column snapshots,
+     against the row-at-a-time reference tracer
+     (:mod:`repro.fuzz.reference`) replayed with the same reuse;
 
 * :func:`run_mutation_sweep` drives the whole thing from a seed, exactly
   like :func:`repro.fuzz.harness.run_sweep` (cases are the regular fuzz
@@ -43,6 +46,7 @@ from repro.fuzz.oracle import (
     Divergence,
     OracleReport,
     _bag_diff,
+    _clip,
     _explanation_key,
     _outcome,
 )
@@ -309,10 +313,13 @@ def _check_incremental_explainer(
             )
         )
         return
+    if not _check_retrace(report, explainer, None, "version=0"):
+        return
     for k, db_v in enumerate(versions[1:], start=1):
         if references[k][0] == "error":
             return  # the query itself errors from this version on
         expected = _outcome(lambda db_v=db_v: scratch(db_v))
+        previous = explainer.trace
         got = _outcome(lambda db_v=db_v: explainer.apply(db_v))
         report.explain_configs_run += 1
         label = f"version={db_v.version_id}"
@@ -347,6 +354,51 @@ def _check_incremental_explainer(
                 )
             )
             return
+        if not _check_retrace(report, explainer, previous, label):
+            return
+
+
+def _check_retrace(
+    report: OracleReport,
+    explainer: IncrementalExplainer,
+    previous,
+    label: str,
+) -> bool:
+    """The explainer's latest trace ≡ the row-at-a-time reference tracer's.
+
+    A delta re-trace is replayed on the reference with the same reused
+    operators (as row snapshots) and the same row-id offset, so row ids
+    line up exactly; a base or full trace is compared with a from-scratch
+    reference trace.  Returns False (after recording a divergence) when
+    they differ.
+    """
+    from repro.fuzz import reference
+
+    result = explainer.last_result
+    question = result.question
+    reuse, rid_start = None, 0
+    if explainer.last_stats.get("mode") == "delta":
+        reuse = reference.reuse_rows(previous, result.trace)
+        rid_start = previous.max_rid()
+    ref_trace = reference.trace(
+        question.query, question.db, explainer.sas,
+        revalidate=explainer.revalidate, reuse=reuse, rid_start=rid_start,
+    )
+    ref_explanations = reference.approximate_msrs(question, explainer.sas, ref_trace)
+    report.tracer_checks += 1
+    difference = reference.compare(
+        result.trace, result.explanations, ref_trace, ref_explanations
+    )
+    if difference is None:
+        return True
+    report.divergences.append(
+        Divergence(
+            "mutation-tracer",
+            f"{label} [{explainer.last_stats.get('mode', '?')}]",
+            _clip(difference),
+        )
+    )
+    return False
 
 
 @dataclass
@@ -360,6 +412,7 @@ class MutationSweepResult:
     skipped_errors: int = 0
     configs_run: int = 0
     explain_configs_run: int = 0
+    tracer_checks: int = 0  #: (re-)traces compared against the reference tracer
     failures: list = field(default_factory=list)  #: (FuzzCase, OracleReport)
 
     @property
@@ -375,7 +428,8 @@ class MutationSweepResult:
             f"{self.steps} mutations ({self.with_question} with why-not "
             f"questions, {self.skipped_errors} consistently-erroring), "
             f"{self.configs_run} incremental-vs-scratch result checks, "
-            f"{self.explain_configs_run} explanation checks — {status}"
+            f"{self.explain_configs_run} explanation checks, "
+            f"{self.tracer_checks} reference-tracer checks — {status}"
         )
 
 
@@ -414,6 +468,7 @@ def run_mutation_sweep(
         result.cases += 1
         result.configs_run += report.configs_run
         result.explain_configs_run += report.explain_configs_run
+        result.tracer_checks += report.tracer_checks
         if case.nip is not None:
             result.with_question += 1
         if report.reference_error is not None:

@@ -26,7 +26,12 @@ and checks
    the result cache off and on, the cached re-request must be flagged as a
    hit, and a consistently-failing question must fail with the same
    exception type through the service;
-6. **grammar round-trip** (``grammar=True``, the CLI's ``fuzz --text``) —
+6. **tracer agreement** — the columnar tracer and Algorithm 4 behind the
+   first explain configuration must reproduce the row-at-a-time reference
+   (:mod:`repro.fuzz.reference`): identical traced rows (ids, parents,
+   values, valid/consistent/retained masks) and ranked explanations
+   (labels, SA index, bounds, rank), or the identical exception type;
+7. **grammar round-trip** (``grammar=True``, the CLI's ``fuzz --text``) —
    pretty-printing the plan and question to ``.rq`` text
    (:mod:`repro.lang`), reparsing and relowering must reproduce a
    structurally identical plan (wire-codec JSON equality) and NIP, the
@@ -72,7 +77,7 @@ EXPLAIN_GRID = (
 class Divergence:
     """One observed disagreement between execution paths."""
 
-    kind: str  #: "result" | "error" | "metrics" | "explanation" | "matcher" | "service" | "grammar"
+    kind: str  #: "result" | "error" | "metrics" | "explanation" | "matcher" | "service" | "tracer" | "grammar"
     config: str  #: the configuration that disagreed with the reference
     detail: str  #: human-readable description (truncated values)
 
@@ -88,6 +93,8 @@ class OracleReport:
     divergences: list = field(default_factory=list)
     configs_run: int = 0
     explain_configs_run: int = 0
+    #: Traces compared against the row-at-a-time reference tracer.
+    tracer_checks: int = 0
     #: Exception repr when the reference itself failed (case counted skipped).
     reference_error: Optional[str] = None
 
@@ -447,6 +454,45 @@ def _explanation_key(result) -> list:
     return [tuple(sorted(e.labels)) for e in result.explanations]
 
 
+def _check_tracer(
+    report: OracleReport,
+    query: Query,
+    db: Database,
+    question: WhyNotQuestion,
+    outcome,
+) -> None:
+    """Compare one explain outcome with the reference tracer's (see
+    :mod:`repro.fuzz.reference`): the same traced rows and ranked
+    explanations, or the same exception type."""
+    from repro.fuzz import reference
+
+    fresh = WhyNotQuestion(query, db, question.nip, name=question.name)
+    expected = _outcome(lambda: reference.reference_explain(fresh))
+    report.tracer_checks += 1
+    if expected[0] != outcome[0] or (
+        expected[0] == "error" and expected[1] != outcome[1]
+    ):
+        report.divergences.append(
+            Divergence(
+                "tracer",
+                "reference",
+                f"outcome {outcome[1] if outcome[0] == 'error' else 'ok'} vs "
+                f"reference {expected[1] if expected[0] == 'error' else 'ok'}",
+            )
+        )
+        return
+    if outcome[0] == "ok":
+        _, ref_trace, ref_explanations = expected[1]
+        result = outcome[1]
+        difference = reference.compare(
+            result.trace, result.explanations, ref_trace, ref_explanations
+        )
+        if difference is not None:
+            report.divergences.append(
+                Divergence("tracer", "reference", _clip(difference))
+            )
+
+
 def _check_explanations(
     report: OracleReport,
     query: Query,
@@ -478,6 +524,7 @@ def _check_explanations(
         outcomes.append(((backend, opt, engine), outcome))
     kinds = {o[0] for _, o in outcomes}
     if kinds == {"error"}:
+        _check_tracer(report, query, db, question, outcomes[0][1])
         names = {o[1] for _, o in outcomes}
         if len(names) > 1:
             report.divergences.append(
@@ -491,6 +538,7 @@ def _check_explanations(
             _check_service(report, query, db, question, None, outcomes[0][1][1])
         return
     baseline_config, baseline = outcomes[0]
+    _check_tracer(report, query, db, question, baseline)
     for config, outcome in outcomes[1:]:
         label = f"backend={config[0]} optimize={config[1]} engine={config[2]}"
         if outcome[0] != baseline[0]:

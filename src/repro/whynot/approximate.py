@@ -27,14 +27,14 @@ the partial order of Definition 9: (|Δ|, original-SA first, UB, LB).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from operator import and_, or_
+from typing import Callable, Optional
 
-from repro.algebra.operators import Join, Operator, Query, Selection, TableAccess
-from repro.nested.values import Bag
+from repro.algebra.operators import Join, Query, Selection
 from repro.whynot.alternatives import SchemaAlternative
 from repro.whynot.question import WhyNotQuestion
-from repro.whynot.tracing import TraceResult, TRow
+from repro.whynot.tracing import OpTrace, TraceResult, parent_reader
 
 
 @dataclass
@@ -68,18 +68,25 @@ def approximate_msrs(
     trace: TraceResult,
     max_states: int = 100_000,
 ) -> list[Explanation]:
-    """Run Algorithm 4 over the tracing snapshots and rank the results."""
+    """Run Algorithm 4 over the tracing snapshots and rank the results.
+
+    Frontiers are sets of row ids; the rows of one operator's snapshot are
+    the ids in ``(base, base + count]``, and their flags are read straight
+    from the snapshot's mask columns.
+    """
     query = question.query
     order = list(reversed(query.ops))  # root first
-    rows_at = {op.op_id: trace.traces[op.op_id].rows for op in query.ops}
+    snaps = [trace.traces[op.op_id] for op in order]
 
     found: dict[tuple[int, frozenset[int]], None] = {}
     queue: deque = deque()
     seen: set = set()
 
+    final = trace.traces[trace.root_id]
     for i, sa in enumerate(sas):
+        bit = 1 << i
         final_alive = frozenset(
-            r.rid for r in trace.final_rows() if r.consistent_at(i)
+            final.base + k + 1 for k, mask in enumerate(final.consistent) if mask & bit
         )
         if not final_alive:
             continue
@@ -99,43 +106,46 @@ def approximate_msrs(
                 found.setdefault((i, sr), None)
             continue
         op = order[pos]
-        here = [r for r in rows_at[op.op_id] if r.rid in frontier]
-        passthrough = frontier - {r.rid for r in here}
+        snap = snaps[pos]
+        low, high = snap.base, snap.base + snap.count
+        here = [rid for rid in frontier if low < rid <= high]
+        passthrough = frontier.difference(here)
 
-        def push(new_sr: frozenset[int], rows: list[TRow]) -> None:
+        def push(new_sr: frozenset[int], rids: list[int]) -> None:
             # An empty frontier is fine: it means every alive chain already
             # grounded at a table access; remaining operators are no-ops for
             # this state and it proceeds to finalization.
-            new_frontier = passthrough | {
-                p for r in rows for p in r.parents
-            }
-            state = (pos + 1, new_sr, frozenset(new_frontier), i)
+            new_frontier = passthrough.union(snap.parent_rids(rids))
+            state = (pos + 1, new_sr, new_frontier, i)
             if state not in seen:
                 seen.add(state)
                 queue.append(state)
 
         if not here:
-            push(sr, [])
+            push(sr, here)
             continue
-        cons = [r for r in here if r.consistent_at(i)]
+        bit = 1 << i
+        offset = low + 1
+        consistent = snap.consistent
+        cons = [rid for rid in here if consistent[rid - offset] & bit]
         if not cons:
             # The missing answer does not flow through this operator on any
             # alive chain; the subtree below is irrelevant for this state.
             push(sr, here)
             continue
-        if op.op_id in sr:
-            # Already reparameterized (SA prefix or earlier extension): all
-            # consistent rows flow.
+        if op.op_id in sr or snap.retained is None:
+            # Already reparameterized (SA prefix or earlier extension), or
+            # the operator never filters: all consistent rows flow.
             push(sr, cons)
             continue
-        retained_rows = [r for r in cons if r.retained_at(i) is not False]
-        filtered_rows = [r for r in cons if r.retained_at(i) is False]
-        if retained_rows:
-            push(sr, retained_rows)
-        if filtered_rows:
+        retained = snap.retained
+        kept = [rid for rid in cons if retained[rid - offset] & bit]
+        if kept:
+            push(sr, kept)
+        if len(kept) < len(cons):
             push(sr | {op.op_id}, cons)
 
-    bounds = _SideEffectBounds(question, sas, trace)
+    bounds = _SideEffectBounds(question, trace)
     explanations: dict[frozenset[int], Explanation] = {}
     for (i, sr), _ in found.items():
         lb, ub = bounds.compute(sr, i)
@@ -167,81 +177,104 @@ def _prune_and_rank(explanations: list[Explanation]) -> list[Explanation]:
     return kept
 
 
+def _fold_ancestry(
+    query: Query,
+    trace: TraceResult,
+    own: Callable[[OpTrace], Optional[list[int]]],
+    combine: Callable[[int, int], int],
+    identity: int,
+) -> list[int]:
+    """Fold a per-row value over every row's ancestry, for the final rows.
+
+    ``own(snap)`` gives a snapshot's own per-row values (None: ``identity``
+    everywhere); each row's result combines its own value with its parents'
+    results, in one forward pass over the snapshots (children first).
+    """
+    folded: dict[int, list[int]] = {}
+    for op in query.ops:
+        snap = trace.traces[op.op_id]
+        values = own(snap)
+        if snap.parents is None:
+            if snap.child_base is None:
+                column = values if values is not None else [identity] * snap.count
+            else:
+                inherited = folded[op.children[0].op_id]
+                column = (
+                    inherited if values is None else list(map(combine, values, inherited))
+                )
+        else:
+            read = parent_reader(
+                [trace.traces[c.op_id] for c in op.children],
+                [folded[c.op_id] for c in op.children],
+            )
+            column = []
+            for k, parents in enumerate(snap.parents):
+                value = values[k] if values is not None else identity
+                for p in parents:
+                    value = combine(value, read(p))
+                column.append(value)
+        folded[op.op_id] = column
+    return folded[trace.root_id]
+
+
 class _SideEffectBounds:
     """Loose UB/LB on side effects (paper §5.4)."""
 
-    def __init__(
-        self,
-        question: WhyNotQuestion,
-        sas: list[SchemaAlternative],
-        trace: TraceResult,
-    ):
-        self.question = question
-        self.sas = sas
+    def __init__(self, question: WhyNotQuestion, trace: TraceResult):
         self.trace = trace
         self.query = question.query
-        self.original: Bag = question.result()
-        self.n_orig = len(self.original)
-        self._final = trace.final_rows()
-        self._ancestor_cache: dict[int, set[int]] = {}
-        # Per-row bitmask of SAs under which the row's entire ancestry carries
-        # no retained=False flag, computed in one forward pass (rows_by_rid is
-        # insertion-ordered: parents precede children).
+        self.n_orig = len(question.result())
+        self._final = trace.traces[trace.root_id]
         full = (1 << trace.n_sas) - 1
-        fr_masks: dict[int, int] = {}
-        for rid, row in trace.rows_by_rid.items():
-            mask = row.retained_true | (full ^ row.retained_known)
-            for p in row.parents:
-                mask &= fr_masks[p]
-            fr_masks[rid] = mask
-        self._fr_masks = fr_masks
+        # Per final row, the bitmask of SAs under which the row's entire
+        # ancestry carries no retained=False flag.
+        self._fr_masks = _fold_ancestry(
+            self.query,
+            trace,
+            lambda snap: snap.retained if snap.retained_known else None,
+            and_,
+            full,
+        )
+        self._position = {op.op_id: p for p, op in enumerate(self.query.ops)}
+        self._blocked: Optional[list[int]] = None
         # Tuples of the original result derived with every flag retained
         # under S1 ("original tuples with only true valid/retained flags").
+        column = self._final.column(0)
         self._fully_retained_s1 = {
-            r.vals[0]
-            for r in self._final
-            if r.valid(0) and self._fully_retained(r, 0)
+            column[k]
+            for k, (valid, fr) in enumerate(zip(self._final.valid, self._fr_masks))
+            if valid & fr & 1
         }
 
-    def _ancestors(self, row: TRow) -> set[int]:
-        cached = self._ancestor_cache.get(row.rid)
-        if cached is None:
-            cached = self.trace.ancestors([row.rid])
-            self._ancestor_cache[row.rid] = cached
-        return cached
+    def _blocked_ops(self) -> list[int]:
+        """Per final row, the operators (bits by plan position) with an
+        ancestor row that S1's query does not retain (built on first use)."""
+        if self._blocked is None:
 
-    def _fully_retained(self, row: TRow, i: int) -> bool:
-        return (self._fr_masks[row.rid] >> i) & 1 == 1
+            def own(snap: OpTrace) -> Optional[list[int]]:
+                if not snap.retained_known & 1:
+                    return None
+                bit = 1 << self._position[snap.op_id]
+                return [0 if r & 1 else bit for r in snap.retained]
+
+            self._blocked = _fold_ancestry(self.query, self.trace, own, or_, 0)
+        return self._blocked
 
     def compute(self, sr: frozenset[int], i: int) -> tuple[float, float]:
+        final = self._final
+        bit = 1 << i
+        present = [k for k, valid in enumerate(final.valid) if valid & bit]
+        column = final.column(i)
+        fully_retained_s1 = self._fully_retained_s1
+        matched = sum(1 for k in present if column[k] in fully_retained_s1)
         if i == 0:
-            ub_plus = 0
-            for row in self._final:
-                if not row.valid(0):
-                    continue
-                ancestors = self._ancestors(row)
-                touched = False
-                for rid in ancestors:
-                    ancestor = self.trace.rows_by_rid[rid]
-                    if (
-                        self.trace.op_of_rid[rid] in sr
-                        and ancestor.retained_at(0) is False
-                    ):
-                        touched = True
-                        break
-                if touched:
-                    ub_plus += 1
+            blocked = self._blocked_ops()
+            sr_bits = 0
+            for op_id in sr:
+                sr_bits |= 1 << self._position[op_id]
+            ub_plus = sum(1 for k in present if blocked[k] & sr_bits)
         else:
-            ub_plus = sum(
-                1
-                for row in self._final
-                if row.valid(i) and row.vals[i] not in self._fully_retained_s1
-            )
-        matched = sum(
-            1
-            for row in self._final
-            if row.valid(i) and row.vals[i] in self._fully_retained_s1
-        )
+            ub_plus = len(present) - matched
         ub_minus = max(0, self.n_orig - matched)
         ub = ub_plus + ub_minus
 
@@ -251,8 +284,7 @@ class _SideEffectBounds:
         if has_relaxable:
             lb = 0.0
         else:
-            n_vr = sum(
-                1 for row in self._final if row.valid(i) and self._fully_retained(row, i)
-            )
+            fr_masks = self._fr_masks
+            n_vr = sum(1 for k in present if fr_masks[k] & bit)
             lb = float(max(n_vr - self.n_orig, 0) + max(self.n_orig - n_vr, 0))
         return lb, float(ub)

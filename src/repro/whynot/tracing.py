@@ -11,38 +11,51 @@ alternative Sᵢ:
 * ``retained``   — would the operator, as written in Sᵢ's query, produce it
   (``None`` when the operator never filters: projection, nesting, ...)?
 
-Instead of the paper's ever-widening annotation columns on Spark, each traced
-row carries one tuple per SA plus the flags created *at* the producing
-operator; per-operator snapshots with parent pointers give Algorithm 4 the
-same information (see DESIGN.md §5).
+Like the paper's Spark implementation, which evaluates operators over
+annotation columns, each operator's snapshot (:class:`OpTrace`) is stored by
+column; per-operator snapshots with parent pointers give Algorithm 4 the
+information of the paper's ever-widening annotation columns (see DESIGN.md §5).
 
-Work sharing across schema alternatives
----------------------------------------
+Columnar snapshots
+------------------
 
 Most SAs differ from the original schema in a handful of operators, so the
 relaxed evaluation is *shared*: at every operator the SA indices are
 partitioned into groups whose members are indistinguishable — identical
-operator parameters/schemas *and* identical input tuples (tracked as *column
-groups*: an invariant of each operator snapshot stating that ``vals[i] is
-vals[j]`` for every row when i and j share a group).  Each group is evaluated
-once through its representative SA and the result objects are shared by all
-members, so tracing cost scales with the number of *distinct outcomes*, not
-with the number of SAs (the Fig. 11 axis).
+operator parameters/schemas *and* identical input tuples (the *column
+sharing* invariant: ``vals[i] is vals[j]`` for every row when i and j share
+a group).  A snapshot therefore holds **one value column per SA group**
+(``cols[g][k]`` is row k's tuple under every member of group g, ``None``
+where the row does not exist there), evaluated once through the group's
+representative SA, so tracing cost scales with the number of *distinct
+outcomes*, not with the number of SAs (the Fig. 11 axis).
 
-Per-SA ``valid``/``consistent``/``retained`` flags are bitmask integers
-(``valid_mask``/``consistent_mask``/``retained_true``+``retained_known``);
-:class:`TRow` exposes tuple-style ``consistent``/``retained`` views for
-compatibility and ``*_at(i)`` accessors for hot paths.
+Per-SA flags are bitmask integers held in **mask columns**: ``valid`` and
+``consistent`` (one int per row) and ``retained`` (one int per row, or
+``None`` for operators that never filter; ``retained_known`` is one value
+per operator).  Row k of a snapshot has row id ``base + k + 1``, numbered in
+operator order exactly as a row-at-a-time tracer would allocate them.
+Operators that are 1:1 with their first child (selection, the narrow
+operators, deduplication, difference) store no parents: row k's parent is
+row k of that child.  Joins, relation flattens, grouping, union and product
+carry a **parent column** of row-id tuples.  Pass-through operators share
+the child's value and validity columns outright.
+
+:class:`TRow` objects — one tuple per SA plus masks — are built lazily, only
+when a consumer asks for the row views (``OpTrace.rows``,
+``TraceResult.rows_by_rid``; the lineage baselines and tests do, Algorithm 4
+does not).
 
 Because the SA groups at an operator are *independent* — each group is
-evaluated through its own representative query against its own column of
-input tuples — their evaluation is dispatched through the pluggable
-execution backend (:mod:`repro.engine.backends`): with ``backend="process"``
-the per-group relaxed evaluations of an operator run on separate CPU cores
-and only the bitmask merging happens in the driver.  The serial backend runs
-the identical task functions inline, so backends are result-equivalent by
-construction (asserted over every registered scenario in
-``tests/engine/test_backends.py``).
+evaluated through its own representative query against its own input
+column — each group's share is one batch task dispatched through the
+pluggable execution backend (:mod:`repro.engine.backends`): with
+``backend="process"`` the per-group relaxed evaluations of an operator run
+on separate CPU cores and only the mask merging happens in the driver.  The
+serial backend runs the identical task functions inline, so backends are
+result-equivalent by construction (asserted over every registered scenario
+in ``tests/engine/test_backends.py``).  The row-at-a-time tracer this layout
+replaced is kept as the test oracle in :mod:`repro.fuzz.reference`.
 
 Aggregate-value constraints in NIPs are checked softly: if no row at an
 operator is strictly consistent under some SA, consistency is re-evaluated
@@ -52,16 +65,16 @@ does not enumerate input subsets for aggregates — paper §5.5 caveat (iii)).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Iterable, Optional
 
 from repro.algebra.operators import (
     BagDestroy,
     CartesianProduct,
     Deduplication,
     Difference,
-    EvalContext,
     GroupAggregation,
     Join,
     Map,
@@ -222,31 +235,168 @@ def _meet(n: int, *assignments: tuple[int, ...]) -> SAGroups:
     return SAGroups(tuple(gids), reps, masks)
 
 
-@dataclass
-class OpTrace:
-    """Snapshot of one operator's annotated (relaxed) output."""
+def _or_columns(columns: list[list[int]]) -> list[int]:
+    """Row-wise OR of equally long int columns."""
+    out = columns[0]
+    for column in columns[1:]:
+        out = [a | b for a, b in zip(out, column)]
+    return out
 
-    op_id: int
-    rows: list[TRow]
-    groups: SAGroups = None  # type: ignore[assignment]
+
+class OpTrace:
+    """Columnar snapshot of one operator's annotated (relaxed) output.
+
+    ``cols[g]`` is the value column of SA group g of ``groups``; ``valid``,
+    ``consistent`` and ``retained`` are per-row bitmask columns (``retained``
+    is None when the operator never filters, i.e. ``retained_known == 0``).
+    Row k has row id ``base + k + 1``.  ``parents`` is a column of parent
+    row-id tuples, or None when row k's only parent is row k of the first
+    child (whose snapshot base is ``child_base``; None for table accesses,
+    whose rows have no parents).
+    """
+
+    __slots__ = (
+        "op_id",
+        "base",
+        "groups",
+        "cols",
+        "valid",
+        "consistent",
+        "retained",
+        "retained_known",
+        "parents",
+        "child_base",
+        "_rows",
+    )
+
+    def __init__(
+        self,
+        op_id: int,
+        base: int,
+        groups: SAGroups,
+        cols: list[list[Optional[Tup]]],
+        valid: list[int],
+        retained: Optional[list[int]] = None,
+        retained_known: int = 0,
+        parents: Optional[list[tuple[int, ...]]] = None,
+        child_base: Optional[int] = None,
+    ):
+        self.op_id = op_id
+        self.base = base
+        self.groups = groups
+        self.cols = cols
+        self.valid = valid
+        self.consistent: list[int] = [0] * len(valid)
+        self.retained = retained
+        self.retained_known = retained_known
+        self.parents = parents
+        self.child_base = child_base
+        self._rows: Optional[list[TRow]] = None
+
+    @property
+    def count(self) -> int:
+        """Number of traced rows at this operator."""
+        return len(self.valid)
+
+    def column(self, i: int) -> list[Optional[Tup]]:
+        """The value column of schema alternative *i*."""
+        return self.cols[self.groups.gids[i]]
+
+    def parents_of(self, k: int) -> tuple[int, ...]:
+        """Parent row ids of row *k*."""
+        if self.parents is not None:
+            return self.parents[k]
+        if self.child_base is None:
+            return ()
+        return (self.child_base + k + 1,)
+
+    def parent_rids(self, rids: Iterable[int]) -> "set[int]":
+        """Parent row ids of the given rows of this snapshot."""
+        if self.parents is not None:
+            parents, offset = self.parents, self.base + 1
+            return {p for rid in rids for p in parents[rid - offset]}
+        if self.child_base is None:
+            return set()
+        shift = self.child_base - self.base
+        return {rid + shift for rid in rids}
+
+    @property
+    def rows(self) -> list[TRow]:
+        """Row-at-a-time view of the snapshot (built on first access)."""
+        if self._rows is None:
+            cols, gids = self.cols, self.groups.gids
+            retained = self.retained
+            known = self.retained_known
+            consistent = self.consistent
+            base = self.base
+            self._rows = [
+                TRow(
+                    base + k + 1,
+                    self.parents_of(k),
+                    tuple(cols[g][k] for g in gids),
+                    valid,
+                    consistent[k],
+                    retained[k] if retained is not None else 0,
+                    known,
+                )
+                for k, valid in enumerate(self.valid)
+            ]
+        return self._rows
+
+
+def parent_reader(
+    children: "list[OpTrace]", columns: "list[list]"
+) -> Callable[[int], Any]:
+    """Look up a per-row value of a child snapshot by row id.
+
+    ``columns[c]`` is a column aligned with ``children[c]``; the returned
+    function maps a row id of any child to its entry.
+    """
+    if len(children) == 1:
+        column, offset = columns[0], children[0].base + 1
+        return lambda rid: column[rid - offset]
+    bounds = sorted(
+        ((c.base, column) for c, column in zip(children, columns) if c.count),
+        key=lambda bound: bound[0],
+    )
+    starts = [b for b, _ in bounds]
+
+    def read(rid: int) -> Any:
+        base, column = bounds[bisect_right(starts, rid - 1) - 1]
+        return column[rid - base - 1]
+
+    return read
 
 
 @dataclass
 class TraceResult:
-    """All per-operator snapshots plus lookup indexes."""
+    """All per-operator snapshots plus lazily built row views."""
 
     traces: dict[int, OpTrace]
     root_id: int
     n_sas: int
-    rows_by_rid: dict[int, TRow] = field(default_factory=dict)
-    op_of_rid: dict[int, int] = field(default_factory=dict)
 
     def final_rows(self) -> list[TRow]:
         """The traced rows of the root operator (the relaxed final result)."""
         return self.traces[self.root_id].rows
 
+    @cached_property
+    def rows_by_rid(self) -> dict[int, TRow]:
+        """Every traced row by id, parents before children (built lazily)."""
+        return {row.rid: row for snap in self.traces.values() for row in snap.rows}
+
+    @cached_property
+    def op_of_rid(self) -> dict[int, int]:
+        """The producing operator of every traced row id (built lazily)."""
+        return {
+            snap.base + k + 1: op_id
+            for op_id, snap in self.traces.items()
+            for k in range(snap.count)
+        }
+
     def ancestors(self, rids: "set[int] | list[int]") -> set[int]:
         """Transitive parents of the given rows (including themselves)."""
+        rows = self.rows_by_rid
         seen: set[int] = set()
         stack = list(rids)
         while stack:
@@ -254,12 +404,19 @@ class TraceResult:
             if rid in seen:
                 continue
             seen.add(rid)
-            stack.extend(self.rows_by_rid[rid].parents)
+            stack.extend(rows[rid].parents)
         return seen
 
     def total_rows(self) -> int:
         """Total number of traced rows across all operators."""
-        return len(self.rows_by_rid)
+        return sum(snap.count for snap in self.traces.values())
+
+    def max_rid(self) -> int:
+        """The largest traced row id (0 when nothing was traced)."""
+        return max(
+            (snap.base + snap.count for snap in self.traces.values() if snap.count),
+            default=0,
+        )
 
 
 class Tracer:
@@ -282,14 +439,15 @@ class Tracer:
         self.n = len(sas)
         self._full_mask = (1 << self.n) - 1
         self.reuse = reuse or {}
-        self._rid = itertools.count(rid_start + 1)
-        # Per-SA operator views, schemas and evaluation contexts.
+        self._next_base = rid_start
+        # Per-SA operator views and schemas.
         self._ops = {
             op.op_id: [sa.query.op(op.op_id) for sa in sas] for op in query.ops
         }
         self._schemas = [sa.query.infer_schemas(db) for sa in sas]
-        self._ctxs = [EvalContext(db, schemas) for schemas in self._schemas]
         self._op_group_cache: dict[int, tuple[int, ...]] = {}
+        # Consistency scans by column id: (column, [(pattern, hits), ...]).
+        self._scans: dict[int, tuple[list, list]] = {}
         self.backend = get_backend(backend)
         self._task_context = TaskContext(
             query, db, tuple(sa.query for sa in sas)
@@ -300,7 +458,7 @@ class Tracer:
 
         A single group (or a serial backend) runs inline; with the process
         backend the groups evaluate on separate cores and the caller merges
-        the returned per-group results into bitmask-flagged rows.
+        the returned per-group columns into mask columns.
         """
         if len(tasks) <= 1 or self.backend.workers <= 1:
             state = self._task_context.local_state()
@@ -313,8 +471,8 @@ class Tracer:
         """Trace every operator bottom-up and assemble the :class:`TraceResult`.
 
         Operators listed in ``reuse`` (a retained base trace, keyed by op id)
-        are **not** re-evaluated: their annotated rows — including the per-SA
-        validity/consistency bitmasks — are merged into the result as-is, and
+        are **not** re-evaluated: their snapshots — including the per-SA
+        validity/consistency masks — are merged into the result as-is, and
         only operators outside the reuse set are traced afresh.  This is what
         makes incremental re-tracing after a mutation cheap: the caller passes
         the base version's :class:`OpTrace` for every operator whose inputs
@@ -323,23 +481,19 @@ class Tracer:
         """
         result = TraceResult({}, self.query.root.op_id, self.n)
         for op in self.query.ops:
-            reused = self.reuse.get(op.op_id)
-            if reused is not None:
-                rows, groups = reused.rows, reused.groups
-            else:
-                child_traces = [result.traces[c.op_id] for c in op.children]
-                rows, groups = self._trace_op(op, child_traces)
-                self._annotate_consistency(op, rows, groups, result.rows_by_rid)
-            result.traces[op.op_id] = OpTrace(op.op_id, rows, groups)
-            for row in rows:
-                result.rows_by_rid[row.rid] = row
-                result.op_of_rid[row.rid] = op.op_id
+            snap = self.reuse.get(op.op_id)
+            if snap is None:
+                children = [result.traces[c.op_id] for c in op.children]
+                snap = self._trace_op(op, children)
+                self._next_base += snap.count
+                self._annotate_consistency(op, snap, children)
+            result.traces[op.op_id] = snap
         return result
 
     # -- helpers -------------------------------------------------------------
 
-    def _next_rid(self) -> int:
-        return next(self._rid)
+    def _snapshot(self, op: Operator, groups: SAGroups, cols, valid, **kw) -> OpTrace:
+        return OpTrace(op.op_id, self._next_base, groups, cols, valid, **kw)
 
     def _sa_op(self, op: Operator, i: int) -> Operator:
         return self._ops[op.op_id][i]
@@ -368,29 +522,48 @@ class Tracer:
             self.n, self._op_param_groups(op), *(g.gids for g in child_groups)
         )
 
+    def _group_flags(
+        self, groups: SAGroups, columns: list[list], test: Callable[[int, Any], bool]
+    ) -> list[int]:
+        """OR of ``masks[g]`` over the groups whose value passes ``test(g, v)``.
+
+        ``columns[g]`` is group g's value column; missing values never pass.
+        """
+        return _or_columns(
+            [
+                [mask if v is not None and test(g, v) else 0 for v in column]
+                for g, (mask, column) in enumerate(zip(groups.masks, columns))
+            ]
+        )
+
     def _annotate_consistency(
-        self, op: Operator, rows: list[TRow], groups: SAGroups, rows_by_rid: dict[int, TRow]
+        self, op: Operator, snap: OpTrace, children: list[OpTrace]
     ) -> None:
-        """Fill ``consistent`` masks, with the soft aggregate fallback."""
+        """Fill the ``consistent`` column, with the soft aggregate fallback."""
         if not self.revalidate and not isinstance(op, TableAccess):
             # Ablation: inherit compatibility from the parents (lineage-style
             # blind successor tracking, no re-validation).
-            for row in rows:
+            if snap.parents is None:
+                inherited = children[0].consistent
+                snap.consistent = [v & c for v, c in zip(snap.valid, inherited)]
+                return
+            read = parent_reader(children, [c.consistent for c in children])
+            consistent = snap.consistent
+            for k, (valid, parents) in enumerate(zip(snap.valid, snap.parents)):
                 inherited = 0
-                for p in row.parents:
-                    inherited |= rows_by_rid[p].consistent_mask
-                row.consistent_mask = row.valid_mask & inherited
+                for p in parents:
+                    inherited |= read(p)
+                consistent[k] = valid & inherited
             return
         n = self.n
         strict = [self.sas[i].backtrace.nip_at[op.op_id] for i in range(n)]
         relaxed = [self.sas[i].backtrace.relaxed_at[op.op_id] for i in range(n)]
         # Refine the column groups by pattern equality: within a subgroup the
-        # match flags are identical, so evaluate them once.
+        # match flags are identical, so scan the group's column once.
         sub_keys: list[tuple[int, Any, Any]] = []
         sub_masks: list[int] = []
-        sub_reps: list[int] = []
         for i in range(n):
-            key = (groups.gids[i], strict[i], relaxed[i])
+            key = (snap.groups.gids[i], strict[i], relaxed[i])
             for g, existing in enumerate(sub_keys):
                 if existing == key:
                     sub_masks[g] |= 1 << i
@@ -398,547 +571,339 @@ class Tracer:
             else:
                 sub_keys.append(key)
                 sub_masks.append(1 << i)
-                sub_reps.append(i)
-        for (_, s_pat, r_pat), gmask, rep in zip(sub_keys, sub_masks, sub_reps):
-            bit = 1 << rep
-            strict_match = compile_pattern(s_pat)
-            # Within a subgroup validity is uniform (column sharing), so the
-            # whole gmask can be committed as soon as the representative
-            # column is valid and matches.
-            matched_any = False
-            for row in rows:
-                if row.valid_mask & bit and strict_match(row.vals[rep]):
-                    row.consistent_mask |= gmask
-                    matched_any = True
-            if not matched_any and s_pat != r_pat:
-                relaxed_match = compile_pattern(r_pat)
-                for row in rows:
-                    if row.valid_mask & bit and relaxed_match(row.vals[rep]):
-                        row.consistent_mask |= gmask
+        consistent = snap.consistent
+        for (gid, s_pat, r_pat), gmask in zip(sub_keys, sub_masks):
+            column = snap.cols[gid]
+            hits = self._matching_rows(column, s_pat)
+            if not hits and s_pat != r_pat:
+                hits = self._matching_rows(column, r_pat)
+            for k in hits:
+                consistent[k] |= gmask
+
+    def _matching_rows(self, column: list[Optional[Tup]], pattern: Any) -> list[int]:
+        """Indices of the present values in *column* that match *pattern*.
+
+        Within an SA subgroup validity is uniform (column sharing) and a row
+        is valid exactly where its value is present, so one scan serves the
+        whole subgroup.  Pass-through operators share their child's columns
+        and usually its NIP, so scans are memoised per column and pattern.
+        """
+        scans = self._scans.setdefault(id(column), (column, []))[1]
+        for seen, hits in scans:
+            if seen == pattern:
+                return hits
+        match = compile_pattern(pattern)
+        hits = [k for k, v in enumerate(column) if v is not None and match(v)]
+        scans.append((pattern, hits))
+        return hits
 
     # -- per-operator tracing --------------------------------------------------
 
-    def _trace_op(
-        self, op: Operator, child_traces: list[OpTrace]
-    ) -> tuple[list[TRow], SAGroups]:
+    def _trace_op(self, op: Operator, children: list[OpTrace]) -> OpTrace:
         if isinstance(op, TableAccess):
             return self._trace_table(op)
         if isinstance(op, Selection):
-            return self._trace_selection(op, child_traces[0])
+            return self._trace_selection(op, children[0])
         if isinstance(op, (Projection, Renaming, TupleFlatten, TupleNesting, NestedAggregation)):
-            return self._trace_narrow(op, child_traces[0])
+            return self._trace_narrow(op, children[0])
         if isinstance(op, RelationFlatten):
-            return self._trace_flatten(op, child_traces[0])
+            return self._trace_flatten(op, children[0])
         if isinstance(op, Join):
-            return self._trace_join(op, child_traces)
+            return self._trace_join(op, children)
         if isinstance(op, (RelationNesting, GroupAggregation)):
-            return self._trace_grouping(op, child_traces[0])
+            return self._trace_grouping(op, children[0])
         if isinstance(op, Union):
-            return self._trace_union(op, child_traces)
+            return self._trace_union(op, children)
         if isinstance(op, Deduplication):
-            return self._trace_passthrough(child_traces[0])
+            return self._trace_passthrough(op, children[0])
         if isinstance(op, Difference):
-            return self._trace_difference(op, child_traces)
+            return self._trace_difference(op, children)
         if isinstance(op, CartesianProduct):
-            return self._trace_product(op, child_traces)
+            return self._trace_product(op, children)
         if isinstance(op, Map):
             raise UnsupportedOperator("data tracing does not support map (paper §5.5)")
         if isinstance(op, BagDestroy):
             raise UnsupportedOperator("data tracing does not support bag-destroy")
         raise UnsupportedOperator(f"no tracing rule for {type(op).__name__}")
 
-    def _trace_table(self, op: TableAccess) -> tuple[list[TRow], SAGroups]:
+    def _trace_table(self, op: TableAccess) -> OpTrace:
         full = self._full_mask
-        n = self.n
-        rows = [
-            TRow(
-                rid=self._next_rid(),
-                parents=(),
-                vals=(tup,) * n,
-                valid_mask=full,
-                retained_true=full,
-                retained_known=full,
-            )
-            for tup in self.db.relation(op.table)
-        ]
-        return rows, SAGroups.single(n)
+        column = list(self.db.relation(op.table))
+        every = [full] * len(column)
+        return self._snapshot(
+            op, SAGroups.single(self.n), [column], every,
+            retained=every, retained_known=full,
+        )
 
-    def _trace_selection(self, op: Selection, child: OpTrace) -> tuple[list[TRow], SAGroups]:
+    def _trace_selection(self, op: Selection, child: OpTrace) -> OpTrace:
         mg = self._meet_for(op, child.groups)
         preds = [self._sa_op(op, rep).pred.compile() for rep in mg.reps]
-        reps = mg.reps
-        masks = mg.masks
-        full = self._full_mask
-        rows = []
-        for parent in child.rows:
-            pvals = parent.vals
-            retained_true = 0
-            for g, rep in enumerate(reps):
-                v = pvals[rep]
-                if v is not None and preds[g](v):
-                    retained_true |= masks[g]
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=(parent.rid,),
-                    vals=pvals,
-                    valid_mask=parent.valid_mask,
-                    retained_true=retained_true & parent.valid_mask,
-                    retained_known=full,
-                )
-            )
+        retained = self._group_flags(
+            mg, [child.column(rep) for rep in mg.reps], lambda g, v: preds[g](v)
+        )
         # Selections pass tuples through unchanged: column sharing persists.
-        return rows, child.groups
-
-    def _trace_narrow(self, op: Operator, child: OpTrace) -> tuple[list[TRow], SAGroups]:
-        """Non-filtering unary operators: transform each group's tuple once."""
-        groups = self._meet_for(op, child.groups)
-        reps = groups.reps
-        gids = groups.gids
-        n = self.n
-        sa_ops = [self._sa_op(op, rep) for rep in reps]
-        ctxs = [self._ctxs[rep] for rep in reps]
-        full = self._full_mask
-        rows = []
-        if len(reps) == 1:
-            # All SAs share the computation: one eval, one shared tuple.
-            sa_op, ctx, rep = sa_ops[0], ctxs[0], reps[0]
-            for parent in child.rows:
-                v = parent.vals[rep]
-                out = None
-                if v is not None:
-                    produced = sa_op.eval_rows([[v]], ctx)
-                    out = produced[0] if produced else None
-                rows.append(
-                    TRow(
-                        rid=self._next_rid(),
-                        parents=(parent.rid,),
-                        vals=(out,) * n,
-                        valid_mask=full if out is not None else 0,
-                    )
-                )
-            return rows, groups
-        # Multiple distinguishable groups: each group's relaxed evaluation is
-        # an independent task (parallel under the process backend).
-        group_outs = self._run_group_tasks(
-            [
-                ("trace_narrow", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
-                for g in range(len(reps))
-            ]
+        return self._snapshot(
+            op, child.groups, child.cols, child.valid,
+            retained=retained, retained_known=self._full_mask, child_base=child.base,
         )
-        for idx, parent in enumerate(child.rows):
-            vals = []
-            valid_mask = 0
-            for i in range(n):
-                out = group_outs[gids[i]][idx]
-                vals.append(out)
-                if out is not None:
-                    valid_mask |= 1 << i
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=(parent.rid,),
-                    vals=tuple(vals),
-                    valid_mask=valid_mask,
-                )
+
+    def _trace_narrow(self, op: Operator, child: OpTrace) -> OpTrace:
+        """Non-filtering 1:1 unary operators: one batch per group column.
+
+        A row exists under an SA exactly when its parent does, so validity
+        is the child's column.
+        """
+        groups = self._meet_for(op, child.groups)
+        cols = self._run_group_tasks(
+            [("trace_narrow", rep, op.op_id, child.column(rep)) for rep in groups.reps]
+        )
+        return self._snapshot(op, groups, cols, child.valid, child_base=child.base)
+
+    def _trace_flatten(self, op: RelationFlatten, child: OpTrace) -> OpTrace:
+        """Algorithm 3: run as outer flatten per SA group, merge by parent.
+
+        Each group returns its flattened tuples, the positions a padded
+        (non-outer) expansion makes unretained, and per-parent expansion
+        counts; the k-th expansions of one parent across groups share a row.
+        """
+        groups = self._meet_for(op, child.groups)
+        full = self._full_mask
+        offset = child.base + 1
+        results = self._run_group_tasks(
+            [("trace_flatten", rep, op.op_id, child.column(rep)) for rep in groups.reps]
+        )
+        if len(results) == 1:
+            column, unretained, counts = results[0]
+            parents: list[tuple[int, ...]] = []
+            for p, c in enumerate(counts):
+                if c:
+                    parents += [(offset + p,)] * c
+            retained = [full] * len(column)
+            for pos in unretained:
+                retained[pos] = 0
+            return self._snapshot(
+                op, groups, [column], [full] * len(column),
+                retained=retained, retained_known=full, parents=parents,
             )
-        return rows, groups
-
-    def _trace_flatten(self, op: RelationFlatten, child: OpTrace) -> tuple[list[TRow], SAGroups]:
-        """Algorithm 3: run as outer flatten per SA group, merge by parent."""
-        groups = self._meet_for(op, child.groups)
-        reps = groups.reps
-        gids = groups.gids
-        n = self.n
-        sa_ops: list[RelationFlatten] = [self._sa_op(op, rep) for rep in reps]  # type: ignore[misc]
-        ctxs = [self._ctxs[rep] for rep in reps]
-        full = self._full_mask
-        rows = []
-        if len(reps) == 1:
-            sa_op, ctx, rep = sa_ops[0], ctxs[0], reps[0]
-            outer = sa_op.outer
-            for parent in child.rows:
-                v = parent.vals[rep]
-                if v is None:
-                    continue
-                expanded, padded = sa_op.expand(v, ctx)
-                if padded:
-                    rows.append(
-                        TRow(
-                            rid=self._next_rid(),
-                            parents=(parent.rid,),
-                            vals=(expanded[0],) * n,
-                            valid_mask=full,
-                            retained_true=full if outer else 0,
-                            retained_known=full,
-                        )
-                    )
-                    continue
-                for t in expanded:
-                    rows.append(
-                        TRow(
-                            rid=self._next_rid(),
-                            parents=(parent.rid,),
-                            vals=(t,) * n,
-                            valid_mask=full,
-                            retained_true=full,
-                            retained_known=full,
-                        )
-                    )
-            return rows, groups
-        # Per-group outer-flatten expansions are independent tasks; the
-        # driver merges them column-aligned (k-th expansion of each group).
-        group_expansions = self._run_group_tasks(
-            [
-                ("trace_flatten", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
-                for g in range(len(reps))
-            ]
-        )
-        for idx, parent in enumerate(child.rows):
-            expansions: list[list[tuple[Optional[Tup], bool]]] = [
-                group_expansions[g][idx] for g in range(len(reps))
-            ]
-            width = max((len(e) for e in expansions), default=0)
-            for k in range(width):
-                vals = []
+        n_groups = len(results)
+        cols: list[list[Optional[Tup]]] = [[] for _ in range(n_groups)]
+        dropped = [frozenset(r[1]) for r in results]
+        starts = [0] * n_groups
+        valid: list[int] = []
+        retained = []
+        parents = []
+        masks = groups.masks
+        for p in range(child.count):
+            widths = [r[2][p] for r in results]
+            parent = (offset + p,)
+            for k in range(max(widths)):
                 valid_mask = 0
                 retained_true = 0
-                for i in range(n):
-                    expansion = expansions[gids[i]]
-                    if k < len(expansion):
-                        tup, flag = expansion[k]
-                        vals.append(tup)
-                        bit = 1 << i
-                        valid_mask |= bit
-                        if flag:
-                            retained_true |= bit
+                for g, result in enumerate(results):
+                    if k < widths[g]:
+                        pos = starts[g] + k
+                        cols[g].append(result[0][pos])
+                        valid_mask |= masks[g]
+                        if pos not in dropped[g]:
+                            retained_true |= masks[g]
                     else:
-                        vals.append(None)
-                rows.append(
-                    TRow(
-                        rid=self._next_rid(),
-                        parents=(parent.rid,),
-                        vals=tuple(vals),
-                        valid_mask=valid_mask,
-                        retained_true=retained_true,
-                        retained_known=full,
-                    )
-                )
-        return rows, groups
+                        cols[g].append(None)
+                valid.append(valid_mask)
+                retained.append(retained_true)
+                parents.append(parent)
+            for g in range(n_groups):
+                starts[g] += widths[g]
+        return self._snapshot(
+            op, groups, cols, valid,
+            retained=retained, retained_known=full, parents=parents,
+        )
 
-    def _trace_join(self, op: Join, child_traces: list[OpTrace]) -> tuple[list[TRow], SAGroups]:
+    def _trace_join(self, op: Join, children: list[OpTrace]) -> OpTrace:
         """Relaxed join: full-outer semantics per SA group, merged across."""
-        left_trace, right_trace = child_traces
-        left_rows, right_rows = left_trace.rows, right_trace.rows
-        groups = self._meet_for(op, left_trace.groups, right_trace.groups)
+        left, right = children
+        groups = self._meet_for(op, left.groups, right.groups)
         reps = groups.reps
-        gids = groups.gids
-        n = self.n
+        masks = groups.masks
         full = self._full_mask
         n_groups = len(reps)
+        l_off, r_off = left.base + 1, right.base + 1
 
         # Each group's full-outer match set is an independent task: workers
         # return {(left_idx, right_idx): combined} plus the matched index
         # sets; pads (cheap, schema-derived) stay in the driver.
         results = self._run_group_tasks(
             [
-                (
-                    "trace_join",
-                    reps[g],
-                    op.op_id,
-                    [l.vals[reps[g]] for l in left_rows],
-                    [r.vals[reps[g]] for r in right_rows],
-                )
-                for g in range(n_groups)
+                ("trace_join", rep, op.op_id, left.column(rep), right.column(rep))
+                for rep in reps
             ]
         )
         match_sets: list[dict[tuple[int, int], Tup]] = [r[0] for r in results]
-        left_matched: list[set[int]] = [r[1] for r in results]
-        right_matched: list[set[int]] = [r[2] for r in results]
-        sa_ops: list[Join] = []
-        pads_left: list[Tup] = []
-        pads_right: list[Tup] = []
-        for g in range(n_groups):
-            rep = reps[g]
-            sa_op: Join = self._sa_op(op, rep)  # type: ignore[assignment]
-            sa_ops.append(sa_op)
-            schemas = self._schemas[rep]
-            pads_right.append(
-                sa_op._pad(schemas[op.children[1].op_id], sa_op._right_drop())
-            )
-            pads_left.append(sa_op._pad(schemas[op.children[0].op_id]))
-
-        rows: list[TRow] = []
-        all_pairs: dict[tuple[int, int], None] = {}
-        for matches_g in match_sets:
-            for pair in matches_g:
-                all_pairs.setdefault(pair, None)
-        single = n_groups == 1
-        for pair in all_pairs:
-            ldx, jdx = pair
-            if single:
-                combined = match_sets[0][pair]
-                vals_t: tuple[Optional[Tup], ...] = (combined,) * n
-                valid_mask = full
-            else:
-                vals = []
+        sa_ops: list[Join] = [self._sa_op(op, rep) for rep in reps]  # type: ignore[misc]
+        cols: list[list[Optional[Tup]]] = [[] for _ in range(n_groups)]
+        valid: list[int] = []
+        parents: list[tuple[int, ...]] = []
+        if n_groups == 1:
+            cols[0] = list(match_sets[0].values())
+            parents = [(l_off + ldx, r_off + jdx) for ldx, jdx in match_sets[0]]
+            valid = [full] * len(parents)
+        else:
+            all_pairs: dict[tuple[int, int], None] = {}
+            for matches_g in match_sets:
+                all_pairs.update(dict.fromkeys(matches_g))
+            for pair in all_pairs:
                 valid_mask = 0
-                for i in range(n):
-                    combined = match_sets[gids[i]].get(pair)
-                    vals.append(combined)
+                for g, matches_g in enumerate(match_sets):
+                    combined = matches_g.get(pair)
+                    cols[g].append(combined)
                     if combined is not None:
-                        valid_mask |= 1 << i
-                vals_t = tuple(vals)
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=(left_rows[ldx].rid, right_rows[jdx].rid),
-                    vals=vals_t,
-                    valid_mask=valid_mask,
-                    retained_true=valid_mask,
-                    retained_known=full,
-                )
-            )
-        # Left rows without partner: padded (tracks tuples that an outer join
+                        valid_mask |= masks[g]
+                valid.append(valid_mask)
+                parents.append((l_off + pair[0], r_off + pair[1]))
+        # Join pairs are retained exactly where they exist.
+        retained = list(valid)
+
+        # Rows without partner: padded (tracks tuples that an outer join
         # variant would keep — needed to reparameterize the join type).
-        for ldx, l in enumerate(left_rows):
-            unmatched_groups = [
-                g
-                for g in range(n_groups)
-                if l.vals[reps[g]] is not None and ldx not in left_matched[g]
-            ]
-            if not unmatched_groups:
-                continue
-            if single:
-                out = l.vals[reps[0]].concat(pads_right[0])
-                vals_t = (out,) * n
-                valid_mask = full
-                retained_true = full if sa_ops[0].how in ("left", "full") else 0
-            else:
-                padded: dict[int, Tup] = {
-                    g: l.vals[reps[g]].concat(pads_right[g]) for g in unmatched_groups
-                }
-                vals = []
+        left_id, right_id = (c.op_id for c in op.children)
+        schemas = [self._schemas[rep] for rep in reps]
+        right_pads = [
+            sa_op._pad(s[right_id], sa_op._right_drop()) for sa_op, s in zip(sa_ops, schemas)
+        ]
+        left_pads = [sa_op._pad(s[left_id]) for sa_op, s in zip(sa_ops, schemas)]
+
+        def pad_left(g: int, v: Tup) -> Tup:
+            return v.concat(right_pads[g])
+
+        def pad_right(g: int, v: Tup) -> Tup:
+            drop = sa_ops[g]._right_drop()
+            return left_pads[g].concat(v.drop(drop) if drop else v)
+
+        for side, matched_at, keeps, pad in (
+            (left, 1, ("left", "full"), pad_left),
+            (right, 2, ("right", "full"), pad_right),
+        ):
+            in_cols = [side.column(rep) for rep in reps]
+            matched = [r[matched_at] for r in results]
+            offset = side.base + 1
+            for idx in range(side.count):
                 valid_mask = 0
                 retained_true = 0
-                for i in range(n):
-                    out = padded.get(gids[i])
-                    vals.append(out)
-                    if out is not None:
-                        valid_mask |= 1 << i
-                        if sa_ops[gids[i]].how in ("left", "full"):
-                            retained_true |= 1 << i
-                vals_t = tuple(vals)
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=(l.rid,),
-                    vals=vals_t,
-                    valid_mask=valid_mask,
-                    retained_true=retained_true,
-                    retained_known=full,
-                )
-            )
-        for jdx, r in enumerate(right_rows):
-            unmatched_groups = [
-                g
-                for g in range(n_groups)
-                if r.vals[reps[g]] is not None and jdx not in right_matched[g]
-            ]
-            if not unmatched_groups:
-                continue
-            padded = {}
-            for g in unmatched_groups:
-                right_val = r.vals[reps[g]]
-                drop = sa_ops[g]._right_drop()
-                if drop:
-                    right_val = right_val.drop(drop)
-                padded[g] = pads_left[g].concat(right_val)
-            if single:
-                vals_t = (padded[0],) * n
-                valid_mask = full
-                retained_true = full if sa_ops[0].how in ("right", "full") else 0
-            else:
-                vals = []
-                valid_mask = 0
-                retained_true = 0
-                for i in range(n):
-                    out = padded.get(gids[i])
-                    vals.append(out)
-                    if out is not None:
-                        valid_mask |= 1 << i
-                        if sa_ops[gids[i]].how in ("right", "full"):
-                            retained_true |= 1 << i
-                vals_t = tuple(vals)
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=(r.rid,),
-                    vals=vals_t,
-                    valid_mask=valid_mask,
-                    retained_true=retained_true,
-                    retained_known=full,
-                )
-            )
-        return rows, groups
+                outs: list[Optional[Tup]] = []
+                for g in range(n_groups):
+                    v = in_cols[g][idx]
+                    if v is None or idx in matched[g]:
+                        outs.append(None)
+                        continue
+                    outs.append(pad(g, v))
+                    valid_mask |= masks[g]
+                    if sa_ops[g].how in keeps:
+                        retained_true |= masks[g]
+                if not valid_mask:
+                    continue
+                for g in range(n_groups):
+                    cols[g].append(outs[g])
+                valid.append(valid_mask)
+                retained.append(retained_true)
+                parents.append((offset + idx,))
+        return self._snapshot(
+            op, groups, cols, valid,
+            retained=retained, retained_known=full, parents=parents,
+        )
 
     def _trace_grouping(
         self, op: "RelationNesting | GroupAggregation", child: OpTrace
-    ) -> tuple[list[TRow], SAGroups]:
+    ) -> OpTrace:
         """Figure 7's four steps: per-SA-group nest/aggregate valid rows, then
         merge the per-group results full-outer-join-style on the group key."""
         groups = self._meet_for(op, child.groups)
         reps = groups.reps
-        gids = groups.gids
-        n = self.n
+        masks = groups.masks
+        offset = child.base + 1
         merged: dict[Tup, dict[int, tuple[Tup, list[int]]]] = {}
-        order: list[Tup] = []
 
         # Per-group nest/aggregate runs as independent tasks returning
         # ``(key, out, member_indices)`` buckets; the driver merges them
         # full-outer-join-style on the group key.
         results = self._run_group_tasks(
-            [
-                ("trace_group", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
-                for g in range(len(reps))
-            ]
+            [("trace_group", rep, op.op_id, child.column(rep)) for rep in reps]
         )
-        for g in range(len(reps)):
-            for key, out, member_idxs in results[g]:
-                slot = merged.get(key)
-                if slot is None:
-                    slot = {}
-                    merged[key] = slot
-                    order.append(key)
-                slot[g] = (out, [child.rows[i].rid for i in member_idxs])
-        rows = []
-        full = self._full_mask
-        single = len(reps) == 1
-        for key in order:
-            slot = merged[key]
-            if single:
-                out, rids = slot[0]
-                vals_t: tuple[Optional[Tup], ...] = (out,) * n
-                valid_mask = full
-                parents = dict.fromkeys(rids)
-            else:
-                vals = []
-                valid_mask = 0
-                parents = {}
-                for i in range(n):
-                    entry = slot.get(gids[i])
-                    if entry is None:
-                        vals.append(None)
-                    else:
-                        vals.append(entry[0])
-                        valid_mask |= 1 << i
-                for entry, rids in slot.values():
-                    for rid in rids:
-                        parents.setdefault(rid, None)
-                vals_t = tuple(vals)
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=tuple(parents),
-                    vals=vals_t,
-                    valid_mask=valid_mask,
-                )
-            )
-        return rows, groups
+        for g, buckets in enumerate(results):
+            for key, out, member_idxs in buckets:
+                merged.setdefault(key, {})[g] = (out, member_idxs)
+        cols: list[list[Optional[Tup]]] = [[] for _ in reps]
+        valid: list[int] = []
+        parents: list[tuple[int, ...]] = []
+        for slot in merged.values():
+            valid_mask = 0
+            for g in range(len(reps)):
+                entry = slot.get(g)
+                cols[g].append(entry[0] if entry is not None else None)
+                if entry is not None:
+                    valid_mask |= masks[g]
+            valid.append(valid_mask)
+            members = dict.fromkeys(i for _, idxs in slot.values() for i in idxs)
+            parents.append(tuple(offset + i for i in members))
+        return self._snapshot(op, groups, cols, valid, parents=parents)
 
-    def _trace_union(self, op: Union, child_traces: list[OpTrace]) -> tuple[list[TRow], SAGroups]:
-        rows = []
-        for trace in child_traces:
-            for parent in trace.rows:
-                rows.append(
-                    TRow(
-                        rid=self._next_rid(),
-                        parents=(parent.rid,),
-                        vals=parent.vals,
-                        valid_mask=parent.valid_mask,
-                    )
-                )
-        groups = _meet(self.n, *(t.groups.gids for t in child_traces))
-        return rows, groups
-
-    def _trace_passthrough(self, child: OpTrace) -> tuple[list[TRow], SAGroups]:
-        rows = [
-            TRow(
-                rid=self._next_rid(),
-                parents=(parent.rid,),
-                vals=parent.vals,
-                valid_mask=parent.valid_mask,
-            )
-            for parent in child.rows
+    def _trace_union(self, op: Union, children: list[OpTrace]) -> OpTrace:
+        groups = _meet(self.n, *(c.groups.gids for c in children))
+        cols = [
+            [v for c in children for v in c.column(rep)] for rep in groups.reps
         ]
-        return rows, child.groups
+        valid = [m for c in children for m in c.valid]
+        parents = [
+            (c.base + k + 1,) for c in children for k in range(c.count)
+        ]
+        return self._snapshot(op, groups, cols, valid, parents=parents)
 
-    def _trace_difference(
-        self, op: Difference, child_traces: list[OpTrace]
-    ) -> tuple[list[TRow], SAGroups]:
-        left, right = child_traces
+    def _trace_passthrough(self, op: Operator, child: OpTrace) -> OpTrace:
+        return self._snapshot(
+            op, child.groups, child.cols, child.valid, child_base=child.base
+        )
+
+    def _trace_difference(self, op: Difference, children: list[OpTrace]) -> OpTrace:
+        left, right = children
         mg = _meet(self.n, left.groups.gids, right.groups.gids)
         right_bags = [
-            Bag(r.vals[rep] for r in right.rows if r.vals[rep] is not None)
-            for rep in mg.reps
+            Bag(v for v in right.column(rep) if v is not None) for rep in mg.reps
         ]
-        full = self._full_mask
-        rows = []
-        for parent in left.rows:
-            retained_true = 0
-            for g, rep in enumerate(mg.reps):
-                v = parent.vals[rep]
-                if v is not None and right_bags[g].mult(v) == 0:
-                    retained_true |= mg.masks[g]
-            rows.append(
-                TRow(
-                    rid=self._next_rid(),
-                    parents=(parent.rid,),
-                    vals=parent.vals,
-                    valid_mask=parent.valid_mask,
-                    retained_true=retained_true & parent.valid_mask,
-                    retained_known=full,
-                )
-            )
-        return rows, left.groups
+        retained = self._group_flags(
+            mg,
+            [left.column(rep) for rep in mg.reps],
+            lambda g, v: right_bags[g].mult(v) == 0,
+        )
+        return self._snapshot(
+            op, left.groups, left.cols, left.valid,
+            retained=retained, retained_known=self._full_mask, child_base=left.base,
+        )
 
-    def _trace_product(
-        self, op: CartesianProduct, child_traces: list[OpTrace]
-    ) -> tuple[list[TRow], SAGroups]:
-        left, right = child_traces
-        if len(left.rows) * len(right.rows) > 250_000:
+    def _trace_product(self, op: CartesianProduct, children: list[OpTrace]) -> OpTrace:
+        left, right = children
+        if left.count * right.count > 250_000:
             raise UnsupportedOperator(
                 "cartesian product too large to trace; the paper's algorithm "
                 "avoids cross products (§5.5)"
             )
         groups = _meet(self.n, left.groups.gids, right.groups.gids)
-        reps = groups.reps
-        gids = groups.gids
-        n = self.n
-        rows = []
-        for l in left.rows:
-            for r in right.rows:
-                outs: list[Optional[Tup]] = []
-                for rep in reps:
-                    lv = l.vals[rep]
-                    rv = r.vals[rep]
-                    outs.append(lv.concat(rv) if lv is not None and rv is not None else None)
-                vals = []
-                valid_mask = 0
-                for i in range(n):
-                    out = outs[gids[i]]
-                    vals.append(out)
-                    if out is not None:
-                        valid_mask |= 1 << i
-                rows.append(
-                    TRow(
-                        rid=self._next_rid(),
-                        parents=(l.rid, r.rid),
-                        vals=tuple(vals),
-                        valid_mask=valid_mask,
-                    )
-                )
-        return rows, groups
+        cols = [
+            [
+                lv.concat(rv) if lv is not None and rv is not None else None
+                for lv in left.column(rep)
+                for rv in right.column(rep)
+            ]
+            for rep in groups.reps
+        ]
+        valid = _or_columns(
+            [
+                [mask if v is not None else 0 for v in column]
+                for mask, column in zip(groups.masks, cols)
+            ]
+        )
+        l_off, r_off = left.base + 1, right.base + 1
+        parents = [
+            (l_off + l, r_off + r) for l in range(left.count) for r in range(right.count)
+        ]
+        return self._snapshot(op, groups, cols, valid, parents=parents)
 
 
 def trace(
@@ -954,7 +919,7 @@ def trace(
 
     *backend* selects where independent SA groups evaluate (see
     :mod:`repro.engine.backends`); results are backend-invariant.  *reuse*
-    merges retained per-operator traces from a base version instead of
+    merges retained per-operator snapshots from a base version instead of
     re-evaluating them (incremental re-trace after a mutation); *rid_start*
     offsets freshly allocated row ids above the retained ones.
     """

@@ -8,6 +8,7 @@ the worker is respawned, subsequent requests succeed, and only the
 in-flight requests of the dead worker are shed.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -16,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import ApiError, Client, ExplainOptions, ShardedConfig
+from repro.api import ApiError, Client, ExplainOptions, ExplanationService, ShardedConfig
 from repro.api.sharded import make_sharded_server
 from repro.wire import serving_stats_from_json
 
@@ -39,6 +40,32 @@ def boot_server():
         server.shutdown()
         server.server_close()
         server.dispatcher.close()
+
+
+def _explain_gate(monkeypatch):
+    """Park every worker's explains until the test releases them.
+
+    Patches ``ExplanationService.explain`` before the server boots, so the
+    fork-started workers (respawned ones too) inherit the wrapper and two
+    shared flags: the wrapper raises ``reached`` and then polls ``release``
+    (bounded at 60 s).  The flags are lock-free shared integers rather than
+    ``multiprocessing.Event``s: a worker SIGKILLed inside an event's
+    condition leaves it locked or unacknowledged, and the test's ``set()``
+    would then block forever.  Returns ``(reached, release)``.
+    """
+    context = multiprocessing.get_context("fork")
+    reached, release = context.RawValue("i", 0), context.RawValue("i", 0)
+    explain = ExplanationService.explain
+
+    def gated(self, *args, **kwargs):
+        reached.value = 1
+        deadline = time.monotonic() + 60
+        while not release.value and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return explain(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExplanationService, "explain", gated)
+    return reached, release
 
 
 def _wait_until(predicate, timeout=15.0, interval=0.05):
@@ -71,10 +98,14 @@ class TestWorkerCrash:
         response = client.explain(scenario="Q1", scale=20)
         assert response.explanation_sets()
 
-    def test_crash_mid_load_completes_or_clean_503(self, boot_server):
+    def test_crash_mid_load_completes_or_clean_503(self, boot_server, monkeypatch):
         # One worker so every request lands on the victim process.  Distinct
-        # max_sas values make the burst non-coalescible, so several requests
-        # are genuinely in flight when the kill lands.
+        # max_sas values make the burst non-coalescible.  The explain gate
+        # parks the worker inside its first explain until the kill has
+        # landed, so requests are genuinely in flight however fast the
+        # explain is; fork-started workers (and the respawned one) inherit
+        # the patched method and the shared flags.
+        reached, release = _explain_gate(monkeypatch)
         server, client = boot_server(processes=1, queue_depth=32, cache_size=8)
         host, port = server.server_address[:2]
         victim = client.health()["workers"][0]["pid"]
@@ -93,8 +124,11 @@ class TestWorkerCrash:
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(fire, i) for i in range(8)]
-            time.sleep(0.25)  # let several requests reach the worker
+            assert _wait_until(lambda: reached.value, timeout=30), (
+                "no request reached the worker"
+            )
             os.kill(victim, signal.SIGKILL)
+            release.value = 1  # the respawned worker answers without parking
             outcomes = [f.result(timeout=90) for f in futures]
 
         # Every request resolved: correct payload or a clean, typed 503 —
@@ -183,9 +217,12 @@ class TestSaturation:
 
 
 class TestRequestTimeout:
-    def test_stuck_request_yields_503_not_a_hang(self, boot_server):
+    def test_stuck_request_yields_503_not_a_hang(self, boot_server, monkeypatch):
         # A request slower than the front-end bound must come back as a
-        # typed 503 within ~the timeout, never hang the HTTP thread.
+        # typed 503 within ~the timeout, never hang the HTTP thread.  The
+        # explain gate keeps the request stuck until the 503 is back, so
+        # the outcome does not depend on how fast the explain is.
+        _, release = _explain_gate(monkeypatch)
         server, client = boot_server(
             processes=1, cache_size=8, request_timeout=0.05
         )
@@ -193,6 +230,7 @@ class TestRequestTimeout:
         with pytest.raises(ApiError) as excinfo:
             client.explain(scenario="Q1", scale=500)
         elapsed = time.monotonic() - started
+        release.value = 1
         assert excinfo.value.status == 503
         assert excinfo.value.error_type == "Timeout"
         assert excinfo.value.retry_after is not None

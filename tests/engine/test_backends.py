@@ -1,8 +1,11 @@
 """Cross-backend equivalence: the process backend must reproduce the serial
 backend (and plain ``Query.evaluate``) exactly — results, explanations, and
 the merged row/shuffle metrics — for every plan, partition count and worker
-count.  Also covers the serialization contracts the process backend rests
-on: layout re-interning and compiled-cache stripping across pickling."""
+count.  The columnar tracer must reproduce the row-at-a-time reference
+tracer (:mod:`repro.fuzz.reference`) row for row on every scenario, backend
+and re-validation setting.  Also covers the serialization contracts the
+process backend rests on: layout re-interning and compiled-cache stripping
+across pickling."""
 
 import pickle
 
@@ -221,6 +224,39 @@ def test_explain_process_equals_serial(name):
         (e.lb, e.ub) for e in proc.explanations
     ]
     assert serial.trace.total_rows() == proc.trace.total_rows()
+
+
+@pytest.mark.parametrize("revalidate", [True, False])
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("name", _scenario_names())
+def test_tracer_equals_reference(name, backend, revalidate):
+    """Columnar snapshots ≡ the row-at-a-time reference tracer: every row
+    view (id, parents, values, valid/consistent/retained masks) and every
+    ranked explanation (labels, SA index, bounds, rank) is identical."""
+    from repro.fuzz import reference
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario(name)
+    question = scenario.question(scale=10)
+    got = explain(
+        question,
+        alternatives=scenario.alternatives,
+        revalidate=revalidate,
+        validate=False,
+        backend=backend,
+        workers=2,
+    )
+    _, ref_trace, ref_explanations = reference.reference_explain(
+        scenario.question(scale=10),
+        alternatives=scenario.alternatives,
+        revalidate=revalidate,
+        validate=False,
+    )
+    difference = reference.compare(
+        got.trace, got.explanations, ref_trace, ref_explanations
+    )
+    assert difference is None, f"{name} on {backend}: {difference}"
+    assert got.trace.total_rows() == ref_trace.total_rows()
 
 
 @pytest.mark.parametrize("name", SA_SCENARIOS)
