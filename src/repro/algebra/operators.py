@@ -386,6 +386,9 @@ class Selection(Operator):
 
     def emit_kernel(self, kb, ctx):
         cond = self.pred.emit_kernel(kb)
+        if kb.relaxed:
+            kb.retain(cond)
+            return
         kb.emit(f"if not ({cond}):")
         kb.emit("    continue")
 

@@ -42,6 +42,11 @@ op_id, pairs)``
     over the group's whole input column (see the columnar-snapshot notes in
     :mod:`repro.whynot.tracing`); the driver merges the per-group results
     into mask columns.
+``("trace_run", sa, op_ids, parent_vals, nips, checks)``
+    One SA group's share of a whole narrow run through one relaxed trace
+    kernel (:func:`repro.engine.kernels.trace_kernel`): the last operator's
+    column plus retained and NIP-hit row indices, or None when the run must
+    be traced operator by operator.
 
 Select a backend with ``Executor(backend="process", workers=4)``,
 ``explain(..., backend="process")``, the CLI's ``--backend/--workers`` flags,
@@ -63,6 +68,7 @@ from typing import Any, Optional, Sequence
 
 from repro.algebra.operators import EvalContext, Query, RelationNesting
 from repro.engine.columnar import task_kernel_chain
+from repro.engine.kernels import trace_kernel
 from repro.nested.values import NAN, Bag, Layout, Tup
 
 #: Environment variables consulted when no explicit backend/workers is given.
@@ -247,6 +253,59 @@ def _task_trace_narrow(state: WorkerState, sa: int, op_id: int, parent_vals: lis
     return [None if v is None else next(outputs) for v in parent_vals]
 
 
+def _task_trace_run(
+    state: WorkerState,
+    sa: int,
+    op_ids: "tuple[int, ...]",
+    parent_vals: list,
+    nips: tuple,
+    checks: tuple,
+) -> Any:
+    """One SA group's narrow run through one relaxed trace kernel.
+
+    ``checks[j]`` lists the ``(strict, relaxed)`` indices into *nips* tested
+    after operator j (relaxed None: equal to strict).  Returns ``(column,
+    flags, hits)`` aligned with *parent_vals* — the run's last column, the
+    retained row indices of each selection and, per operator, the
+    consistent row indices of each check — or None when the run has to be
+    traced operator by operator: no present row, rows of more than one
+    layout, an unsupported operator or NIP, a bailout, or any error.
+    """
+    from repro.whynot.matching import compile_pattern, pattern_shape
+
+    present = [v for v in parent_vals if v is not None]
+    if not present:
+        return None
+    layout = present[0]._layout
+    if any(v._layout is not layout for v in present):
+        return None
+    parts = [pattern_shape(nip) for nip in nips]
+    if None in parts:
+        return None
+    try:
+        ops = [state.sa_op(sa, op_id) for op_id in op_ids]
+        kernel = trace_kernel(
+            ops, layout, state.sa_ctx(sa), [shape for shape, _ in parts], checks
+        )
+        if kernel is None:
+            return None
+        matchers = [compile_pattern(sub) for _, subs in parts for sub in subs]
+        column, flags, hits = kernel.fn(present, matchers)
+    except Exception:
+        # Any failure, bailout or genuine error: the per-operator path
+        # reruns the run and raises errors in the row path's order and text.
+        return None
+    if len(present) == len(parent_vals):
+        return column, flags, hits
+    index = [k for k, v in enumerate(parent_vals) if v is not None]
+    values = iter(column)
+    return (
+        [None if v is None else next(values) for v in parent_vals],
+        [[index[k] for k in flag] for flag in flags],
+        [[[index[k] for k in hit] for hit in op_hits] for op_hits in hits],
+    )
+
+
 def _task_trace_flatten(state: WorkerState, sa: int, op_id: int, parent_vals: list) -> Any:
     """One SA group's outer-flatten expansions as ``(tuples, dropped, counts)``.
 
@@ -347,6 +406,7 @@ _TASK_HANDLERS = {
     "join_keyed": _task_join_keyed,
     "group_keyed": _task_group_keyed,
     "trace_narrow": _task_trace_narrow,
+    "trace_run": _task_trace_run,
     "trace_flatten": _task_trace_flatten,
     "trace_join": _task_trace_join,
     "trace_group": _task_trace_group,

@@ -31,6 +31,11 @@ Contract (see ``docs/KERNELS.md`` for the full walkthrough):
   the row path; only cardinality-changing operators
   (``kernel_changes_cardinality``) need live counters, every other operator
   is 1:1.
+* **Relaxed trace kernels.**  :func:`trace_kernel` builds the tracer's
+  variant (:mod:`repro.whynot.tracing`): one kernel per SA group per narrow
+  run, where selections record retained row indices instead of filtering,
+  each operator's strict/relaxed NIP checks run against its column
+  variables, and only the run's last row is materialized.
 """
 
 from __future__ import annotations
@@ -100,7 +105,11 @@ class KernelBuilder:
     kernel's globals so generated code shares the row path's exact objects.
     """
 
-    def __init__(self, layout: Layout):
+    def __init__(self, layout: Layout, relaxed: bool = False):
+        #: Relaxed (tracing) semantics: selections record retained row
+        #: indices in ``_f{n}`` lists via :meth:`retain` instead of filtering.
+        self.relaxed = relaxed
+        self.flags: list[str] = []
         self.lines: list[str] = []
         self.indent = 2  # function body is one level, loop body two
         self._tmp = 0
@@ -145,6 +154,14 @@ class KernelBuilder:
             self._bound[key] = name
             self.globals[name] = obj
         return name
+
+    def retain(self, cond: str) -> None:
+        """Relaxed selection: append the row index ``_k`` to a fresh flag list
+        when *cond* holds (the row itself always flows on)."""
+        var = f"_f{len(self.flags)}"
+        self.flags.append(var)
+        self.emit(f"if {cond}:")
+        self.emit(f"    {var}.append(_k)")
 
     def null_test(self, var: str) -> str:
         """The ⊥ test for a captured variable (mirrors ``is_null``)."""
@@ -262,38 +279,67 @@ def build_kernel(ops: "Sequence[Any]", layout: Layout, ctx) -> CompiledKernel:
             var = f"_k{len(counters)}"
             counters.append(var)
             kb.emit(f"{var} += 1")
-    out_layout = Layout.of(tuple(kb._cols))
-    values = list(kb._cols.values())
-    inner = ", ".join(values) + ("," if values else "")
-    kb.emit(f"_append(_mk({kb.bind(out_layout)}, ({inner})))")
+    fn, source = _compile_kernel(
+        kb,
+        layout,
+        "rows",
+        [f"    {var} = 0" for var in counters],
+        f"_out, {_tuple_source(counters)}",
+    )
+    return CompiledKernel(
+        fn,
+        source,
+        tuple(op.kernel_changes_cardinality for op in ops),
+        changer_idxs[-1] if changer_idxs else -1,
+    )
 
+
+def _tuple_source(items: "Sequence[str]") -> str:
+    """Source of a tuple display of *items* (``(a, b,)``; ``()`` when empty)."""
+    return "(" + ", ".join(items) + ("," if items else "") + ")"
+
+
+def _compile_kernel(
+    kb: KernelBuilder,
+    layout: Layout,
+    params: str,
+    prelude: "list[str]",
+    returns: str,
+    indexed: bool = False,
+) -> "tuple[Callable, str]":
+    """Finish a kernel body and compile it; returns ``(function, source)``.
+
+    Emits the output-row materialization, extracts exactly the input
+    columns the body reads, and wraps everything in ``def _kernel(params)``
+    with one loop over the rows (binding the row index ``_k`` when
+    *indexed*), the extra *prelude* lines and ``return returns``.
+    """
+    out_layout = kb.bind(Layout.of(tuple(kb._cols)))
+    kb.emit(f"_append(_mk({out_layout}, {_tuple_source(list(kb._cols.values()))}))")
     body = kb.lines
     used = [
         i
         for i in range(len(layout.names))
         if any(f"_c{i}_" in line for line in body)
     ]
-    prelude = ["    _out = []", "    _append = _out.append"]
-    prelude += [f"    {var} = 0" for var in counters]
+    prelude = ["    _out = []", "    _append = _out.append"] + prelude
     prelude += [f"    _l{i} = [_r._values[{i}] for _r in rows]" for i in used]
     if not used:
-        loop = "    for _ in range(len(rows)):"
-    elif len(used) == 1:
-        loop = f"    for _c{used[0]}_ in _l{used[0]}:"
+        target, items = ("_k" if indexed else "_"), "range(len(rows))"
     else:
-        loop_vars = ", ".join(f"_c{i}_" for i in used)
-        lists = ", ".join(f"_l{i}" for i in used)
-        loop = f"    for {loop_vars} in zip({lists}):"
-    ret = "    return _out, (" + ", ".join(counters) + ("," if counters else "") + ")"
-    source = "\n".join(["def _kernel(rows):"] + prelude + [loop] + body + [ret]) + "\n"
+        target = ", ".join(f"_c{i}_" for i in used)
+        items = f"_l{used[0]}"
+        if len(used) > 1:
+            items = "zip(" + ", ".join(f"_l{i}" for i in used) + ")"
+        if indexed:
+            target = f"_k, ({target})" if len(used) > 1 else f"_k, {target}"
+            items = f"enumerate({items})"
+    loop = f"    for {target} in {items}:"
+    header = f"def _kernel({params}):"
+    source = "\n".join([header] + prelude + [loop] + body + [f"    return {returns}"]) + "\n"
     namespace = dict(kb.globals)
     exec(compile(source, "<repro-kernel>", "exec"), namespace)
-    return CompiledKernel(
-        namespace["_kernel"],
-        source,
-        tuple(op.kernel_changes_cardinality for op in ops),
-        changer_idxs[-1] if changer_idxs else -1,
-    )
+    return namespace["_kernel"], source
 
 
 def kernel_source(ops: "Sequence[Any]", layout: Layout, ctx) -> str:
@@ -301,16 +347,144 @@ def kernel_source(ops: "Sequence[Any]", layout: Layout, ctx) -> str:
     return build_kernel(ops, layout, ctx).source
 
 
+def _match_condition(kb: KernelBuilder, shape: tuple, first: int) -> Optional[str]:
+    """The per-row test of one NIP shape against the current logical row.
+
+    ``("any",)`` matches every row; ``("tup", names, constrained)`` matches
+    when the row's attribute set is *names* — settled here, at codegen time,
+    since the logical row's names are fixed — and every constrained
+    attribute passes its sub-matcher argument ``_m{first + j}``.  None: no
+    row can match.
+    """
+    if shape[0] == "any":
+        return "True"
+    _, names, constrained = shape
+    if frozenset(kb._cols) != names:
+        return None
+    if not constrained:
+        return "True"
+    return " and ".join(
+        f"_m{first + j}({kb.col(name)})" for j, name in enumerate(constrained)
+    )
+
+
+def build_trace_kernel(
+    ops: "Sequence[Any]",
+    layout: Layout,
+    ctx,
+    shapes: "Sequence[tuple]",
+    checks: "Sequence[Sequence[tuple[int, Optional[int]]]]",
+) -> CompiledKernel:
+    """Generate and compile a relaxed trace kernel for one narrow run.
+
+    *ops* are one SA group's operators (value-changing narrow operators and
+    selections, all 1:1), *shapes* the codegen shapes of the run's distinct
+    NIPs (see :func:`repro.whynot.matching.pattern_shape`) and ``checks[j]``
+    the ``(strict, relaxed)`` shape indices tested after ``ops[j]`` (relaxed
+    None: equal to strict).  The kernel is called as ``fn(rows, matchers)``
+    and returns ``(last_rows, flags, hits)``: the run's output rows, one
+    retained-index list per selection and, per operator, one hit-index list
+    per check — the strict hits, or the relaxed ones when no row matched
+    strictly.  Checks repeated over an unchanged row (a selection
+    re-testing its child's NIP) share one scan.
+    """
+    kb = KernelBuilder(layout, relaxed=True)
+    firsts: list[int] = []
+    n_matchers = 0
+    for shape in shapes:
+        firsts.append(n_matchers)
+        if shape[0] == "tup":
+            n_matchers += len(shape[2])
+    hit_lists: list[str] = []
+    hits: list[list[str]] = []
+    seen: "dict[tuple, str]" = {}
+
+    def hit_list() -> str:
+        hit_lists.append(f"_h{len(hit_lists)}")
+        return hit_lists[-1]
+
+    for op, op_checks in zip(ops, checks):
+        op.emit_kernel(kb, ctx)
+        if kb.indent != 2:
+            raise KernelUnsupported(f"{type(op).__name__} expands rows")
+        row = tuple(kb._cols.items())
+        hits.append([])
+        for strict, relaxed in op_checks:
+            found = seen.get((row, strict, relaxed))
+            if found is None:
+                s_cond = _match_condition(kb, shapes[strict], firsts[strict])
+                found = strict_hits = hit_list()
+                if s_cond is not None:
+                    kb.emit(f"if {s_cond}:")
+                    kb.emit(f"    {strict_hits}.append(_k)")
+                if relaxed is not None:
+                    relaxed_hits = hit_list()
+                    r_cond = _match_condition(kb, shapes[relaxed], firsts[relaxed])
+                    if r_cond is not None:
+                        guard = "" if s_cond is None else f"not {strict_hits} and "
+                        kb.emit(f"if {guard}{r_cond}:")
+                        kb.emit(f"    {relaxed_hits}.append(_k)")
+                    found = f"({strict_hits} or {relaxed_hits})"
+                seen[(row, strict, relaxed)] = found
+            hits[-1].append(found)
+    prelude = []
+    if n_matchers:
+        prelude.append(
+            "    " + ", ".join(f"_m{j}" for j in range(n_matchers)) + ", = _m"
+        )
+    prelude += [f"    {var} = []" for var in kb.flags + hit_lists]
+    per_op_hits = _tuple_source([_tuple_source(h) for h in hits])
+    returns = f"_out, {_tuple_source(kb.flags)}, {per_op_hits}"
+    fn, source = _compile_kernel(kb, layout, "rows, _m", prelude, returns, indexed=True)
+    return CompiledKernel(fn, source, (), -1)
+
+
 _MISSING = object()
 
 #: Global kernel cache: semantic chain key → CompiledKernel or None (a
 #: negative entry: the chain is known not to lower, skip codegen retries).
+#: Selection keys carry their predicate constants, so every new question
+#: constant adds entries; the cache is cleared once it holds
+#: ``_KERNEL_CACHE_CAP`` of them (recompiling is cheap).
 _KERNEL_CACHE: "dict[Any, Optional[CompiledKernel]]" = {}
+_KERNEL_CACHE_CAP = 1024
 
 
 def kernel_cache_clear() -> None:
     """Drop every cached kernel (tests; never needed in production)."""
     _KERNEL_CACHE.clear()
+
+
+def _cache_store(key: Any, kernel: Optional[CompiledKernel]) -> None:
+    if len(_KERNEL_CACHE) >= _KERNEL_CACHE_CAP:
+        _KERNEL_CACHE.clear()
+    _KERNEL_CACHE[key] = kernel
+
+
+def _cached_kernel(
+    key_fn: "Callable[[], Any]", build: "Callable[[], CompiledKernel]"
+) -> "tuple[Optional[CompiledKernel], Optional[float]]":
+    """Look up (or build and cache) a kernel by its semantic key.
+
+    Returns the kernel — ``None`` when the key cannot be built or hashed,
+    or the build fails (cached as a negative entry) — and the codegen
+    seconds spent, or ``None`` on a cache hit.
+    """
+    try:
+        key = key_fn()
+        hash(key)
+    except Exception:
+        return None, 0.0
+    cached = _KERNEL_CACHE.get(key, _MISSING)
+    if cached is not _MISSING:
+        return cached, None
+    started = time.perf_counter()
+    try:
+        kernel: Optional[CompiledKernel] = build()
+    except Exception:
+        kernel = None
+    _cache_store(key, kernel)
+    return kernel, time.perf_counter() - started
 
 
 def chain_kernel(
@@ -324,22 +498,44 @@ def chain_kernel(
     chain contains an unsupported operator, a hook declined, or the key is
     unhashable (e.g. a constant holding an unhashable value).
     """
-    try:
-        key = (tuple(op.kernel_key(ctx) for op in ops), layout.names)
-        hash(key)
-    except Exception:
-        info["misses"] += 1
-        return None
-    cached = _KERNEL_CACHE.get(key, _MISSING)
-    if cached is not _MISSING:
+    kernel, codegen_seconds = _cached_kernel(
+        lambda: (tuple(op.kernel_key(ctx) for op in ops), layout.names),
+        lambda: build_kernel(ops, layout, ctx),
+    )
+    if codegen_seconds is None:
         info["hits"] += 1
-        return cached
-    info["misses"] += 1
-    started = time.perf_counter()
-    try:
-        kernel: Optional[CompiledKernel] = build_kernel(ops, layout, ctx)
-    except Exception:
-        kernel = None
-    info["codegen_seconds"] += time.perf_counter() - started
-    _KERNEL_CACHE[key] = kernel
+    else:
+        info["misses"] += 1
+        info["codegen_seconds"] += codegen_seconds
+    return kernel
+
+
+def trace_kernel(
+    ops: "Sequence[Any]",
+    layout: Layout,
+    ctx,
+    shapes: "Sequence[tuple]",
+    checks: "Sequence[Sequence[tuple[int, Optional[int]]]]",
+) -> Optional[CompiledKernel]:
+    """The cached relaxed trace kernel for one narrow run, or ``None``.
+
+    Keyed like :func:`chain_kernel` — the operators' ``kernel_key`` values
+    and the input layout — plus the NIP shapes and checks, never the NIP
+    constants (those reach the kernel as matcher arguments), so a fresh
+    question over the same query compiles nothing.  ``None`` means "trace
+    this run operator by operator".
+    """
+
+    def key() -> tuple:
+        return (
+            "trace",
+            tuple(op.kernel_key(ctx) for op in ops),
+            layout.names,
+            tuple(shapes),
+            tuple(tuple(c) for c in checks),
+        )
+
+    kernel, _ = _cached_kernel(
+        key, lambda: build_trace_kernel(ops, layout, ctx, shapes, checks)
+    )
     return kernel

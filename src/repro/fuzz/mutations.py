@@ -313,11 +313,20 @@ def _check_incremental_explainer(
             )
         )
         return
-    if not _check_retrace(report, explainer, None, "version=0"):
-        return
+    # Each trace is compared with the reference only after the next version
+    # re-traced from it: the comparison's row views materialize the lazy
+    # intermediate columns of fused narrow runs, and delta re-traces must
+    # also be checked reusing snapshots whose columns are still lazy.
+    pending = [(explainer.last_result, "base", None, "version=0")]
+
+    def check_pending() -> bool:
+        ok = all(_check_retrace(report, explainer.revalidate, *p) for p in pending)
+        pending.clear()
+        return ok
+
     for k, db_v in enumerate(versions[1:], start=1):
         if references[k][0] == "error":
-            return  # the query itself errors from this version on
+            break  # the query itself errors from this version on
         expected = _outcome(lambda db_v=db_v: scratch(db_v))
         previous = explainer.trace
         got = _outcome(lambda db_v=db_v: explainer.apply(db_v))
@@ -354,37 +363,41 @@ def _check_incremental_explainer(
                 )
             )
             return
-        if not _check_retrace(report, explainer, previous, label):
+        if not check_pending():
             return
+        pending.append((explainer.last_result, explainer.last_stats["mode"], previous, label))
+    check_pending()
 
 
 def _check_retrace(
     report: OracleReport,
-    explainer: IncrementalExplainer,
+    revalidate: bool,
+    result,
+    mode: str,
     previous,
     label: str,
 ) -> bool:
-    """The explainer's latest trace ≡ the row-at-a-time reference tracer's.
+    """One explainer result's trace ≡ the row-at-a-time reference tracer's.
 
-    A delta re-trace is replayed on the reference with the same reused
-    operators (as row snapshots) and the same row-id offset, so row ids
+    *mode* is the explainer's ``last_stats["mode"]`` for *result*.  A delta
+    re-trace is replayed on the reference with the same reused operators
+    (as row snapshots of *previous*) and the same row-id offset, so row ids
     line up exactly; a base or full trace is compared with a from-scratch
     reference trace.  Returns False (after recording a divergence) when
     they differ.
     """
     from repro.fuzz import reference
 
-    result = explainer.last_result
     question = result.question
     reuse, rid_start = None, 0
-    if explainer.last_stats.get("mode") == "delta":
+    if mode == "delta":
         reuse = reference.reuse_rows(previous, result.trace)
         rid_start = previous.max_rid()
     ref_trace = reference.trace(
-        question.query, question.db, explainer.sas,
-        revalidate=explainer.revalidate, reuse=reuse, rid_start=rid_start,
+        question.query, question.db, result.sas,
+        revalidate=revalidate, reuse=reuse, rid_start=rid_start,
     )
-    ref_explanations = reference.approximate_msrs(question, explainer.sas, ref_trace)
+    ref_explanations = reference.approximate_msrs(question, result.sas, ref_trace)
     report.tracer_checks += 1
     difference = reference.compare(
         result.trace, result.explanations, ref_trace, ref_explanations
@@ -392,11 +405,7 @@ def _check_retrace(
     if difference is None:
         return True
     report.divergences.append(
-        Divergence(
-            "mutation-tracer",
-            f"{label} [{explainer.last_stats.get('mode', '?')}]",
-            _clip(difference),
-        )
+        Divergence("mutation-tracer", f"{label} [{mode}]", _clip(difference))
     )
     return False
 

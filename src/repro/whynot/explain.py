@@ -115,6 +115,9 @@ def explain(
     kernels (:mod:`repro.engine.columnar`).  Explanation sets are identical
     on either engine; the differential fuzz oracle enforces it.
 
+    ``timings`` records each step's seconds; with ``validate`` it includes
+    ``"validate"``: seeding ``Q(D)`` plus the Definition 5 check.
+
     ``optimize`` (default: the ``REPRO_OPTIMIZE`` environment variable) runs
     the logical plan optimizer on the *answer path* — the ``Q(D)`` evaluation
     that validation and the side-effect bounds consume.  The explanation path
@@ -138,6 +141,7 @@ def explain(
         optimizer_summary = report.summary()
         answer_query = report.optimized
         timings["optimize"] = time.perf_counter() - started
+    started = time.perf_counter()
     if question._result_cache is None:
         # Seed ``Q(D)`` before validation (or the side-effect bounds)
         # computes it: through the optimized plan when the optimizer ran,
@@ -155,6 +159,7 @@ def explain(
             question._result_cache = answer_query.evaluate(question.db)
     if validate:
         question.validate()
+        timings["validate"] = time.perf_counter() - started
 
     started = time.perf_counter()
     base = backtrace(question.query, question.db, question.nip)

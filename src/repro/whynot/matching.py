@@ -28,7 +28,7 @@ stays the reference implementation; both must always agree.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.nested.values import Bag, Tup
 from repro.whynot.placeholders import ANY, STAR, Predicate, _Any, _Star
@@ -107,6 +107,26 @@ def compile_pattern(pattern: Any) -> Matcher:
     return matcher
 
 
+def pattern_shape(pattern: Any) -> "Optional[tuple[tuple, tuple]]":
+    """Split a row-level NIP into a codegen shape and its sub-patterns.
+
+    Trace kernels (:func:`repro.engine.kernels.trace_kernel`) test NIPs
+    against column variables, so their source depends only on the shape:
+    ``("any",)`` for ``?``, or ``("tup", attribute set, constrained names)``
+    for a tuple pattern, whose constrained attributes' sub-patterns are
+    compiled with :func:`compile_pattern` and passed in as kernel arguments
+    (the same tests :func:`compile_pattern` runs on whole rows).  Returns
+    ``(shape, sub_patterns)``, or None for other top-level patterns.
+    """
+    if isinstance(pattern, _Any):
+        return ("any",), ()
+    if not isinstance(pattern, Tup):
+        return None
+    constrained = [(n, v) for n, v in pattern.items() if not isinstance(v, _Any)]
+    shape = ("tup", frozenset(pattern.attrs), tuple(n for n, _ in constrained))
+    return shape, tuple(v for _, v in constrained)
+
+
 def _compile_pattern(pattern: Any) -> Matcher:
     if isinstance(pattern, _Any):
         return lambda v: True
@@ -124,12 +144,8 @@ def _compile_pattern(pattern: Any) -> Matcher:
 
 
 def _compile_tuple_pattern(pattern: Tup) -> Matcher:
-    expected = frozenset(pattern.attrs)
-    constrained = tuple(
-        (name, _compile_pattern(value))
-        for name, value in pattern.items()
-        if not isinstance(value, _Any)
-    )
+    (_, expected, names), subs = pattern_shape(pattern)
+    constrained = tuple(zip(names, map(_compile_pattern, subs)))
     # Attribute-set compatibility is a property of the instance *layout*;
     # layouts are interned, so remember the verdict per layout identity.
     layout_ok: dict[int, bool] = {}

@@ -46,6 +46,23 @@ when a consumer asks for the row views (``OpTrace.rows``,
 ``TraceResult.rows_by_rid``; the lineage baselines and tests do, Algorithm 4
 does not).
 
+Fused narrow runs
+-----------------
+
+A *narrow run* is a maximal chain of projection, renaming, tuple flatten,
+tuple nesting, nested aggregation and selection operators that starts at an
+operator that changes values and ends where the SA partition changes.  Each
+SA group traces the whole run in one generated relaxed kernel
+(:func:`repro.engine.kernels.trace_kernel`, one ``trace_run`` backend task
+per group): selections record retained rows instead of filtering, every
+operator's strict and relaxed NIPs are tested against the kernel's column
+variables, and only the run's last value column is materialized.  Earlier
+operators' columns are :class:`LazyColumns`, built by the per-operator
+``trace_narrow`` task on first access (row views, baselines, incremental
+reuse).  Whenever a group's kernel cannot run — an unsupported operator or
+NIP, rows of more than one layout, a bailout or an error — the whole run is
+traced operator by operator instead, so snapshots and errors are identical.
+
 Because the SA groups at an operator are *independent* — each group is
 evaluated through its own representative query against its own input
 column — each group's share is one batch task dispatched through the
@@ -94,6 +111,7 @@ from repro.algebra.operators import (
 from repro.engine.backends import (
     ExecutionBackend,
     TaskContext,
+    WorkerState,
     get_backend,
     run_task,
 )
@@ -243,10 +261,45 @@ def _or_columns(columns: list[list[int]]) -> list[int]:
     return out
 
 
+class LazyColumns:
+    """The per-group value columns of an operator inside a fused narrow run.
+
+    The run's kernel materializes only its last operator's columns; column
+    g of an earlier operator is evaluated on first access by the
+    ``trace_narrow`` task over the same group's column of the operator's
+    child snapshot, then kept (so the column-sharing invariant holds).
+    """
+
+    __slots__ = ("_state", "_op_id", "_child", "_reps", "_cols")
+
+    def __init__(
+        self, state: WorkerState, op_id: int, child: "OpTrace", reps: "list[int]"
+    ):
+        self._state = state
+        self._op_id = op_id
+        self._child = child
+        self._reps = reps
+        self._cols: "list[Optional[list[Optional[Tup]]]]" = [None] * len(reps)
+
+    def __len__(self) -> int:
+        return len(self._reps)
+
+    def __getitem__(self, g: int) -> "list[Optional[Tup]]":
+        column = self._cols[g]
+        if column is None:
+            rep = self._reps[g]
+            column = self._cols[g] = run_task(
+                self._state,
+                ("trace_narrow", rep, self._op_id, self._child.column(rep)),
+            )
+        return column
+
+
 class OpTrace:
     """Columnar snapshot of one operator's annotated (relaxed) output.
 
-    ``cols[g]`` is the value column of SA group g of ``groups``; ``valid``,
+    ``cols[g]`` is the value column of SA group g of ``groups`` (a
+    :class:`LazyColumns` inside a fused narrow run); ``valid``,
     ``consistent`` and ``retained`` are per-row bitmask columns (``retained``
     is None when the operator never filters, i.e. ``retained_known == 0``).
     Row k has row id ``base + k + 1``.  ``parents`` is a column of parent
@@ -274,7 +327,7 @@ class OpTrace:
         op_id: int,
         base: int,
         groups: SAGroups,
-        cols: list[list[Optional[Tup]]],
+        cols: "list[list[Optional[Tup]]] | LazyColumns",
         valid: list[int],
         retained: Optional[list[int]] = None,
         retained_known: int = 0,
@@ -480,10 +533,19 @@ class Tracer:
         ``rid_start`` above every retained row id so new rows never collide.
         """
         result = TraceResult({}, self.query.root.op_id, self.n)
-        for op in self.query.ops:
+        ops = self.query.ops
+        per_op_until = 0
+        for i, op in enumerate(ops):
+            if op.op_id in result.traces:
+                continue  # traced by a fused run
             snap = self.reuse.get(op.op_id)
             if snap is None:
                 children = [result.traces[c.op_id] for c in op.children]
+                if i >= per_op_until:
+                    run, groups = self._narrow_run(ops, i, children)
+                    if run and self._trace_run(run, children[0], groups, result):
+                        continue
+                    per_op_until = i + len(run)
                 snap = self._trace_op(op, children)
                 self._next_base += snap.count
                 self._annotate_consistency(op, snap, children)
@@ -597,6 +659,106 @@ class Tracer:
         scans.append((pattern, hits))
         return hits
 
+    # -- fused narrow runs -----------------------------------------------------
+
+    def _narrow_run(
+        self, ops: "list[Operator]", i: int, children: "list[OpTrace]"
+    ) -> "tuple[list[Operator], Optional[SAGroups]]":
+        """The narrow run starting at ``ops[i]`` and its SA groups.
+
+        Empty unless ``ops[i]`` changes values; the run then extends over
+        its unary narrow or selection parents while they are not reused and
+        keep the first operator's SA partition.
+        """
+        op = ops[i]
+        if not isinstance(op, _VALUE_NARROW):
+            return [], None
+        groups = self._meet_for(op, children[0].groups)
+        run = [op]
+        for parent in ops[i + 1:]:
+            if (
+                not isinstance(parent, _VALUE_NARROW + (Selection,))
+                or parent.children[0] is not run[-1]
+                or parent.op_id in self.reuse
+                or self._meet_for(parent, groups).gids != groups.gids
+            ):
+                break
+            run.append(parent)
+        return run, groups
+
+    def _trace_run(
+        self,
+        run: "list[Operator]",
+        child: OpTrace,
+        groups: SAGroups,
+        result: TraceResult,
+    ) -> bool:
+        """Trace a narrow run with one kernel per SA group (see the module
+        notes); False, with nothing recorded, when any group's kernel cannot
+        run and the run must be traced operator by operator."""
+        op_ids = tuple(op.op_id for op in run)
+        # Per group: the distinct NIPs of its members and, per operator, the
+        # distinct (strict, relaxed) NIP index pairs with their SA masks.
+        nips: list[list] = [[] for _ in groups.reps]
+        checks: "list[list[dict[tuple[int, Optional[int]], int]]]" = [
+            [{} for _ in run] for _ in groups.reps
+        ]
+        if self.revalidate:
+            for j, op in enumerate(run):
+                for i, sa in enumerate(self.sas):
+                    g = groups.gids[i]
+                    strict = _index_of(nips[g], sa.backtrace.nip_at[op.op_id])
+                    relaxed = _index_of(nips[g], sa.backtrace.relaxed_at[op.op_id])
+                    pair = (strict, None if relaxed == strict else relaxed)
+                    checks[g][j][pair] = checks[g][j].get(pair, 0) | 1 << i
+        results = self._run_group_tasks(
+            [
+                (
+                    "trace_run", rep, op_ids, child.column(rep),
+                    tuple(nips[g]), tuple(tuple(c) for c in checks[g]),
+                )
+                for g, rep in enumerate(groups.reps)
+            ]
+        )
+        if any(r is None for r in results):
+            return False
+        state = self._task_context.local_state()
+        last_value = max(j for j, op in enumerate(run) if not isinstance(op, Selection))
+        n = child.count
+        prev = child
+        flag = 0
+        for j, op in enumerate(run):
+            if isinstance(op, Selection):
+                retained = [0] * n
+                for mask, r in zip(groups.masks, results):
+                    for k in r[1][flag]:
+                        retained[k] |= mask
+                flag += 1
+                snap = self._snapshot(
+                    op, prev.groups, prev.cols, prev.valid,
+                    retained=retained, retained_known=self._full_mask,
+                    child_base=prev.base,
+                )
+            else:
+                cols = (
+                    [r[0] for r in results]
+                    if j == last_value
+                    else LazyColumns(state, op.op_id, prev, groups.reps)
+                )
+                snap = self._snapshot(op, groups, cols, prev.valid, child_base=prev.base)
+            self._next_base += snap.count
+            if self.revalidate:
+                consistent = snap.consistent
+                for g, r in enumerate(results):
+                    for hits, sa_mask in zip(r[2][j], checks[g][j].values()):
+                        for k in hits:
+                            consistent[k] |= sa_mask
+            else:
+                self._annotate_consistency(op, snap, [prev])
+            result.traces[op.op_id] = snap
+            prev = snap
+        return True
+
     # -- per-operator tracing --------------------------------------------------
 
     def _trace_op(self, op: Operator, children: list[OpTrace]) -> OpTrace:
@@ -604,7 +766,7 @@ class Tracer:
             return self._trace_table(op)
         if isinstance(op, Selection):
             return self._trace_selection(op, children[0])
-        if isinstance(op, (Projection, Renaming, TupleFlatten, TupleNesting, NestedAggregation)):
+        if isinstance(op, _VALUE_NARROW):
             return self._trace_narrow(op, children[0])
         if isinstance(op, RelationFlatten):
             return self._trace_flatten(op, children[0])
@@ -904,6 +1066,20 @@ class Tracer:
             (l_off + l, r_off + r) for l in range(left.count) for r in range(right.count)
         ]
         return self._snapshot(op, groups, cols, valid, parents=parents)
+
+
+#: Non-filtering 1:1 unary operators that change values: a narrow run's
+#: first operator (the run may continue with selections).
+_VALUE_NARROW = (Projection, Renaming, TupleFlatten, TupleNesting, NestedAggregation)
+
+
+def _index_of(items: list, value: Any) -> int:
+    """Position of *value* in *items* by equality, appending it if absent."""
+    for k, item in enumerate(items):
+        if item == value:
+            return k
+    items.append(value)
+    return len(items) - 1
 
 
 def trace(

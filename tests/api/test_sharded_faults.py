@@ -160,7 +160,10 @@ class TestWorkerCrash:
 
 
 class TestSaturation:
-    def test_503_with_retry_after_before_queue_explodes(self, boot_server):
+    def test_503_with_retry_after_before_queue_explodes(self, boot_server, monkeypatch):
+        # The single worker parks inside its first explain, so the burst
+        # piles up behind the queue bound however fast explains are.
+        reached, release = _explain_gate(monkeypatch)
         server, client = boot_server(processes=1, queue_depth=2, cache_size=8)
         host, port = server.server_address[:2]
 
@@ -177,7 +180,12 @@ class TestSaturation:
                 return ("error", exc.status, exc.retry_after)
 
         with ThreadPoolExecutor(max_workers=12) as pool:
-            outcomes = list(pool.map(fire, range(12)))
+            futures = [pool.submit(fire, i) for i in range(12)]
+            # Every request beyond the two the parked worker holds is shed.
+            assert _wait_until(lambda: sum(f.done() for f in futures) >= 10, timeout=60)
+            assert reached.value
+            release.value = 1
+            outcomes = [f.result() for f in futures]
 
         rejected = [o for o in outcomes if o[0] == "error"]
         completed = [o for o in outcomes if o[0] == "ok"]

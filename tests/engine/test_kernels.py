@@ -5,7 +5,9 @@ broad equivalence nets live in ``test_backends.py`` (all scenarios × both
 engines) and the differential fuzzer; this module pins the mechanisms that
 make it hold: the generated source itself (golden snapshot), the semantic
 cache keying, the row-path fallbacks (unsupported operators, heterogeneous
-layouts, error parity), and the per-operator stats shape.
+layouts, error parity), and the per-operator stats shape — plus the
+tracer's relaxed kernels (golden source, semantic cache across questions,
+per-operator fallback parity with the reference tracer) and the cache cap.
 """
 
 import textwrap
@@ -313,3 +315,235 @@ def test_metrics_wire_round_trip_with_kernels():
     del doc["engine"], doc["kernels"]
     legacy = metrics_from_json(doc)
     assert legacy.engine == "row" and legacy.kernels is None
+
+
+# -- relaxed trace kernels ----------------------------------------------------
+
+
+def _social_trace_tasks(monkeypatch):
+    """GenSocial's question plus the tracer's ``trace_run`` tasks for it."""
+    from repro.scenarios import get_scenario
+    from repro.whynot import tracing
+    from repro.whynot.alternatives import enumerate_schema_alternatives
+    from repro.whynot.backtrace import backtrace
+
+    scenario = get_scenario("GenSocial")
+    question = scenario.question(1)
+    base = backtrace(question.query, question.db, question.nip)
+    sas = enumerate_schema_alternatives(
+        question.query, question.db, question.nip, base, groups=scenario.alternatives
+    )
+    tasks = []
+    run_group_tasks = tracing.Tracer._run_group_tasks
+
+    def capture(self, group_tasks):
+        tasks.extend(t for t in group_tasks if t[0] == "trace_run")
+        return run_group_tasks(self, group_tasks)
+
+    monkeypatch.setattr(tracing.Tracer, "_run_group_tasks", capture)
+    tracing.trace(question.query, question.db, sas)
+    return question, sas, tasks
+
+
+def test_trace_kernel_source_golden(monkeypatch):
+    """Pin the relaxed kernel of GenSocial's F60→Fᵀ3→π4→σ61→σ62 run (SA 0).
+
+    Deliberate golden snapshot: selections append retained row indices
+    (``_f0``/``_f1``) instead of ``continue``; after each operator its NIP
+    is tested against the column variables through sub-matcher arguments
+    (``_m0`` the F60 row's ``user``, ``_m1``/``_m2`` the ``uName`` of Fᵀ3's
+    and π4's rows), the selections reuse π4's scan (``_h2``), and only π4's
+    row is built.  Update alongside intentional codegen changes — the shape
+    is documented in ``docs/KERNELS.md``.
+    """
+    from repro.engine.kernels import build_trace_kernel
+    from repro.whynot.matching import pattern_shape
+
+    question, sas, tasks = _social_trace_tasks(monkeypatch)
+    _, rep, op_ids, parent_vals, nips, checks = tasks[0]
+    sa_query = sas[rep].query
+    assert [sa_query.op(i).label for i in op_ids] == ["F60", "Fᵀ3", "π4", "σ61", "σ62"]
+    ops = [sa_query.op(i) for i in op_ids]
+    ctx = EvalContext(question.db, sa_query.infer_schemas(question.db))
+    shapes = [pattern_shape(nip)[0] for nip in nips]
+    expected = textwrap.dedent(
+        """\
+        def _kernel(rows, _m):
+            _out = []
+            _append = _out.append
+            _m0, _m1, _m2, = _m
+            _f0 = []
+            _f1 = []
+            _h0 = []
+            _h1 = []
+            _h2 = []
+            _l1 = [_r._values[1] for _r in rows]
+            _l2 = [_r._values[2] for _r in rows]
+            _l3 = [_r._values[3] for _r in rows]
+            for _k, (_c1_, _c2_, _c3_) in enumerate(zip(_l1, _l2, _l3)):
+                _t1_ = _g0(_c3_)
+                if _m0(_c2_):
+                    _h0.append(_k)
+                _t2_ = _g1(_c2_)
+                if _m1(_t2_):
+                    _h1.append(_k)
+                if _m2(_t2_):
+                    _h2.append(_k)
+                _t3_ = 'concert'
+                if _c1_ is _NULL or _c1_ is None or _t3_ is _NULL or _t3_ is None:
+                    _t4_ = False
+                elif isinstance(_c1_, str):
+                    _t4_ = str(_t3_) in _c1_
+                elif isinstance(_c1_, _Bag):
+                    _t4_ = _t3_ in _c1_
+                else:
+                    _t4_ = False
+                if _t4_:
+                    _f0.append(_k)
+                _t5_ = 'United States'
+                if _t1_ is _NULL or _t1_ is None or _t5_ is _NULL or _t5_ is None:
+                    _t6_ = False
+                elif isinstance(_t1_, str):
+                    _t6_ = str(_t5_) in _t1_
+                elif isinstance(_t1_, _Bag):
+                    _t6_ = _t5_ in _t1_
+                else:
+                    _t6_ = False
+                if _t6_:
+                    _f1.append(_k)
+                _append(_mk(_g2, (_c1_, _t1_, _t2_,)))
+            return _out, (_f0, _f1,), ((_h0,), (_h1,), (_h2,), (_h2,), (_h2,),)
+        """
+    )
+    source = build_trace_kernel(ops, parent_vals[0].layout, ctx, shapes, checks).source
+    assert source == expected
+
+
+def test_fresh_question_compiles_no_trace_kernel(monkeypatch):
+    """A second explain of a fresh question over the same query hits the
+    semantic cache: NIP constants reach kernels as arguments, not source."""
+    import repro.engine.kernels as kernels_module
+    from repro.scenarios import get_scenario
+    from repro.whynot.explain import explain
+    from repro.whynot.question import WhyNotQuestion
+    from repro.whynot.tracing import LazyColumns
+
+    scenario = get_scenario("GenSocial")
+    db = scenario.question(1).db
+    builds = []
+    build = kernels_module.build_trace_kernel
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels_module, "build_trace_kernel", counting_build)
+    kernel_cache_clear()
+
+    def explain_fresh():
+        question = WhyNotQuestion(scenario.make_query(), db, scenario.make_nip())
+        return explain(question, alternatives=scenario.alternatives)
+
+    first = explain_fresh()
+    assert len(builds) == 2  # one kernel per SA group of the narrow run
+    assert isinstance(first.trace.traces[2].cols, LazyColumns)
+    second = explain_fresh()
+    assert len(builds) == 2
+    assert second.explanation_labels() == first.explanation_labels()
+
+
+def _reference_parity(question, alternatives=()):
+    """Production vs reference tracer: row views and explanations, or the
+    exception type and message."""
+    from repro.fuzz import reference
+    from repro.whynot.explain import explain
+    from repro.whynot.question import WhyNotQuestion
+
+    def outcome(run):
+        try:
+            return "ok", run()
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return "error", (type(exc), str(exc))
+
+    fresh = WhyNotQuestion(question.query, question.db, question.nip)
+    got = outcome(lambda: explain(question, alternatives=alternatives, validate=False))
+    want = outcome(
+        lambda: reference.reference_explain(fresh, alternatives=alternatives, validate=False)
+    )
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+        return got[1]
+    _, ref_trace, ref_explanations = want[1]
+    assert reference.compare(
+        got[1].trace, got[1].explanations, ref_trace, ref_explanations
+    ) is None
+    return got[1]
+
+
+def test_trace_run_falls_back_on_mixed_layouts(monkeypatch):
+    """Rows of more than one layout trace operator by operator, identically."""
+    from repro.engine import backends
+    from repro.nested.types import INT, TupleType
+    from repro.whynot.placeholders import ANY
+    from repro.whynot.question import WhyNotQuestion
+
+    db = Database(
+        {"R": [Tup(a=1, b=2), Tup(b=3, a=4), Tup(a=5, b=6)]},
+        schemas={"R": TupleType([("a", INT), ("b", INT)])},
+    )
+    query = Query(
+        Selection(Projection(TableAccess("R"), [("c", col("a")), "b"]), col("c").ge(4))
+    )
+    fused = []
+    task = backends._TASK_HANDLERS["trace_run"]
+
+    def spy(*args):
+        out = task(*args)
+        fused.append(out is not None)
+        return out
+
+    monkeypatch.setitem(backends._TASK_HANDLERS, "trace_run", spy)
+    result = _reference_parity(WhyNotQuestion(query, db, Tup(c=ANY, b=3)))
+    assert fused == [False]
+    assert result.rows_traced() == 9
+
+
+def test_trace_run_error_parity_on_non_tuple_flatten():
+    """A tuple flatten of a non-tuple value bails out of the kernel and the
+    per-operator path raises the reference tracer's exact error."""
+    from repro.algebra.operators import TupleFlatten
+    from repro.nested.types import INT, TupleType
+    from repro.whynot.placeholders import ANY
+    from repro.whynot.question import WhyNotQuestion
+
+    db = Database(
+        {"R": [Tup(a=1, b=Tup(x=1)), Tup(a=2, b=5), Tup(a=3, b=Tup(x=3))]},
+        schemas={"R": TupleType([("a", INT), ("b", TupleType([("x", INT)]))])},
+    )
+    # σ drops the malformed row from Q(D); relaxed tracing keeps it.
+    query = Query(
+        Projection(TupleFlatten(Selection(TableAccess("R"), col("a").ne(2)), "b"), ["a", "x"])
+    )
+    error_type, message = _reference_parity(WhyNotQuestion(query, db, Tup(a=ANY, x=7)))
+    assert error_type is TypeError
+    assert message.startswith("tuple flatten of non-tuple value 5")
+
+
+def test_kernel_cache_is_bounded(monkeypatch):
+    """Past the cap the cache is cleared, and kernels still compile and run."""
+    import repro.engine.kernels as kernels_module
+
+    monkeypatch.setattr(kernels_module, "_KERNEL_CACHE_CAP", 8)
+    kernel_cache_clear()
+    db = make_db()
+    layout = Layout.of(("k", "v", "w"))
+    for bound in range(20):
+        ops, ctx = _chain_parts(Query(Selection(TableAccess("R"), col("v").ge(bound))), db)
+        assert chain_kernel(ops, layout, ctx, new_kernel_info()) is not None
+        assert len(kernels_module._KERNEL_CACHE) <= 8
+    query = Query(Projection(Selection(TableAccess("R"), col("v").ge(2)), ["k", "v"]))
+    ops, ctx = _chain_parts(query, db)
+    kernel = chain_kernel(ops, layout, ctx, new_kernel_info())
+    out, _ = kernel.run(list(db.relation("R")), ops)
+    assert Bag(out) == query.evaluate(db)

@@ -91,6 +91,29 @@ class TestMiniSweep:
         assert first.summary() == second.summary()
         assert first.failures == second.failures
 
+    def test_delta_retraces_reuse_lazy_columns(self, monkeypatch):
+        """Fused narrow runs leave lazy columns, and the sweep re-traces
+        deltas over them before any row view materializes them."""
+        from repro.whynot import tracing
+
+        lazy_reuses = []
+        init = tracing.Tracer.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            lazy_reuses.extend(
+                op_id
+                for op_id, snap in self.reuse.items()
+                if isinstance(snap.cols, tracing.LazyColumns)
+                and None in snap.cols._cols
+            )
+
+        monkeypatch.setattr(tracing.Tracer, "__init__", spy)
+        result = run_mutation_sweep(seed=1, cases=2, backends=("serial",), engines=("row",))
+        assert result.ok, result.failures
+        assert result.tracer_checks > 0
+        assert lazy_reuses
+
     def test_mini_sweep_without_questions(self):
         result = run_mutation_sweep(
             seed=6,

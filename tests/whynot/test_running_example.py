@@ -57,6 +57,7 @@ class TestHeuristicPipeline:
     def test_timings_recorded(self, running_question):
         result = explain(running_question, alternatives=GROUPS)
         assert set(result.timings) == {
+            "validate",
             "backtrace",
             "alternatives",
             "tracing",
