@@ -1,7 +1,7 @@
 """Scale-factor sweep over the factory families → ``BENCH_scale.json``.
 
 For each :mod:`repro.factory` family (``tpch``, ``social``) × scale factor
-× engine (``row``/``columnar``) this harness
+this harness
 
 1. generates the seeded database and **asserts every cardinality
    invariant** (exact table sizes and ``|Q(D)|`` as functions of the SF);
@@ -9,8 +9,7 @@ For each :mod:`repro.factory` family (``tpch``, ``social``) × scale factor
    per-step timings plus explanation counts;
 3. summarizes the explanations (:mod:`repro.whynot.summarize`) and asserts
    the summaries **partition** the raw explanation set (counts sum, nothing
-   uncovered) — a benchmark that drifts from correctness measures nothing;
-4. checks both engines return identical explanation label sets.
+   uncovered) — a benchmark that drifts from correctness measures nothing.
 
 Usage::
 
@@ -18,7 +17,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # SF 1,5 (CI)
 
 ``--smoke`` is the CI ``factory`` job's gate: the SF sweep shrinks to
-{1, 5} and only the invariants/partition/engine-equality assertions gate —
+{1, 5} and only the invariant, gold and partition assertions gate —
 timings on CI runners are noise and are tracked, not gated, like the other
 BENCH payloads.
 """
@@ -42,11 +41,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 SCALE_FACTORS = [1, 5, 10]
 SMOKE_SCALE_FACTORS = [1, 5]
-ENGINES = ["row", "columnar"]
 
 
-def bench_point(family: str, sf: int, engine: str) -> dict:
-    """One (family, SF, engine) measurement with all invariants asserted."""
+def bench_point(family: str, sf: int) -> dict:
+    """One (family, SF) measurement with all invariants asserted."""
     started = time.perf_counter()
     bundle = make_bundle(family, sf)
     generate_s = time.perf_counter() - started
@@ -55,13 +53,13 @@ def bench_point(family: str, sf: int, engine: str) -> dict:
 
     question = bundle.question()
     started = time.perf_counter()
-    result = explain(question, alternatives=bundle.alternatives, engine=engine)
+    result = explain(question, alternatives=bundle.alternatives)
     explain_s = time.perf_counter() - started
 
     labels = [frozenset(e.labels) for e in result.explanations]
     if bundle.gold is not None and bundle.gold not in labels:
         raise AssertionError(
-            f"{family} SF {sf} [{engine}]: gold {sorted(bundle.gold)} missing "
+            f"{family} SF {sf}: gold {sorted(bundle.gold)} missing "
             f"from RP explanations {labels}"
         )
 
@@ -71,14 +69,13 @@ def bench_point(family: str, sf: int, engine: str) -> dict:
     covered = sum(s.count for s in summaries)
     if covered != len(result.explanations):
         raise AssertionError(
-            f"{family} SF {sf} [{engine}]: summaries cover {covered} of "
+            f"{family} SF {sf}: summaries cover {covered} of "
             f"{len(result.explanations)} explanations"
         )
 
     return {
         "family": family,
         "sf": sf,
-        "engine": engine,
         "rows": {k: v for k, v in observed.items() if k != "result_rows"},
         "result_rows": observed["result_rows"],
         "n_sas": result.n_sas,
@@ -93,30 +90,19 @@ def bench_point(family: str, sf: int, engine: str) -> dict:
 
 
 def run_sweep(scale_factors: "list[int]") -> "list[dict]":
-    """The full grid, with cross-engine explanation equality asserted."""
+    """The full grid, every point's assertions checked."""
     series = []
     for family in sorted(FAMILIES):
         for sf in scale_factors:
-            per_engine = {}
-            for engine in ENGINES:
-                point = bench_point(family, sf, engine)
-                per_engine[engine] = point
-                series.append(point)
-                print(
-                    f"{family:>6} sf={sf:<3} [{engine:>8}] "
-                    f"generate={point['generate_s'] * 1000:7.1f} ms "
-                    f"explain={point['explain_s'] * 1000:7.1f} ms "
-                    f"explanations={point['n_explanations']} "
-                    f"summaries={point['n_summaries']}"
-                )
-            sets = {
-                engine: tuple(map(tuple, point["explanations"]))
-                for engine, point in per_engine.items()
-            }
-            if len(set(sets.values())) != 1:
-                raise AssertionError(
-                    f"{family} SF {sf}: engines disagree on explanations: {sets}"
-                )
+            point = bench_point(family, sf)
+            series.append(point)
+            print(
+                f"{family:>6} sf={sf:<3} "
+                f"generate={point['generate_s'] * 1000:7.1f} ms "
+                f"explain={point['explain_s'] * 1000:7.1f} ms "
+                f"explanations={point['n_explanations']} "
+                f"summaries={point['n_summaries']}"
+            )
     return series
 
 
@@ -130,14 +116,13 @@ def main() -> int:
     series = run_sweep(scale_factors)
 
     if args.smoke:
-        print("bench_scale smoke: OK (invariants, partition, engine equality)")
+        print("bench_scale smoke: OK (invariants, gold, partition)")
         return 0
 
     payload = {
         "bench": "scale",
         "families": sorted(FAMILIES),
         "scale_factors": scale_factors,
-        "engines": ENGINES,
         "series": series,
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

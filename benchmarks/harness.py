@@ -33,12 +33,6 @@ recorded in the payloads, and the Figure-10 series always measures the plain
 query both optimizer-off and optimizer-on (``query_s`` vs ``query_opt_s``)
 so every ``BENCH_fig10.json`` carries the on-vs-off comparison.
 
-``REPRO_BENCH_ENGINE=columnar`` switches the timed runs to the columnar
-batch engine (:mod:`repro.engine.columnar`); ``query_speedups`` /
-``query_speedup_aggregate`` in ``BENCH_fig10.json`` then measure the
-kernel-codegen speedup of the plain query path against the row-engine
-baseline.  See ``docs/KERNELS.md``.
-
 See ``docs/BENCHMARKS.md`` for how to read the emitted files.
 """
 
@@ -55,7 +49,7 @@ from typing import Any, Optional
 from repro.baselines.common import build_s1_trace
 from repro.baselines.wnpp import wnpp_explain
 from repro.engine.backends import get_backend
-from repro.engine.columnar import resolve_engine
+from repro.engine.columnar import default_engine
 from repro.engine.executor import Executor
 from repro.scenarios import get_scenario
 from repro.whynot.explain import explain
@@ -83,11 +77,6 @@ def bench_optimize() -> bool:
     )
 
 
-def bench_engine() -> str:
-    """The evaluation engine timed runs use (``REPRO_BENCH_ENGINE``, default row)."""
-    return resolve_engine(os.environ.get("REPRO_BENCH_ENGINE") or "row")
-
-
 def backend_info() -> dict:
     """Backend/optimizer/engine metadata embedded into the BENCH payloads."""
     backend = bench_backend()
@@ -95,7 +84,7 @@ def backend_info() -> dict:
         "name": backend.name,
         "workers": backend.workers,
         "optimize": bench_optimize(),
-        "engine": bench_engine(),
+        "engine": default_engine(),
     }
 
 
@@ -252,9 +241,7 @@ def _gc_paused():
             gc.enable()
 
 
-def time_query(
-    scenario_name: str, scale: int, backend=None, optimize=None, engine=None
-) -> float:
+def time_query(scenario_name: str, scale: int, backend=None, optimize=None) -> float:
     """Wall time of the plain (partitioned) execution of the scenario query."""
     scenario = get_scenario(scenario_name)
     question = scenario.question(scale)
@@ -262,7 +249,6 @@ def time_query(
         num_partitions=4,
         backend=backend if backend is not None else bench_backend(),
         optimize=optimize if optimize is not None else bench_optimize(),
-        engine=engine if engine is not None else bench_engine(),
     )
     with _gc_paused():
         started = time.perf_counter()
@@ -277,7 +263,6 @@ def time_explain(
     alternatives=None,
     backend=None,
     optimize=None,
-    engine=None,
 ) -> tuple[float, int]:
     """Wall time of the full why-not pipeline; returns (seconds, #SAs)."""
     scenario = get_scenario(scenario_name)
@@ -291,7 +276,6 @@ def time_explain(
         validate=False,
         backend=backend if backend is not None else bench_backend(),
         optimize=optimize if optimize is not None else bench_optimize(),
-        engine=engine if engine is not None else bench_engine(),
     )
     return time.perf_counter() - started, result.n_sas
 

@@ -28,16 +28,17 @@ hierarchy document and ``--max-summaries N`` bounds the group count.
 fans the partitioned execution and SA-group tracing out across worker
 processes (see ``docs/ARCHITECTURE.md``).  Results are identical on both.
 
-``--optimize`` / ``--no-optimize`` toggle the logical plan optimizer for the
-answer path (default: the ``REPRO_OPTIMIZE`` environment variable; see
+``Q(D)`` always runs through the logical plan optimizer on the kernel
+executor.  ``--optimize`` / ``--no-optimize`` toggle whether explanations
+report the optimizer's rewrite and whether ``serve`` optimizes plain
+queries (default: the ``REPRO_OPTIMIZE`` environment variable; see
 ``docs/OPTIMIZER.md``) — explanations are identical either way.
 ``--show-plan`` prints the scenario query's original vs. optimized plan with
 per-rule provenance annotations before running it.
 
 ``fuzz`` runs the seeded differential-testing sweep of :mod:`repro.fuzz`
 (see ``docs/FUZZING.md``): random nested databases and plans are checked
-across ``Query.evaluate`` × backends × optimizer on/off × partition counts
-× row/columnar engines;
+across ``Query.evaluate`` × backends × optimizer on/off × partition counts;
 any divergence is shrunk to a minimal repro and (with ``--corpus-dir``)
 written as a corpus JSON file ready to pin as a regression test.  Exit code
 1 signals at least one divergence.
@@ -156,7 +157,6 @@ def _run_query_file(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 workers=args.workers,
                 optimize=args.optimize,
-                engine=args.engine,
             ),
         )
     else:
@@ -188,7 +188,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         optimize=args.optimize,
-        engine=args.engine,
     )
     print(f"  WN++    : {_fmt(run.wnpp)}")
     print(f"  Conseil : {_fmt(run.conseil)}")
@@ -276,7 +275,6 @@ def _cmd_table7(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             optimize=args.optimize,
-            engine=args.engine,
         )
         wn, nosa, rp = run.counts()
         gold = run.gold_position()
@@ -292,10 +290,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     config = FuzzConfig(depth=args.depth, rows=args.rows, ops=args.ops)
     backends = ("serial", "process") if args.backend == "both" else (args.backend,)
-    engines = ("row", "columnar") if args.engine is None else (args.engine,)
-    explain_grid = [
-        (b, opt, e) for b in backends for opt in (False, True) for e in engines
-    ]
+    explain_grid = [(b, opt) for b in backends for opt in (False, True)]
     if args.mutations:
         from repro.fuzz.mutations import run_mutation_sweep
 
@@ -303,7 +298,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"mutation fuzzing: seed={args.seed} cases={args.cases} "
             f"steps={args.mutation_steps} depth={args.depth} rows={args.rows} "
             f"ops={args.ops} partitions={args.partitions[-1]} "
-            f"backends={'+'.join(backends)} engines={'+'.join(engines)}"
+            f"backends={'+'.join(backends)}"
         )
         result = run_mutation_sweep(
             args.seed,
@@ -312,7 +307,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             steps=args.mutation_steps,
             questions=not args.no_questions,
             backends=backends,
-            engines=engines,
             workers=args.workers,
             num_partitions=args.partitions[-1],
         )
@@ -327,14 +321,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         partitions=args.partitions,
         backends=backends,
         workers=args.workers,
-        engines=engines,
         explain_grid=explain_grid,
         grammar=args.text,
     )
     print(
         f"fuzzing: seed={args.seed} cases={args.cases} depth={args.depth} "
         f"rows={args.rows} ops={args.ops} partitions={','.join(map(str, args.partitions))} "
-        f"backends={'+'.join(backends)} engines={'+'.join(engines)}"
+        f"backends={'+'.join(backends)}"
         f"{' grammar=on' if args.text else ''}"
     )
     result = run_sweep(
@@ -364,7 +357,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 f"--depth {args.depth} --rows {args.rows} --ops {args.ops} "
                 f"--partitions {','.join(map(str, args.partitions))} "
                 f"--backend {args.backend}"
-                + (f" --engine {args.engine}" if args.engine else "")
                 + (" --text" if args.text else "")
             )
             dump_case(
@@ -409,7 +401,6 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             optimize=args.optimize,
-            engine=args.engine,
         ),
     )
 
@@ -426,7 +417,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 workers=args.workers,
                 optimize=args.optimize,
-                engine=args.engine,
             ),
         )
         return serve_sharded(
@@ -441,7 +431,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             optimize=args.optimize,
-            engine=args.engine,
         ),
     )
     return serve(host=args.host, port=args.port, service=service, quiet=args.quiet)
@@ -472,15 +461,8 @@ def main(argv=None) -> int:
             "--optimize",
             action=argparse.BooleanOptionalAction,
             default=None,
-            help="run the logical plan optimizer on the answer path "
-            "(default: REPRO_OPTIMIZE)",
-        )
-        p.add_argument(
-            "--engine",
-            choices=("row", "columnar"),
-            default=None,
-            help="chain evaluation engine: row closures or generated "
-            "columnar kernels (default: REPRO_ENGINE or row)",
+            help="report the answer-path optimizer rewrite with explanations "
+            "and optimize served plain queries (default: REPRO_OPTIMIZE)",
         )
 
     run_parser = sub.add_parser("run", help="run one scenario or .rq program")
@@ -593,12 +575,6 @@ def main(argv=None) -> int:
         type=_positive_int,
         default=2,
         help="worker processes for the process backend (default 2)",
-    )
-    fuzz.add_argument(
-        "--engine",
-        choices=("row", "columnar"),
-        default=None,
-        help="restrict the engine axis to one engine (default: cross-check both)",
     )
     fuzz.add_argument(
         "--no-questions",

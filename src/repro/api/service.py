@@ -107,20 +107,22 @@ class BadRequest(ValueError):
     """Raised when a request payload is structurally invalid or incomplete."""
 
 
+#: ``engine`` values older format-2 clients may send (accepted, ignored).
+_RETIRED_ENGINES = (None, "row", "columnar")
+
+
 @dataclass(frozen=True)
 class ExplainOptions:
     """Execution and algorithm knobs of one explain request.
 
-    ``backend``/``workers``/``optimize``/``engine`` select *how* the engine
-    runs (and default to the ``REPRO_BACKEND``/``REPRO_OPTIMIZE``/
-    ``REPRO_ENGINE`` environment, like the CLI); ``partitions`` applies to
-    plain query evaluation only (:meth:`ExplanationService.query` /
-    ``POST /v1/query`` — the explain pipeline's tracing step manages its own
-    partitioning); ``use_schema_alternatives``/``revalidate``/``max_sas``
-    select *what* is computed (the paper's RP vs RPnoSA vs no-revalidation
-    ablation) and therefore participate in the cache key.  ``engine`` is an
-    execution-only knob — explanations are engine-invariant, so it stays out
-    of the cache key like ``backend``.
+    ``backend``/``workers``/``optimize`` select *how* the engine runs (and
+    default to the ``REPRO_BACKEND``/``REPRO_OPTIMIZE`` environment, like
+    the CLI); ``partitions`` applies to plain query evaluation only
+    (:meth:`ExplanationService.query` / ``POST /v1/query`` — the explain
+    pipeline's tracing step manages its own partitioning);
+    ``use_schema_alternatives``/``revalidate``/``max_sas`` select *what* is
+    computed (the paper's RP vs RPnoSA vs no-revalidation ablation) and
+    therefore participate in the cache key.
 
     ``summarize`` requests ontology-aware explanation summaries
     (:mod:`repro.whynot.summarize`): ``None`` (default) skips them, ``True``
@@ -135,7 +137,6 @@ class ExplainOptions:
     workers: Optional[int] = None
     partitions: Optional[int] = None
     optimize: Optional[bool] = None
-    engine: Optional[str] = None
     use_schema_alternatives: bool = True
     revalidate: bool = True
     max_sas: int = 64
@@ -166,7 +167,6 @@ class ExplainOptions:
             "workers": self.workers,
             "partitions": self.partitions,
             "optimize": self.optimize,
-            "engine": self.engine,
             "use_schema_alternatives": self.use_schema_alternatives,
             "revalidate": self.revalidate,
             "max_sas": self.max_sas,
@@ -175,9 +175,22 @@ class ExplainOptions:
 
     @classmethod
     def from_json(cls, data: Optional[dict]) -> "ExplainOptions":
-        """Decode :meth:`to_json` output; unknown fields are rejected."""
+        """Decode :meth:`to_json` output; unknown fields are rejected.
+
+        Format-2 clients written while a row engine existed may still send
+        ``engine`` (``null``, ``"row"`` or ``"columnar"``); it is accepted
+        and ignored, since the kernel executor is the only engine.
+        """
         if data is None:
             return cls()
+        if not isinstance(data, dict):
+            raise BadRequest("options must be a JSON object")
+        data = dict(data)
+        engine = data.pop("engine", None)
+        if engine not in _RETIRED_ENGINES:
+            raise BadRequest(
+                f"unknown engine {engine!r}; expected one of {_RETIRED_ENGINES}"
+            )
         extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise BadRequest(f"unknown option fields: {sorted(extra)}")
@@ -641,7 +654,6 @@ class ExplanationService:
                 if options.optimize is not None
                 else self.default_options.optimize
             ),
-            engine=options.engine or self.default_options.engine,
         )
         if options.summarize is not None:
             hierarchy, max_summaries, sample = resolve_summarize(options.summarize)
@@ -696,7 +708,6 @@ class ExplanationService:
                 if options.optimize is not None
                 else self.default_options.optimize
             ),
-            engine=options.engine or self.default_options.engine,
         )
         result = executor.execute(query, db)
         return result, executor.last_metrics

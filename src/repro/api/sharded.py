@@ -84,7 +84,7 @@ from repro.wire import (
 )
 
 #: Option fields that change explanation *content*; everything else
-#: (backend/workers/partitions/optimize/engine) is execution-only and is
+#: (backend/workers/partitions/optimize) is execution-only and is
 #: stripped from explain routing keys so equivalent requests co-locate.
 SEMANTIC_OPTION_FIELDS = ("use_schema_alternatives", "revalidate", "max_sas", "summarize")
 
@@ -111,7 +111,7 @@ class ShardedConfig:
     bound per request (a stuck worker yields a 503, never a hang), and
     ``retry_after`` the hint sent with every 503.  ``options`` holds the
     default execution knobs each worker's service runs with
-    (``backend``/``workers``/``optimize``/``engine``).
+    (``backend``/``workers``/``optimize``).
     """
 
     processes: int = 2

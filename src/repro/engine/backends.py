@@ -21,14 +21,11 @@ backend decides where:
 Task shapes understood by :func:`run_task`:
 
 ``("chain", op_ids, rows)``
-    Run a fused chain of narrow operators over one partition; returns the
-    final rows plus per-operator ``(op_id, rows_in, rows_out, seconds)``
-    stats so the driver can merge metrics across workers.
-``("kchain", op_ids, rows)``
-    The columnar engine's variant of ``chain``: the partition runs through
-    one generated-and-cached kernel when possible, with a per-partition
-    row-path fallback (see :mod:`repro.engine.columnar`); returns
-    ``(rows, stats, kernel_info)``.
+    Run a fused chain of narrow operators over one partition through one
+    generated-and-cached kernel when possible, with a per-partition
+    row-path fallback (see :mod:`repro.engine.columnar`); returns the final
+    rows, per-operator ``(op_id, rows_in, rows_out, seconds)`` stats so the
+    driver can merge metrics across workers, and the kernel counters.
 ``("rows", op_id, child_rows)``
     Generic ``eval_rows`` call (deduplication, difference, global
     aggregation).
@@ -180,18 +177,6 @@ class WorkerState:
 
 
 # -- task evaluation (identical for every backend) ---------------------------
-
-
-def _task_chain(state: WorkerState, op_ids: "tuple[int, ...]", rows: list) -> Any:
-    ctx = state.ctx()
-    stats = []
-    for op_id in op_ids:
-        op = state.op(op_id)
-        started = time.perf_counter()
-        out = op.eval_rows([rows], ctx)
-        stats.append((op_id, len(rows), len(out), time.perf_counter() - started))
-        rows = out
-    return rows, stats
 
 
 def _task_rows(state: WorkerState, op_id: int, child_rows: list) -> Any:
@@ -400,8 +385,7 @@ def _task_trace_group(state: WorkerState, sa: int, op_id: int, parent_vals: list
 
 
 _TASK_HANDLERS = {
-    "chain": _task_chain,
-    "kchain": task_kernel_chain,
+    "chain": task_kernel_chain,
     "rows": _task_rows,
     "join_keyed": _task_join_keyed,
     "group_keyed": _task_group_keyed,

@@ -1,25 +1,22 @@
-"""Columnar batch evaluation: engine selection, kernel tasks, key batches.
+"""Columnar batch evaluation: kernel chain tasks and key scatters.
 
 This module is the glue between the executor's backend seam and the kernel
 code generator (:mod:`repro.engine.kernels`):
 
-* **Engine knob.**  ``Executor(engine=...)``, ``explain(engine=...)``, the
-  CLI's ``--engine`` flag and the ``REPRO_ENGINE`` environment variable pick
-  between the ``row`` engine (the row-at-a-time oracle path) and the
-  ``columnar`` engine.  Results are bit-identical either way — the
-  differential fuzzer and the scenario equivalence suites enforce it.
-* **Kernel chain task.**  ``("kchain", op_ids, rows)`` replaces the row
-  path's ``("chain", ...)`` task when the columnar engine is active: the
-  partition is checked for a uniform row layout, lowered to (or fetched
-  from the cache as) one compiled kernel, and executed in a single call;
-  any :class:`~repro.engine.kernels.KernelBailout`, unsupported operator or
-  heterogeneous layout falls back to the row path *for that partition*,
-  which also reproduces the row path's exact error behaviour.
+* **Kernel chain task.**  ``("chain", op_ids, rows)``: the partition is
+  checked for a uniform row layout, lowered to (or fetched from the cache
+  as) one compiled kernel, and executed in a single call; any
+  :class:`~repro.engine.kernels.KernelBailout`, unsupported operator or
+  heterogeneous layout falls back to the row-at-a-time operators *for that
+  partition*, which also reproduces their exact error behaviour.  Results
+  equal ``Query.evaluate`` — the differential fuzzer and the scenario
+  equivalence suites enforce it.
 * **Scatter shuffles.**  Wide operators keep their shuffle-based plans, but
   the per-row key closures are replaced by one-pass scatter routines that
   read the key columns straight out of the shared ``Layout`` positions,
   hash them column-at-a-time and place each ``(key, row)`` pair directly in
-  its destination partition — producing bit-identical partition targets.
+  its destination partition — producing the targets of the per-row
+  ``stable_hash`` loop.
 
 ``docs/KERNELS.md`` is the full walkthrough (batch layout, codegen
 contract, cache keying, bailout semantics, scatter shuffles, operator-hook
@@ -28,7 +25,6 @@ checklist).
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Callable, Optional
 
@@ -38,27 +34,14 @@ from repro.engine.kernels import KernelBailout, chain_kernel
 from repro.nested.paths import Path
 from repro.nested.values import Layout, NULL, Tup
 
-#: Environment variable consulted when no explicit engine is given.
-ENGINE_ENV = "REPRO_ENGINE"
-
-ENGINE_NAMES = ("row", "columnar")
-
 
 def default_engine() -> str:
-    """The engine used when none is requested (``REPRO_ENGINE`` or row)."""
-    name = os.environ.get(ENGINE_ENV, "row")
-    if name not in ENGINE_NAMES:
-        raise ValueError(f"{ENGINE_ENV}={name!r}; expected one of {ENGINE_NAMES}")
-    return name
+    """The chain-evaluation engine's name, ``"columnar"`` (the only one).
 
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an explicit engine name, falling back to the environment."""
-    if engine is None:
-        return default_engine()
-    if engine not in ENGINE_NAMES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
-    return engine
+    Kept for readers that record it, such as execution metrics and
+    benchmark notes.
+    """
+    return "columnar"
 
 
 def new_kernel_info() -> dict:
@@ -73,12 +56,7 @@ def merge_kernel_info(total: dict, part: dict) -> None:
 
 
 def _row_chain(ops: list, rows: list, ctx) -> "tuple[list, list]":
-    """The row-at-a-time chain evaluation (the kernel fallback path).
-
-    Byte-identical to the ``("chain", ...)`` task in
-    :mod:`repro.engine.backends` — reimplemented here so the backends module
-    can depend on this one without a cycle.
-    """
+    """The row-at-a-time chain evaluation (the kernel fallback path)."""
     stats = []
     for op in ops:
         started = time.perf_counter()

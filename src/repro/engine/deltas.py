@@ -57,7 +57,6 @@ from repro.algebra.operators import (
     TableAccess,
 )
 from repro.engine.backends import ExecutionBackend, TaskContext, get_backend
-from repro.engine.columnar import resolve_engine
 from repro.engine.database import Database, Mutation
 from repro.engine.executor import build_segments
 from repro.engine.hashing import stable_hash
@@ -174,8 +173,7 @@ class DeltaEvaluator:
     plan, same ``stable_hash`` routing, same backend task kinds — so its
     maintained bag is identical to a from-scratch
     :class:`~repro.engine.executor.Executor` run on every version (the
-    mutation fuzz oracle enforces this across serial/process backends and
-    row/columnar engines).
+    mutation fuzz oracle enforces this across serial/process backends).
     """
 
     def __init__(
@@ -186,7 +184,6 @@ class DeltaEvaluator:
         backend: "str | ExecutionBackend | None" = None,
         workers: Optional[int] = None,
         optimize: Optional[bool] = None,
-        engine: Optional[str] = None,
     ):
         if num_partitions < 1:
             raise ValueError("need at least one partition")
@@ -194,7 +191,6 @@ class DeltaEvaluator:
         self.num_partitions = num_partitions
         self.backend = get_backend(backend, workers)
         self.optimize = resolve_optimize(optimize)
-        self.engine = resolve_engine(engine)
         self.last_stats: dict[str, Any] = {}
         self.rebases = 0
         self.updates = 0
@@ -444,13 +440,12 @@ class DeltaEvaluator:
     ) -> "tuple[dict[Tup, int], int]":
         pos = [row for row, c in din.items() if c > 0 for _ in range(c)]
         neg = [row for row, c in din.items() if c < 0 for _ in range(-c)]
-        kind = "kchain" if self.engine == "columnar" else "chain"
         op_ids = tuple(op.op_id for op in ops)
         tasks = []
         if pos:
-            tasks.append((kind, op_ids, pos))
+            tasks.append(("chain", op_ids, pos))
         if neg:
-            tasks.append((kind, op_ids, neg))
+            tasks.append(("chain", op_ids, neg))
         results = self.backend.run(context, tasks)
         out: dict[Tup, int] = {}
         index = 0

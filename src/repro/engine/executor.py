@@ -59,7 +59,6 @@ from repro.engine.columnar import (
     join_key_scatter,
     merge_kernel_info,
     new_kernel_info,
-    resolve_engine,
 )
 from repro.engine.database import Database
 from repro.engine.hashing import stable_hash
@@ -144,12 +143,10 @@ class Executor:
     way — the optimizer's equivalence suite enforces it for every scenario —
     and ``last_report`` keeps the rewrite provenance of the last run.
 
-    ``engine`` selects the chain-evaluation engine: ``"row"`` evaluates
-    fused chains row-at-a-time through compiled closures (the oracle path),
-    ``"columnar"`` lowers each chain to a cached generated kernel with
-    vectorized shuffle-key extraction for wide operators
-    (:mod:`repro.engine.columnar`); ``None`` defers to ``REPRO_ENGINE``.
-    Result bags are bit-identical across engines for every plan.
+    Each fused narrow chain runs as one cached generated kernel per
+    partition, falling back to the row-at-a-time operators for a partition
+    the kernel cannot reproduce, and wide operators extract their shuffle
+    keys column-at-a-time (:mod:`repro.engine.columnar`).
     """
 
     def __init__(
@@ -158,14 +155,12 @@ class Executor:
         backend: "str | ExecutionBackend | None" = None,
         workers: Optional[int] = None,
         optimize: Optional[bool] = None,
-        engine: Optional[str] = None,
     ):
         if num_partitions < 1:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions
         self.backend = get_backend(backend, workers)
         self.optimize = resolve_optimize(optimize)
-        self.engine = resolve_engine(engine)
         self.last_metrics: Optional[ExecutionMetrics] = None
         self.last_report: Optional[OptimizationReport] = None
 
@@ -182,10 +177,8 @@ class Executor:
         metrics = ExecutionMetrics(
             backend=self.backend.name,
             workers=self.backend.workers,
-            engine=self.engine,
+            kernels=new_kernel_info(),
         )
-        if self.engine == "columnar":
-            metrics.kernels = new_kernel_info()
         cache: dict[int, Partitions] = {}
         for segment in build_segments(query):
             self._run_segment(segment, cache, ctx, context, metrics)
@@ -223,31 +216,21 @@ class Executor:
     def _shuffle_keyed(
         self,
         parts: Partitions,
-        key_fn: Callable[[Tup], Any],
+        scatter: "Callable[[list, int, list], int]",
         metrics: OperatorMetrics,
-        scatter: "Callable[[list, int, list], int] | None" = None,
     ) -> KeyedPartitions:
         """Repartition rows by key, keeping the computed key with each row.
 
-        ``None`` keys (⊥-valued join keys) go to partition 0 so outer joins
-        can still emit their padded rows exactly once.  With the columnar
-        engine, *scatter* replaces the per-row *key_fn* + hash loop with a
-        one-pass column extraction over the shared layout that hashes the
-        key column in a single sweep and places rows directly.
+        *scatter* (:func:`~repro.engine.columnar.join_key_scatter` or
+        :func:`~repro.engine.columnar.group_key_scatter`) extracts each
+        partition's key column over the shared layout, hashes it in one
+        sweep and places the ``(key, row)`` pairs; ``None`` keys (⊥-valued
+        join keys) go to partition 0 so outer joins can still emit their
+        padded rows exactly once.
         """
         out: KeyedPartitions = [[] for _ in range(self.num_partitions)]
-        shuffled = 0
-        nparts = self.num_partitions
         for part in parts:
-            if scatter is not None:
-                shuffled += scatter(part, nparts, out)
-                continue
-            for row in part:
-                key = key_fn(row)
-                target = 0 if key is None else stable_hash(key) % nparts
-                out[target].append((key, row))
-                shuffled += 1
-        metrics.shuffled_rows += shuffled
+            metrics.shuffled_rows += scatter(part, self.num_partitions, out)
         return out
 
     def _gather(self, parts: Partitions, metrics: OperatorMetrics) -> list[Tup]:
@@ -323,16 +306,14 @@ class Executor:
         op_ids = tuple(op.op_id for op in ops)
         # Register metrics in plan order before merging task stats.
         per_op = {op.op_id: self._op_metrics(metrics, op) for op in ops}
-        kind = "kchain" if self.engine == "columnar" else "chain"
         results = self.backend.run(
-            context, [(kind, op_ids, part) for part in child_parts]
+            context, [("chain", op_ids, part) for part in child_parts]
         )
-        cache[op_ids[-1]] = [result[0] for result in results]
-        for result in results:
-            for op_id, n_in, n_out, seconds in result[1]:
+        cache[op_ids[-1]] = [rows for rows, _, _ in results]
+        for _, stats, info in results:
+            for op_id, n_in, n_out, seconds in stats:
                 per_op[op_id].absorb_task(n_in, n_out, seconds)
-            if len(result) > 2 and metrics.kernels is not None:
-                merge_kernel_info(metrics.kernels, result[2])
+            merge_kernel_info(metrics.kernels, info)
         elapsed = time.perf_counter() - started
         for op in ops:
             # Driver-observed elapsed time is attributed to the whole fused
@@ -352,15 +333,14 @@ class Executor:
         m.rows_in = sum(len(p) for parts in child_parts for p in parts)
         nparts = self.num_partitions
         pad_empty = False
-        columnar = self.engine == "columnar"
         if isinstance(op, Join):
             left_key, right_key = op.key_fns()
-            left_scatter = right_scatter = None
-            if columnar:
-                left_scatter = join_key_scatter(tuple(l for l, _ in op.on), left_key)
-                right_scatter = join_key_scatter(tuple(r for _, r in op.on), right_key)
-            left = self._shuffle_keyed(child_parts[0], left_key, m, left_scatter)
-            right = self._shuffle_keyed(child_parts[1], right_key, m, right_scatter)
+            left = self._shuffle_keyed(
+                child_parts[0], join_key_scatter(tuple(l for l, _ in op.on), left_key), m
+            )
+            right = self._shuffle_keyed(
+                child_parts[1], join_key_scatter(tuple(r for _, r in op.on), right_key), m
+            )
             tasks = [
                 ("join_keyed", op.op_id, left[i], right[i]) for i in range(nparts)
             ]
@@ -369,8 +349,7 @@ class Executor:
             tasks = [("rows", op.op_id, [gathered])]
             pad_empty = True
         elif isinstance(op, (GroupAggregation, RelationNesting)):
-            scatter = group_key_scatter(op) if columnar else None
-            shuffled = self._shuffle_keyed(child_parts[0], op.key_fn(), m, scatter)
+            shuffled = self._shuffle_keyed(child_parts[0], group_key_scatter(op), m)
             tasks = [("group_keyed", op.op_id, part) for part in shuffled]
         else:  # Deduplication, Difference: shuffle whole rows by value
             shuffled = [

@@ -1,13 +1,15 @@
-"""Per-chain kernel code generation for the columnar engine.
+"""Per-chain kernel code generation for the partitioned executor.
 
-The row-at-a-time path evaluates a fused narrow chain by calling one
+The row-at-a-time operators (``Operator.eval_rows``, the kernels'
+per-partition fallback) evaluate a fused narrow chain by calling one
 compiled closure per operator per row and materializing a full
 :class:`~repro.nested.values.Tup` between every pair of operators.  This
 module instead lowers the whole chain to a single Python function *source
 string* — one loop over the partition, selective column extraction at the
 top, inlined per-operator statements in the body, one output-row
-materialization at the bottom — and compiles it once per
-``(chain semantics, input layout)``.
+materialization at the bottom (or the input row itself, when only
+selections ran) — and compiles it once per ``(chain semantics, input
+layout)``.
 
 Contract (see ``docs/KERNELS.md`` for the full walkthrough):
 
@@ -312,10 +314,20 @@ def _compile_kernel(
     Emits the output-row materialization, extracts exactly the input
     columns the body reads, and wraps everything in ``def _kernel(params)``
     with one loop over the rows (binding the row index ``_k`` when
-    *indexed*), the extra *prelude* lines and ``return returns``.
+    *indexed*), the extra *prelude* lines and ``return returns``.  When the
+    final logical row is the input row (selection-only chains), the loop
+    also binds the input row ``_r`` and appends it unchanged, as
+    ``Selection.eval_rows`` does.
     """
-    out_layout = kb.bind(Layout.of(tuple(kb._cols)))
-    kb.emit(f"_append(_mk({out_layout}, {_tuple_source(list(kb._cols.values()))}))")
+    values = list(kb._cols.values())
+    passthrough = tuple(kb._cols) == layout.names and values == [
+        f"_c{i}_" for i in range(len(values))
+    ]
+    if passthrough:
+        kb.emit("_append(_r)")
+    else:
+        out_layout = kb.bind(Layout.of(tuple(kb._cols)))
+        kb.emit(f"_append(_mk({out_layout}, {_tuple_source(values)}))")
     body = kb.lines
     used = [
         i
@@ -324,15 +336,20 @@ def _compile_kernel(
     ]
     prelude = ["    _out = []", "    _append = _out.append"] + prelude
     prelude += [f"    _l{i} = [_r._values[{i}] for _r in rows]" for i in used]
-    if not used:
+    targets = [f"_c{i}_" for i in used]
+    lists = [f"_l{i}" for i in used]
+    if passthrough:
+        targets.insert(0, "_r")
+        lists.insert(0, "rows")
+    if not targets:
         target, items = ("_k" if indexed else "_"), "range(len(rows))"
     else:
-        target = ", ".join(f"_c{i}_" for i in used)
-        items = f"_l{used[0]}"
-        if len(used) > 1:
-            items = "zip(" + ", ".join(f"_l{i}" for i in used) + ")"
+        target = ", ".join(targets)
+        items = lists[0]
+        if len(lists) > 1:
+            items = "zip(" + ", ".join(lists) + ")"
         if indexed:
-            target = f"_k, ({target})" if len(used) > 1 else f"_k, {target}"
+            target = f"_k, ({target})" if len(targets) > 1 else f"_k, {target}"
             items = f"enumerate({items})"
     loop = f"    for {target} in {items}:"
     header = f"def _kernel({params}):"

@@ -61,10 +61,11 @@ class ExecutionMetrics:
     ``rewrite_seconds``, the time the fixpoint rewrite itself took; ``None``
     means the plan executed as written.
 
-    ``engine`` names the chain-evaluation engine (``row`` or ``columnar``);
-    with the columnar engine, ``kernels`` holds the kernel-cache
-    observability counters (``hits``/``misses``/``fallbacks``/
-    ``codegen_seconds``) merged across every chain task.
+    ``engine`` names the chain-evaluation engine: always ``columnar`` for
+    a run of this executor (documents written by older row-engine runs may
+    say ``row``).  ``kernels`` holds the kernel-cache observability counters
+    (``hits``/``misses``/``fallbacks``/``codegen_seconds``) merged across
+    every chain task.
     """
 
     operators: dict[int, OperatorMetrics] = field(default_factory=dict)
@@ -72,7 +73,7 @@ class ExecutionMetrics:
     backend: str = "serial"
     workers: int = 1
     optimizer: "dict | None" = None
-    engine: str = "row"
+    engine: str = "columnar"
     kernels: "dict | None" = None
 
     def total_rows_processed(self) -> int:

@@ -14,7 +14,7 @@ version.  This module turns that promise into a differential gate:
   and cross-checks, at **every** version,
 
   1. :class:`~repro.engine.deltas.DeltaEvaluator` (per requested
-     backend × engine) against the reference ``Query.evaluate`` bag, and
+     backend) against the reference ``Query.evaluate`` bag, and
   2. :class:`~repro.engine.deltas.IncrementalExplainer` against a
      from-scratch ``explain`` — identical ranked explanation label sets,
      and identical exception types when a version flips the question
@@ -150,7 +150,6 @@ def check_mutation_case(
     rng: random.Random,
     steps: int = 3,
     backends: Sequence[str] = ("serial",),
-    engines: Sequence[str] = ("row", "columnar"),
     workers: int = 2,
     num_partitions: int = 3,
     config: Optional[FuzzConfig] = None,
@@ -158,9 +157,9 @@ def check_mutation_case(
     """Differentially test one case across a fuzzed mutation chain.
 
     At every version the maintained state must equal a from-scratch
-    recomputation — identical result bags for each requested backend/engine
-    point and identical explanation label sets (or identical exception
-    types when the reference itself errors / the question flips ill-posed).
+    recomputation — identical result bags for each requested backend and
+    identical explanation label sets (or identical exception types when the
+    reference itself errors / the question flips ill-posed).
     """
     report = OracleReport()
     base = case.database()
@@ -174,11 +173,9 @@ def check_mutation_case(
         references.append(_outcome(lambda db_v=db_v: case.query.evaluate(db_v)))
 
     for backend in backends:
-        for engine in engines:
-            _check_delta_evaluator(
-                report, case, versions, references, backend, engine,
-                workers, num_partitions,
-            )
+        _check_delta_evaluator(
+            report, case, versions, references, backend, workers, num_partitions
+        )
     if case.nip is not None:
         _check_incremental_explainer(
             report, case, versions, references, workers, num_partitions
@@ -192,11 +189,10 @@ def _check_delta_evaluator(
     versions: "list[Database]",
     references: list,
     backend: str,
-    engine: str,
     workers: int,
     num_partitions: int,
 ) -> None:
-    label = f"delta backend={backend} engine={engine}"
+    label = f"delta backend={backend}"
     try:
         evaluator = DeltaEvaluator(
             case.query,
@@ -205,7 +201,6 @@ def _check_delta_evaluator(
             backend=backend,
             workers=workers,
             optimize=False,
-            engine=engine,
         )
     except Exception as exc:  # noqa: BLE001 - reference succeeded, so must this
         report.divergences.append(
@@ -271,8 +266,8 @@ def _check_incremental_explainer(
 
     def scratch(db_v: Database):
         return explain(
-            fresh(db_v), backend="serial", workers=workers, engine="row",
-            validate=True, optimize=False,
+            fresh(db_v), backend="serial", workers=workers, validate=True,
+            optimize=False,
         )
 
     baseline = _outcome(lambda: scratch(versions[0]))
@@ -449,7 +444,6 @@ def run_mutation_sweep(
     steps: int = 3,
     questions: bool = True,
     backends: Sequence[str] = ("serial",),
-    engines: Sequence[str] = ("row", "columnar"),
     workers: int = 2,
     num_partitions: int = 3,
 ) -> MutationSweepResult:
@@ -469,7 +463,6 @@ def run_mutation_sweep(
             rng,
             steps=steps,
             backends=backends,
-            engines=engines,
             workers=workers,
             num_partitions=num_partitions,
             config=config,

@@ -4,16 +4,15 @@ For a generated ``(database, query[, why-not question])`` case the oracle
 runs:
 
 * the reference semantics ``Query.evaluate``,
-* the partitioned executor for every ``backend × optimize × partitions ×
-  engine`` combination requested (defaults: serial/process × on/off ×
-  1/3/7 × row/columnar),
+* the partitioned executor for every ``backend × optimize × partitions``
+  combination requested (defaults: serial/process × on/off × 1/3/7),
 
 and checks
 
 1. **result bags** — every configuration must equal the reference bag;
 2. **metrics invariants** — the root operator's ``rows_out`` equals the
-   result size, and total shuffled rows agree across backends *and engines*
-   for the same (partitions, optimize) point;
+   result size, and total shuffled rows agree across backends for the same
+   (partitions, optimize) point;
 3. **explanation sets** — ``explain`` (validated why-not question) must
    produce the identical ranked explanation label sets for every requested
    backend/optimizer combination;
@@ -60,16 +59,13 @@ from repro.whynot.question import WhyNotQuestion
 PARTITIONS = (1, 3, 7)
 BACKENDS = ("serial", "process")
 OPTIMIZE = (False, True)
-ENGINES = ("row", "columnar")
-#: Backend/optimizer/engine triples explanation sets are compared across.
-#: Tracing is the expensive path, so the default exercises the optimizer
-#: toggle on the serial backend, one process-backend point, and one
-#: columnar-engine point.
+#: Backend/optimizer pairs explanation sets are compared across.  Tracing
+#: is the expensive path, so the default exercises the optimizer toggle on
+#: the serial backend and one process-backend point.
 EXPLAIN_GRID = (
-    ("serial", False, "row"),
-    ("serial", True, "row"),
-    ("process", False, "row"),
-    ("serial", False, "columnar"),
+    ("serial", False),
+    ("serial", True),
+    ("process", False),
 )
 
 
@@ -140,7 +136,6 @@ def check_case(
     backends: Sequence[str] = BACKENDS,
     optimize: Sequence[bool] = OPTIMIZE,
     workers: int = 2,
-    engines: Sequence[str] = ENGINES,
     explain_grid: Optional[Sequence] = None,
     grammar: bool = False,
 ) -> OracleReport:
@@ -151,19 +146,13 @@ def check_case(
     shuffled_totals: dict = {}
     for backend in backends:
         for opt in optimize:
-            for nparts, engine in (
-                (n, e) for n in partitions for e in engines
-            ):
-                config = (
-                    f"backend={backend} optimize={opt} "
-                    f"partitions={nparts} engine={engine}"
-                )
+            for nparts in partitions:
+                config = f"backend={backend} optimize={opt} partitions={nparts}"
                 executor = Executor(
                     num_partitions=nparts,
                     backend=backend,
                     workers=workers,
                     optimize=opt,
-                    engine=engine,
                 )
                 got = _outcome(lambda: executor.execute(query, db))
                 report.configs_run += 1
@@ -214,14 +203,14 @@ def check_case(
                 key = (opt, nparts)
                 previous = shuffled_totals.get(key)
                 if previous is None:
-                    shuffled_totals[key] = (f"{backend}/{engine}", total_shuffled)
+                    shuffled_totals[key] = (backend, total_shuffled)
                 elif previous[1] != total_shuffled:
                     report.divergences.append(
                         Divergence(
                             "metrics",
                             config,
                             f"shuffled_rows={total_shuffled} vs "
-                            f"{previous[1]} on backend/engine={previous[0]}",
+                            f"{previous[1]} on backend={previous[0]}",
                         )
                     )
 
@@ -401,7 +390,7 @@ def _check_grammar(
     def run(program_query, program_nip):
         fresh = WhyNotQuestion(program_query, db, program_nip, name=query.name)
         return explain(
-            fresh, backend="serial", workers=workers, engine="row", validate=True
+            fresh, backend="serial", workers=workers, validate=True
         )
 
     original = _outcome(lambda: run(query, nip))
@@ -506,7 +495,7 @@ def _check_explanations(
     if not grid:
         return
     outcomes = []
-    for backend, opt, engine in grid:
+    for backend, opt in grid:
         # A fresh question per configuration: ``explain`` seeds the result
         # cache, and sharing it across configurations could mask divergence.
         fresh = WhyNotQuestion(query, db, question.nip, name=question.name)
@@ -516,12 +505,11 @@ def _check_explanations(
                 backend=backend,
                 workers=workers,
                 optimize=opt,
-                engine=engine,
                 validate=True,
             )
         )
         report.explain_configs_run += 1
-        outcomes.append(((backend, opt, engine), outcome))
+        outcomes.append(((backend, opt), outcome))
     kinds = {o[0] for _, o in outcomes}
     if kinds == {"error"}:
         _check_tracer(report, query, db, question, outcomes[0][1])
@@ -540,7 +528,7 @@ def _check_explanations(
     baseline_config, baseline = outcomes[0]
     _check_tracer(report, query, db, question, baseline)
     for config, outcome in outcomes[1:]:
-        label = f"backend={config[0]} optimize={config[1]} engine={config[2]}"
+        label = f"backend={config[0]} optimize={config[1]}"
         if outcome[0] != baseline[0]:
             report.divergences.append(
                 Divergence(
@@ -548,7 +536,7 @@ def _check_explanations(
                     label,
                     f"outcome {outcome[0]}/{outcome[1] if outcome[0] == 'error' else ''}"
                     f" vs {baseline[0]} on backend={baseline_config[0]} "
-                    f"optimize={baseline_config[1]} engine={baseline_config[2]}",
+                    f"optimize={baseline_config[1]}",
                 )
             )
             continue

@@ -95,42 +95,21 @@ def run_scenario(
     backend=None,
     workers=None,
     optimize: Optional[bool] = None,
-    engine: Optional[str] = None,
 ) -> ScenarioRun:
     """Run all approaches on *scenario* and collect their explanations.
 
     ``backend``/``workers`` select the execution backend for the RP variants
     (see :mod:`repro.engine.backends`); the explanations do not depend on it.
-    ``optimize`` enables the answer-path plan optimizer
-    (:mod:`repro.engine.optimizer`) and ``engine`` selects the chain
-    evaluation engine (:mod:`repro.engine.columnar`); explanations do not
-    depend on either — the optimizer is explanation-preserving and the
-    engines are result-equivalent.
+    ``optimize`` attaches the answer-path optimizer's rewrite summary
+    (:mod:`repro.engine.optimizer`) to the RP results; explanations do not
+    depend on it, because the optimizer is explanation-preserving.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     from repro.engine.backends import get_backend
-    from repro.engine.columnar import resolve_engine
-    from repro.engine.executor import Executor
-    from repro.engine.optimizer import optimize_query, resolve_optimize
 
     backend = get_backend(backend, workers)
-    engine = resolve_engine(engine)
     question = scenario.question(scale)
-    if resolve_optimize(optimize):
-        # Seed Q(D) through the optimized plan *before* validation caches the
-        # unoptimized evaluation — this is the scenario runner's answer path.
-        answer_query = optimize_query(question.query, question.db).optimized
-        if engine == "columnar":
-            question._result_cache = Executor(
-                num_partitions=4, backend=backend, optimize=False, engine=engine
-            ).execute(answer_query, question.db)
-        else:
-            question._result_cache = answer_query.evaluate(question.db)
-    elif engine == "columnar":
-        question._result_cache = Executor(
-            num_partitions=4, backend=backend, optimize=False, engine=engine
-        ).execute(question.query, question.db)
     question.validate()
     timings: dict[str, float] = {}
 
@@ -150,7 +129,6 @@ def run_scenario(
         validate=False,
         backend=backend,
         optimize=optimize,
-        engine=engine,
     )
     timings["rp_nosa"] = time.perf_counter() - started
 
@@ -161,7 +139,6 @@ def run_scenario(
         validate=False,
         backend=backend,
         optimize=optimize,
-        engine=engine,
     )
     timings["rp"] = time.perf_counter() - started
 

@@ -97,7 +97,6 @@ def explain(
     backend=None,
     workers=None,
     optimize: Optional[bool] = None,
-    engine: Optional[str] = None,
 ) -> WhyNotResult:
     """Compute query-based explanations for *question* (Algorithm 1).
 
@@ -109,55 +108,34 @@ def explain(
     step (``"serial"`` or ``"process"``, see :mod:`repro.engine.backends`);
     explanations are identical on every backend.
 
-    ``engine`` (default: the ``REPRO_ENGINE`` environment variable) selects
-    the chain-evaluation engine for the answer-path ``Q(D)`` evaluation —
-    ``"columnar"`` runs it through the partitioned executor's generated
-    kernels (:mod:`repro.engine.columnar`).  Explanation sets are identical
-    on either engine; the differential fuzz oracle enforces it.
-
     ``timings`` records each step's seconds; with ``validate`` it includes
-    ``"validate"``: seeding ``Q(D)`` plus the Definition 5 check.
+    ``"validate"``: computing ``Q(D)`` plus the Definition 5 check.  ``Q(D)``
+    always runs on the compiled answer path (:meth:`WhyNotQuestion.result`:
+    the optimized plan on the kernel executor).
 
-    ``optimize`` (default: the ``REPRO_OPTIMIZE`` environment variable) runs
-    the logical plan optimizer on the *answer path* — the ``Q(D)`` evaluation
-    that validation and the side-effect bounds consume.  The explanation path
-    (backtracing, SA enumeration, tracing, Algorithm 4) always runs against
-    the original plan, because explanations are sets of *user* operators
-    (paper Def. 9); the optimizer is explanation-preserving by construction
-    and the equivalence suite asserts identical explanation sets either way.
+    ``optimize`` (default: the ``REPRO_OPTIMIZE`` environment variable)
+    attaches the logical plan optimizer's rule-fire summary for the answer
+    path to :attr:`WhyNotResult.optimizer`; the rewrite is cached on the
+    query per database version, so reporting it and computing ``Q(D)``
+    share one rewrite.  The
+    explanation path (backtracing, SA enumeration, tracing, Algorithm 4)
+    always runs against the original plan, because explanations are sets of
+    *user* operators (paper Def. 9); the optimizer is explanation-preserving
+    by construction and the equivalence suite asserts identical explanation
+    sets either way.
     """
     from repro.engine.backends import get_backend
-    from repro.engine.columnar import resolve_engine
     from repro.engine.optimizer import optimize_query, resolve_optimize
 
     timings: dict[str, float] = {}
     backend = get_backend(backend, workers)
-    engine = resolve_engine(engine)
     optimizer_summary: Optional[dict] = None
-    answer_query = question.query
     if resolve_optimize(optimize):
         started = time.perf_counter()
-        report = optimize_query(question.query, question.db)
-        optimizer_summary = report.summary()
-        answer_query = report.optimized
+        optimizer_summary = optimize_query(question.query, question.db).summary()
         timings["optimize"] = time.perf_counter() - started
-    started = time.perf_counter()
-    if question._result_cache is None:
-        # Seed ``Q(D)`` before validation (or the side-effect bounds)
-        # computes it: through the optimized plan when the optimizer ran,
-        # and through the partitioned executor's generated kernels when the
-        # columnar engine is selected.  An already-cached result is reused
-        # as-is — all paths produce identical bags by the equivalence
-        # guarantees.
-        if engine == "columnar":
-            from repro.engine.executor import Executor
-
-            question._result_cache = Executor(
-                num_partitions=4, backend=backend, optimize=False, engine=engine
-            ).execute(answer_query, question.db)
-        elif answer_query is not question.query:
-            question._result_cache = answer_query.evaluate(question.db)
     if validate:
+        started = time.perf_counter()
         question.validate()
         timings["validate"] = time.perf_counter() - started
 

@@ -4,6 +4,12 @@ A why-not question ``Φ = ⟨Q, D, t⟩`` pairs a query, a database, and a NIP
 ``t`` over the query's output tuple type.  Definition 5 requires that no
 result tuple matches ``t`` (otherwise the question is ill-posed: the "missing"
 answer is present).
+
+``Q(D)`` itself is computed on the compiled answer path: the logical
+optimizer (:mod:`repro.engine.optimizer`) rewrites the plan and the
+partitioned executor runs it on generated kernels, serially over one
+partition.  ``Query.evaluate`` stays the reference semantics that tests and
+the differential fuzzer compare this path against.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from typing import Any
 
 from repro.algebra.operators import Query
 from repro.engine.database import Database
+from repro.engine.executor import Executor
 from repro.nested.values import Bag
 from repro.whynot.matching import any_match, matching_tuples, validate_nip
 
@@ -32,9 +39,15 @@ class WhyNotQuestion:
     _result_cache: Bag = field(default=None, repr=False, compare=False)
 
     def result(self) -> Bag:
-        """The original query result ``Q(D)`` (cached)."""
+        """The original query result ``Q(D)`` (cached).
+
+        Computed once, through the optimized plan on the kernel executor
+        (one partition, serial backend); the optimizer's rewrite is cached
+        on the query per database version.
+        """
         if self._result_cache is None:
-            self._result_cache = self.query.evaluate(self.db)
+            executor = Executor(num_partitions=1, backend="serial", optimize=True)
+            self._result_cache = executor.execute(self.query, self.db)
         return self._result_cache
 
     def validate(self) -> None:

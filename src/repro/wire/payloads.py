@@ -439,7 +439,7 @@ def metrics_from_json(data: dict) -> ExecutionMetrics:
         backend=data["backend"],
         workers=data["workers"],
         optimizer=data["optimizer"],
-        engine=data.get("engine", "row"),
+        engine=data.get("engine", "row"),  # older documents: row-engine runs
         kernels=data.get("kernels"),
     )
     for op_id, m in data["operators"].items():

@@ -103,6 +103,53 @@ class TestQueryEndpoint:
         assert metrics.operators  # per-operator counters came back
 
 
+def _result_without_timings(document):
+    result = dict(document["result"])
+    result["timings"] = {}
+    return result
+
+
+class TestRetiredEngineOption:
+    """Older format-2 clients may still send ``options.engine``: the server
+    ignores it and answers exactly as without it."""
+
+    def test_explain_with_engine_field(self, server):
+        scenario = get_scenario("T2")
+        document = ExplainRequest(scenario="T2", scale=13).to_json()
+        with_engine = json.loads(json.dumps(document))
+        with_engine["options"]["engine"] = "row"
+        status, answered = _post_raw(
+            server, "/v1/explain", json.dumps(with_engine).encode()
+        )
+        assert status == 200, answered
+        status, plain = _post_raw(server, "/v1/explain", json.dumps(document).encode())
+        assert status == 200, plain
+        assert _result_without_timings(answered) == _result_without_timings(plain)
+        direct = explain(scenario.question(13), alternatives=scenario.alternatives)
+        assert [sorted(e["labels"]) for e in answered["result"]["explanations"]] == [
+            sorted(e.labels) for e in direct.explanations
+        ]
+
+    def test_query_with_engine_field(self, server, person_db, running_query):
+        from repro.wire import database_to_json, query_to_json, relation_from_json
+
+        document = {
+            "format": 2,
+            "kind": "query-request",
+            "query": query_to_json(running_query),
+            "database": database_to_json(person_db),
+            "options": ExplainOptions(partitions=3).to_json(),
+        }
+        with_engine = json.loads(json.dumps(document))
+        with_engine["options"]["engine"] = "columnar"
+        results = []
+        for doc in (with_engine, document):
+            status, answered = _post_raw(server, "/v1/query", json.dumps(doc).encode())
+            assert status == 200, answered
+            results.append(relation_from_json(answered["result"]))
+        assert results[0] == results[1] == running_query.evaluate(person_db)
+
+
 class TestErrorMapping:
     def test_unknown_route_404(self, client):
         with pytest.raises(ApiError) as excinfo:

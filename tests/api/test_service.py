@@ -97,6 +97,18 @@ class TestValidation:
         with pytest.raises(BadRequest, match="unknown option"):
             ExplainOptions.from_json({"backend": "serial", "typo": 1})
 
+    @pytest.mark.parametrize("engine", [None, "row", "columnar"])
+    def test_retired_engine_option_is_accepted_and_dropped(self, engine):
+        options = ExplainOptions.from_json({"engine": engine, "max_sas": 7})
+        assert options == ExplainOptions(max_sas=7)
+        assert "engine" not in options.to_json()
+        with pytest.raises(BadRequest, match="unknown option"):
+            ExplainOptions.from_json({"engine": engine, "typo": 1})
+
+    def test_retired_engine_option_rejects_other_values(self):
+        with pytest.raises(BadRequest, match="unknown engine"):
+            ExplainOptions.from_json({"engine": "vectorized"})
+
     def test_prepare_validates(self, running_question):
         service = ExplanationService()
         question, alternatives, key = service.prepare(_request(running_question))

@@ -166,26 +166,35 @@ def _scenario_names():
     return sorted(SCENARIOS)
 
 
-@pytest.mark.parametrize("engine", ["row", "columnar"])
+@pytest.mark.parametrize("chains", ["row", "columnar"])
 @pytest.mark.parametrize("name", _scenario_names())
 @pytest.mark.parametrize("partitions", [1, 3, 7])
-def test_scenario_process_equals_serial(name, partitions, engine):
-    """process ≡ serial ≡ Query.evaluate for every scenario, on both engines."""
+def test_scenario_process_equals_serial(name, partitions, chains, monkeypatch):
+    """process ≡ serial ≡ Query.evaluate for every scenario.
+
+    ``chains="row"`` forces every serial chain task onto the per-partition
+    row fallback, so the fallback is checked against the process backend's
+    kernels — results and per-operator metrics alike.
+    """
+    from repro.engine import columnar
     from repro.scenarios import get_scenario
 
     question = get_scenario(name).question(scale=10)
     plain = question.query.evaluate(question.db)
     workers = {1: 1, 3: 2, 7: 4}[partitions]  # cover 1/2/4 workers across the grid
-    serial = Executor(num_partitions=partitions, backend="serial", engine=engine)
-    proc = Executor(
-        num_partitions=partitions, backend="process", workers=workers, engine=engine
-    )
-    assert serial.execute(question.query, question.db) == plain
+    serial = Executor(num_partitions=partitions, backend="serial")
+    proc = Executor(num_partitions=partitions, backend="process", workers=workers)
+    with monkeypatch.context() as patch:
+        if chains == "row":
+            patch.setattr(columnar, "chain_kernel", lambda *args: None)
+        assert serial.execute(question.query, question.db) == plain
     assert proc.execute(question.query, question.db) == plain, (
         f"{name} diverges on the process backend at {partitions} partitions"
     )
     ms, mp = serial.last_metrics, proc.last_metrics
-    assert ms.engine == engine and mp.engine == engine
+    assert ms.engine == mp.engine == "columnar"
+    if chains == "row":
+        assert ms.kernels["misses"] == 0, "the serial side must compile no kernel"
     for op_id, s in ms.operators.items():
         p = mp.operators[op_id]
         assert (s.rows_in, s.rows_out, s.shuffled_rows) == (
@@ -261,18 +270,18 @@ def test_tracer_equals_reference(name, backend, revalidate):
 
 @pytest.mark.parametrize("name", SA_SCENARIOS)
 def test_explain_columnar_equals_row(name):
-    """The columnar answer path must not change any explanation."""
+    """The compiled answer path must not change any explanation: ``Q(D)``
+    from the kernel executor and from the reference ``Query.evaluate``
+    yield identical explanations and side-effect bounds."""
     from repro.scenarios import get_scenario
 
     scenario = get_scenario(name)
     question = scenario.question(scale=12)
-    row = explain(
-        question, alternatives=scenario.alternatives, validate=False, engine="row"
-    )
+    question._result_cache = question.query.evaluate(question.db)
+    row = explain(question, alternatives=scenario.alternatives, validate=False)
     question = scenario.question(scale=12)
-    columnar = explain(
-        question, alternatives=scenario.alternatives, validate=False, engine="columnar"
-    )
+    columnar = explain(question, alternatives=scenario.alternatives, validate=False)
+    assert question.result() == row.question.result()
     assert row.n_sas == columnar.n_sas
     assert row.explanation_labels() == columnar.explanation_labels()
     assert [(e.lb, e.ub) for e in row.explanations] == [
@@ -311,7 +320,7 @@ def test_context_miss_replays_with_payload():
         # A wider batch then reaches workers without the cached context.
         tasks = [("chain", (query.root.op_id,), [row]) for row in rows]
         results = backend.run(ctx, tasks)
-        assert [out for out, _ in results] == [[row] for row in rows]
+        assert [out for out, _, _ in results] == [[row] for row in rows]
     finally:
         backend.close()
 

@@ -3,7 +3,8 @@
 The :class:`~repro.engine.deltas.DeltaEvaluator` must maintain a query's
 result bag across a database version chain exactly as a full recomputation
 would — through fused narrow chains, keyed shuffles, set operations and
-driver-side (keyless) aggregation, on both engines.  These tests pin the
+driver-side (keyless) aggregation, on kernels and on the per-partition row
+fallback.  These tests pin the
 equivalence on the paper scenarios plus targeted operator shapes; the wider
 randomized gate is ``python -m repro fuzz --mutations`` (CI ``mutate`` job).
 """
@@ -61,12 +62,17 @@ class TestScenarioEquivalence:
         assert evaluator.update(v2) == scratch.execute(query, v2)
         assert evaluator.rebases == 1  # only the base construction
 
-    @pytest.mark.parametrize("engine", ["row", "columnar"])
-    def test_multi_step_jump_applies_every_mutation(self, engine):
+    @pytest.mark.parametrize("chains", ["row", "columnar"])
+    def test_multi_step_jump_applies_every_mutation(self, chains, monkeypatch):
+        # chains="row": every chain task takes the per-partition row fallback.
+        if chains == "row":
+            from repro.engine import columnar
+
+            monkeypatch.setattr(columnar, "chain_kernel", lambda *args: None)
         scenario = get_scenario("Q4")
         db = scenario.make_db(20)
         query = scenario.make_query()
-        evaluator = DeltaEvaluator(query, db, num_partitions=4, engine=engine)
+        evaluator = DeltaEvaluator(query, db, num_partitions=4)
         table = sorted(evaluator.reads)[0]
         version = db
         for _ in range(3):
@@ -75,7 +81,7 @@ class TestScenarioEquivalence:
             )
         # update() jumps three versions at once and must walk all of them.
         assert evaluator.update(version) == Executor(
-            num_partitions=4, optimize=False, engine=engine
+            num_partitions=4, optimize=False
         ).execute(query, version)
         assert evaluator.last_stats["steps"] == 3
 

@@ -1,11 +1,13 @@
 """Kernel code generator: golden source, caching, bailouts, stats parity.
 
-The columnar engine's contract is bit-equivalence with the row path — the
-broad equivalence nets live in ``test_backends.py`` (all scenarios × both
-engines) and the differential fuzzer; this module pins the mechanisms that
-make it hold: the generated source itself (golden snapshot), the semantic
-cache keying, the row-path fallbacks (unsupported operators, heterogeneous
-layouts, error parity), and the per-operator stats shape — plus the
+The kernel executor's contract is bit-equivalence with the row-at-a-time
+operators — the broad equivalence nets live in ``test_backends.py`` (all
+scenarios, kernels and the forced row fallback) and the differential
+fuzzer; this module pins the mechanisms that make it hold: the generated
+source itself (golden snapshots, including selection-only pass-through),
+the semantic cache keying, the row-path fallbacks (unsupported operators,
+heterogeneous layouts, error parity), and the per-operator stats shape —
+plus the
 tracer's relaxed kernels (golden source, semantic cache across questions,
 per-operator fallback parity with the reference tracer) and the cache cap.
 """
@@ -24,12 +26,7 @@ from repro.algebra.operators import (
     Selection,
     TableAccess,
 )
-from repro.engine.columnar import (
-    default_engine,
-    new_kernel_info,
-    resolve_engine,
-    task_kernel_chain,
-)
+from repro.engine.columnar import default_engine, new_kernel_info, task_kernel_chain
 from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.engine.kernels import (
@@ -56,17 +53,16 @@ def make_db():
 
 
 def test_engine_resolution(monkeypatch):
+    """The kernel executor is the only engine: the retired ``REPRO_ENGINE``
+    variable selects nothing, and metrics always name ``columnar``."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert default_engine() == "row"
-    assert resolve_engine(None) == "row"
-    assert resolve_engine("columnar") == "columnar"
-    monkeypatch.setenv("REPRO_ENGINE", "columnar")
     assert default_engine() == "columnar"
-    monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-    with pytest.raises(ValueError):
-        default_engine()
-    with pytest.raises(ValueError):
-        resolve_engine("vectorized")
+    for name in ("row", "vectorized"):
+        monkeypatch.setenv("REPRO_ENGINE", name)
+        assert default_engine() == "columnar"
+        executor = Executor(num_partitions=2)
+        executor.execute(Query(TableAccess("R")), make_db())
+        assert executor.last_metrics.engine == "columnar"
 
 
 # -- golden generated source --------------------------------------------------
@@ -109,6 +105,58 @@ def test_kernel_source_golden():
         """
     )
     assert kernel_source(ops, Layout.of(("k", "v", "w")), ctx) == expected
+
+
+def test_selection_chain_source_golden_passes_rows_through():
+    """Pin the generated source for a σ→σ chain: the final row is the input
+    row, so the kernel appends the input ``Tup`` itself (``_r``) and extracts
+    only the columns the predicates read — never ``w``."""
+    db = make_db()
+    query = Query(
+        Selection(Selection(TableAccess("R"), col("v").ge(2)), col("k").eq(1))
+    )
+    ops, ctx = _chain_parts(query, db)
+    expected = textwrap.dedent(
+        """\
+        def _kernel(rows):
+            _out = []
+            _append = _out.append
+            _k0 = 0
+            _l0 = [_r._values[0] for _r in rows]
+            _l1 = [_r._values[1] for _r in rows]
+            for _r, _c0_, _c1_ in zip(rows, _l0, _l1):
+                _t1_ = 2
+                if _c1_ is _NULL or _c1_ is None or _t1_ is _NULL or _t1_ is None:
+                    _t2_ = False
+                else:
+                    try:
+                        _t2_ = _c1_ >= _t1_
+                    except TypeError:
+                        _t2_ = False
+                if not (_t2_):
+                    continue
+                _k0 += 1
+                _t3_ = 1
+                if _c0_ is _NULL or _c0_ is None or _t3_ is _NULL or _t3_ is None:
+                    _t4_ = False
+                else:
+                    try:
+                        _t4_ = _c0_ == _t3_
+                    except TypeError:
+                        _t4_ = False
+                if not (_t4_):
+                    continue
+                _append(_r)
+            return _out, (_k0,)
+        """
+    )
+    assert kernel_source(ops, Layout.of(("k", "v", "w")), ctx) == expected
+    rows = list(db.relation("R"))
+    out, stats = build_kernel(ops, rows[0].layout, ctx).run(rows, ops)
+    assert Bag(out) == query.evaluate(db)
+    assert [(s[1], s[2]) for s in stats] == [(12, 10), (10, 3)]
+    ids = {id(row) for row in rows}
+    assert out and all(id(row) in ids for row in out), "rows must pass through"
 
 
 def test_kernel_runs_and_matches_row_path():
@@ -231,7 +279,8 @@ def test_failed_build_negative_cached(monkeypatch):
 
 
 def test_task_chain_falls_back_and_matches(monkeypatch):
-    """kchain ≡ chain even when kernels cannot run (empty/mixed partitions)."""
+    """The chain task matches the row path even when kernels cannot run
+    (empty/mixed partitions)."""
     from repro.engine.backends import WorkerState
 
     db = make_db()
@@ -282,7 +331,7 @@ def test_executor_columnar_metrics_and_report():
     query = Query(
         Projection(Selection(TableAccess("R"), col("v").ge(2)), ["k", "v"])
     )
-    executor = Executor(num_partitions=3, engine="columnar")
+    executor = Executor(num_partitions=3)
     result = executor.execute(query, db)
     assert result == query.evaluate(db)
     metrics = executor.last_metrics
@@ -292,19 +341,13 @@ def test_executor_columnar_metrics_and_report():
     report = metrics.report()
     assert "engine=columnar" in report and "kernels:" in report
 
-    row = Executor(num_partitions=3, engine="row")
-    assert row.execute(query, db) == result
-    assert row.last_metrics.engine == "row"
-    assert row.last_metrics.kernels is None
-    assert "kernels:" not in row.last_metrics.report()
-
 
 def test_metrics_wire_round_trip_with_kernels():
     from repro.wire.payloads import metrics_from_json, metrics_to_json
 
     db = make_db()
     query = Query(Selection(TableAccess("R"), col("v").ge(2)))
-    executor = Executor(num_partitions=2, engine="columnar")
+    executor = Executor(num_partitions=2)
     executor.execute(query, db)
     metrics = executor.last_metrics
     restored = metrics_from_json(metrics_to_json(metrics))

@@ -415,11 +415,13 @@ def _scenario_names():
 @pytest.mark.parametrize("partitions", [1, 3, 7])
 def test_scenario_optimized_equals_unoptimized(name, partitions):
     """Optimized ≡ unoptimized ≡ Query.evaluate for every scenario, both
-    backends, at 1/3/7 partitions (the optimizer acceptance criterion)."""
+    backends, at 1/3/7 partitions (the optimizer acceptance criterion), and
+    the why-not answer path's ``Q(D)`` equals the reference too."""
     from repro.scenarios import get_scenario
 
     question = get_scenario(name).question(scale=10)
     plain = question.query.evaluate(question.db)
+    assert question.result() == plain
     workers = {1: 1, 3: 2, 7: 4}[partitions]
     for backend, kwargs in (("serial", {}), ("process", {"workers": workers})):
         off = Executor(num_partitions=partitions, backend=backend, optimize=False, **kwargs)

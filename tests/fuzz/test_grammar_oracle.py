@@ -20,7 +20,7 @@ from repro.whynot.placeholders import ANY, STAR
 from repro.whynot.question import WhyNotQuestion
 
 FAST = dict(partitions=(1,), backends=("serial",), optimize=(False,),
-            engines=("row",), explain_grid=())
+            explain_grid=())
 
 
 @pytest.fixture

@@ -1,8 +1,7 @@
 """Tier-1 mutation fuzzing: generator validity and a seeded mini sweep.
 
-The full randomized gate (150+ cases over serial+process backends and both
-engines) runs as ``python -m repro fuzz --mutations`` in the CI ``mutate``
-job; tier-1 keeps a small deterministic slice plus property checks on the
+The full randomized gate (150+ cases) runs as
+``python -m repro fuzz --mutations`` in the CI ``mutate`` job; tier-1 keeps a small deterministic slice plus property checks on the
 mutation generator itself: generated mutations must always apply cleanly
 (valid by construction), canonical-form variants must stay canonically
 equal to what they re-express, and the sweep must be reproducible.
@@ -80,7 +79,6 @@ class TestMiniSweep:
             config=_config(),
             steps=2,
             backends=("serial",),
-            engines=("row",),
         )
         first = run_mutation_sweep(**kwargs)
         assert first.ok, "\n".join(
@@ -109,7 +107,7 @@ class TestMiniSweep:
             )
 
         monkeypatch.setattr(tracing.Tracer, "__init__", spy)
-        result = run_mutation_sweep(seed=1, cases=2, backends=("serial",), engines=("row",))
+        result = run_mutation_sweep(seed=1, cases=2, backends=("serial",))
         assert result.ok, result.failures
         assert result.tracer_checks > 0
         assert lazy_reuses
@@ -122,7 +120,6 @@ class TestMiniSweep:
             steps=2,
             questions=False,
             backends=("serial",),
-            engines=("columnar",),
         )
         assert result.ok
         assert result.with_question == 0

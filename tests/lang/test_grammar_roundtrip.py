@@ -84,7 +84,6 @@ def test_fuzz_case_roundtrip(index):
         partitions=(1,),
         backends=("serial",),
         optimize=(False,),
-        engines=("row",),
         explain_grid=(),
         grammar=True,
     )
