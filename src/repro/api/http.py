@@ -304,7 +304,11 @@ class _Handler(JsonHandler):
         cache = self.server.service.cache_stats()
         lookups = cache["hits"] + cache["misses"]
         cache["hit_rate"] = cache["hits"] / lookups if lookups else None
-        serving = {"mode": "inprocess", "cache": cache}
+        serving = {
+            "mode": "inprocess",
+            "cache": cache,
+            "state": self.server.service.state_stats(),
+        }
         serving.update(self.server.counters.snapshot())
         return serving_stats_to_json(serving)
 

@@ -14,16 +14,26 @@ north star asks for.  It owns
 * **prepared questions** — every request is resolved and validated
   (Definition 5) before work is dispatched, so malformed or ill-posed
   questions fail fast with a typed error;
-* a **result cache** — an LRU keyed by
-  :func:`~repro.engine.hashing.stable_hash` over the request's canonical
-  wire encoding, with hit/miss counters surfaced in every response.  The
-  key covers everything that determines the *explanations* (query, NIP,
-  database content, alternatives, SA toggles); execution-only knobs
+* a **result cache** — an LRU keyed by a 128-bit BLAKE2 digest of the
+  request's canonical wire encoding, with hit/miss counters surfaced in
+  every response.  The key covers everything that determines the
+  *explanations* (query, NIP, database content, alternatives, SA
+  toggles); execution-only knobs
   (backend, workers, partitions, optimize) are excluded because the engine's
   equivalence guarantees make results independent of them — the same cached
   entry serves all of them, and the differential fuzz oracle cross-checks
   the service against direct :func:`~repro.whynot.explain.explain` to keep
   that assumption honest;
+* **per-query explain states** — an LRU keyed like the result cache but
+  without the NIP and ``summarize``.  A state holds ``Q(D)``, the first
+  question's relaxed trace with its SA signature and §5.4 bounds
+  (:class:`~repro.whynot.explain.RelaxedTrace`) and each question's
+  unsummarized result, so a miss that differs from an earlier question
+  only in the NIP's constants re-annotates the shared columns instead of
+  tracing, and a ``summarize`` twin copies the stored result.  States are
+  bounded by ``cache_size`` entries and :data:`STATE_MAX_ROWS` traced rows,
+  evicted with the result entries of a mutated relation, and skipped by
+  ``use_cache=False`` and ``cache_size=0``;
 * **concurrent dispatch** — :meth:`ExplanationService.submit` fans requests
   out over a thread pool; each request still uses the configured execution
   backend (:mod:`repro.engine.backends`) underneath.
@@ -35,6 +45,7 @@ lifecycle, so existing callers and tests keep working unchanged.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from collections import OrderedDict
@@ -45,10 +56,9 @@ from typing import Any, Optional, Sequence
 from repro.engine.database import Database, Mutation
 from repro.engine.deltas import read_tables
 from repro.engine.executor import Executor
-from repro.engine.hashing import stable_hash
 from repro.engine.metrics import ExecutionMetrics
 from repro.nested.values import Bag
-from repro.whynot.explain import WhyNotResult, explain
+from repro.whynot.explain import RelaxedTrace, WhyNotResult, explain_reusing
 from repro.whynot.matching import matching_tuples
 from repro.whynot.question import IllPosedQuestion, WhyNotQuestion
 from repro.whynot.summarize import ConceptHierarchy, attach_summaries, resolve_summarize
@@ -75,6 +85,13 @@ API_VERSION = "v1"
 #: it is bounded like any other request knob (the paper's evaluation uses
 #: scales up to the low hundreds).
 MAX_SCENARIO_SCALE = 10_000
+
+
+#: Traced rows the explain states of one service may hold in total (a
+#: GenSocial SF 10 explain traces about 9,000; SF 50 about 45,000).
+STATE_MAX_ROWS = 500_000
+#: Unsummarized results one explain state keeps for twin questions.
+STATE_MAX_RESULTS = 8
 
 
 class UnknownDatabase(KeyError):
@@ -377,6 +394,32 @@ class SatisfiedResponse:
         )
 
 
+class _ExplainState:
+    """What the explain misses over one query and database version share.
+
+    ``answer`` is ``Q(D)``; ``relaxed`` the traced relaxed evaluation, its
+    SA signature and bounds, replaced as one object when a question with
+    other SA queries traces in full; ``results`` the unsummarized result of
+    each NIP (by canonical NIP document).  ``db_name``/``reads`` let a
+    mutation evict the state like the result entries of the same query.
+    """
+
+    __slots__ = ("answer", "relaxed", "results", "db_name", "reads")
+
+    def __init__(
+        self,
+        answer: Bag,
+        relaxed: RelaxedTrace,
+        db_name: Optional[str],
+        reads: "frozenset[str]",
+    ):
+        self.answer = answer
+        self.relaxed = relaxed
+        self.results: "OrderedDict[str, WhyNotResult]" = OrderedDict()
+        self.db_name = db_name
+        self.reads = reads
+
+
 class ExplanationService:
     """Stateful explanation server core (registry + cache + dispatch).
 
@@ -401,9 +444,13 @@ class ExplanationService:
         #: query reads).  Lets :meth:`mutate_database` purge exactly the
         #: entries whose read set intersects the mutated relations.
         self._cache_deps: "dict[int, tuple[str, frozenset[str]]]" = {}
+        #: Per-query explain states by state key (see :class:`_ExplainState`).
+        self._states: "OrderedDict[int, _ExplainState]" = OrderedDict()
         self.cache_size = cache_size
         self.hits = 0
         self.misses = 0
+        #: Misses answered from an explain state (re-annotated or twins).
+        self.state_reuses = 0
         self.default_options = options or ExplainOptions()
         self._max_concurrency = max_concurrency
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -425,9 +472,14 @@ class ExplanationService:
 
     def database(self, name: str) -> Database:
         """Look up a registered database (``UnknownDatabase`` when absent)."""
+        return self._registered(name)[0]
+
+    def _registered(self, name: str) -> "tuple[Database, int]":
+        """A name's database and registration token, read in one lock
+        section so a concurrent re-registration cannot pair them wrongly."""
         with self._lock:
             try:
-                return self._databases[name][0]
+                return self._databases[name]
             except KeyError:
                 raise UnknownDatabase(
                     f"no database registered as {name!r}; "
@@ -477,6 +529,12 @@ class ExplanationService:
             for key in stale:
                 self._cache.pop(key, None)
                 self._cache_deps.pop(key, None)
+            for key in [
+                key
+                for key, state in self._states.items()
+                if state.db_name == name and state.reads & mutated
+            ]:
+                del self._states[key]
         return new_db
 
     def database_info(self, name: str) -> dict:
@@ -505,16 +563,14 @@ class ExplanationService:
         :class:`~repro.whynot.question.IllPosedQuestion` when the "missing"
         answer is already present (Definition 5).
         """
-        question, alternatives, key = self._resolve(request)
+        question, alternatives, (key, _state_key, _nip) = self._resolve(request)
         question.validate()
         return question, alternatives, key
 
     def _resolve_database(self, request: ExplainRequest):
         """Resolve the request's database field into ``(db, cache_token)``."""
         if isinstance(request.database, str):
-            db = self.database(request.database)
-            with self._lock:
-                token = self._databases[request.database][1]
+            db, token = self._registered(request.database)
             # The version-aware part of the key — the stamps of the relations
             # the query actually reads — is appended in ``_resolve`` once the
             # query is known.
@@ -523,7 +579,12 @@ class ExplanationService:
         return db, ("inline", database_to_json(db))
 
     def _resolve(self, request: ExplainRequest):
-        """Build the question and its cache key without validating it."""
+        """Build the question and its keys without validating it.
+
+        The keys are ``(result key, state key, NIP document)``: the state
+        key covers everything the result key does but the NIP and
+        ``summarize``.
+        """
         if request.options.summarize is not None:
             # Reject malformed summarize specs before any cache or engine
             # work — resolution is repeated (cheaply) after the explain run.
@@ -603,15 +664,20 @@ class ExplanationService:
             if not stamps:  # no reads resolved: be conservative, pin the version
                 stamps = (("*", (db.version_id, db.version)),)
             cache_token = cache_token + (stamps,)
-        key_doc = {
-            "db": cache_token,
-            "query": query_to_json(question.query),
-            "nip": value_to_json(question.nip),
-            "alternatives": alternatives_to_json(alternatives),
-            "options": request.options.semantic_fields(),
-        }
-        key = stable_hash(json.dumps(key_doc, sort_keys=True, ensure_ascii=True))
-        return question, alternatives, key
+        options = request.options.semantic_fields()
+        summarize = options.pop("summarize")
+        state_doc = _canonical(
+            {
+                "db": cache_token,
+                "query": query_to_json(question.query),
+                "alternatives": alternatives_to_json(alternatives),
+                "options": options,
+            }
+        )
+        nip_doc = _canonical(value_to_json(question.nip))
+        # JSON text never holds a raw NUL, so the joined parts cannot collide.
+        key = _digest("\0".join((state_doc, nip_doc, _canonical(summarize))))
+        return question, alternatives, (key, _digest(state_doc), nip_doc)
 
     def explain(
         self, request: ExplainRequest, use_cache: bool = True
@@ -622,15 +688,27 @@ class ExplanationService:
         is already present returns a :class:`SatisfiedResponse` instead of
         raising ``IllPosedQuestion`` (satisfied answers are never cached).
         """
-        question, alternatives, key = self._resolve(request)
-        if use_cache and self.cache_size > 0:
+        question, alternatives, (key, state_key, nip_doc) = self._resolve(request)
+        caching = use_cache and self.cache_size > 0
+        state = stored = None
+        if caching:
             with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
+                hit = self._cache.get(key)
+                if hit is not None:
                     self._cache.move_to_end(key)
                     self.hits += 1
-                    return ExplainResponse(cached, True, self._stats_locked())
+                    if hit.question.name != question.name:
+                        # The key leaves the display name out; answer
+                        # under the requester's.
+                        hit = replace(hit, question=question)
+                    return ExplainResponse(hit, True, self._stats_locked())
                 self.misses += 1
+                state = self._states.get(state_key)
+                if state is not None:
+                    self._states.move_to_end(state_key)
+                    stored = state.results.get(nip_doc)
+                    # Seed Q(D) for the Definition 5 check.
+                    question._result_cache = state.answer
         try:
             question.validate()
         except IllPosedQuestion:
@@ -640,28 +718,41 @@ class ExplanationService:
             with self._lock:
                 return SatisfiedResponse(witnesses, self._stats_locked())
         options = request.options
-        result = explain(
-            question,
-            alternatives=alternatives,
-            use_schema_alternatives=options.use_schema_alternatives,
-            revalidate=options.revalidate,
-            max_sas=options.max_sas,
-            validate=False,
-            backend=options.backend or self.default_options.backend,
-            workers=options.workers or self.default_options.workers,
-            optimize=(
-                options.optimize
-                if options.optimize is not None
-                else self.default_options.optimize
-            ),
-        )
+        if stored is not None:
+            # A twin: same question, other ``summarize``.  Copy the stored
+            # result, since summaries are attached in place.
+            result = replace(
+                stored, question=question, timings=dict(stored.timings), summaries=None
+            )
+        else:
+            result, relaxed = explain_reusing(
+                question,
+                state.relaxed if state is not None else None,
+                alternatives=alternatives,
+                use_schema_alternatives=options.use_schema_alternatives,
+                revalidate=options.revalidate,
+                max_sas=options.max_sas,
+                backend=options.backend or self.default_options.backend,
+                workers=options.workers or self.default_options.workers,
+                optimize=(
+                    options.optimize
+                    if options.optimize is not None
+                    else self.default_options.optimize
+                ),
+            )
+            if caching:
+                self._keep_state(state_key, nip_doc, request, question, result, relaxed)
+        reused = stored is not None or "annotate" in result.timings
         if options.summarize is not None:
+            if stored is None:
+                result = replace(result)  # the state keeps the unsummarized one
             hierarchy, max_summaries, sample = resolve_summarize(options.summarize)
             attach_summaries(
                 result, hierarchy, max_summaries=max_summaries, sample=sample
             )
-        if use_cache and self.cache_size > 0:
+        if caching:
             with self._lock:
+                self.state_reuses += reused
                 self._cache[key] = result
                 self._cache.move_to_end(key)
                 if isinstance(request.database, str):
@@ -674,6 +765,39 @@ class ExplanationService:
                     self._cache_deps.pop(evicted, None)
         with self._lock:
             return ExplainResponse(result, False, self._stats_locked())
+
+    def _keep_state(
+        self,
+        state_key: int,
+        nip_doc: str,
+        request: ExplainRequest,
+        question: WhyNotQuestion,
+        result: WhyNotResult,
+        relaxed: RelaxedTrace,
+    ) -> None:
+        """Record a computed miss in its query's explain state."""
+        if relaxed.trace.total_rows() > STATE_MAX_ROWS:
+            return
+        with self._lock:
+            state = self._states.get(state_key)
+            if state is None:
+                state = self._states[state_key] = _ExplainState(
+                    question.result(),
+                    relaxed,
+                    request.database if isinstance(request.database, str) else None,
+                    read_tables(question.query),
+                )
+            else:
+                state.relaxed = relaxed
+                self._states.move_to_end(state_key)
+            state.results[nip_doc] = result
+            state.results.move_to_end(nip_doc)
+            while len(state.results) > STATE_MAX_RESULTS:
+                state.results.popitem(last=False)
+            rows = self._state_rows_locked()
+            while len(self._states) > self.cache_size or rows > STATE_MAX_ROWS:
+                _, evicted = self._states.popitem(last=False)
+                rows -= evicted.relaxed.trace.total_rows()
 
     def submit(self, request: ExplainRequest, use_cache: bool = True) -> "Future[ExplainResponse]":
         """Dispatch a request on the service thread pool (concurrent serving)."""
@@ -717,16 +841,31 @@ class ExplanationService:
     def _stats_locked(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._cache)}
 
+    def _state_rows_locked(self) -> int:
+        return sum(s.relaxed.trace.total_rows() for s in self._states.values())
+
     def cache_stats(self) -> dict:
         """Current cache counters: ``{"hits", "misses", "size"}``."""
         with self._lock:
             return self._stats_locked()
 
+    def state_stats(self) -> dict:
+        """Explain-state counters: ``{"entries", "rows", "reuses"}`` (held
+        states, their traced rows, misses answered from a state)."""
+        with self._lock:
+            return {
+                "entries": len(self._states),
+                "rows": self._state_rows_locked(),
+                "reuses": self.state_reuses,
+            }
+
     def clear_cache(self) -> None:
-        """Drop every cached result (counters keep accumulating)."""
+        """Drop every cached result and explain state (counters keep
+        accumulating)."""
         with self._lock:
             self._cache.clear()
             self._cache_deps.clear()
+            self._states.clear()
 
     def close(self) -> None:
         """Shut the dispatch pool down (idempotent)."""
@@ -734,6 +873,19 @@ class ExplanationService:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+
+
+def _canonical(document: Any) -> str:
+    """Canonical JSON text of a key part."""
+    return json.dumps(document, sort_keys=True, ensure_ascii=True)
+
+
+def _digest(text: str) -> int:
+    """A cache or state key: 128 bits of BLAKE2 over canonical JSON text,
+    so distinct requests do not collide the way 32-bit checksums can."""
+    return int.from_bytes(
+        hashlib.blake2b(text.encode("ascii"), digest_size=16).digest(), "big"
+    )
 
 
 #: Error types the HTTP layer maps to 4xx responses.

@@ -269,6 +269,7 @@ def _worker_main(
                         {
                             "pid": os.getpid(),
                             "cache": service.cache_stats(),
+                            "state": service.state_stats(),
                             "served": dict(served),
                             "databases": service.databases(),
                         },
@@ -745,6 +746,7 @@ class ShardDispatcher:
         replies = self._probe_workers(timeout)
         workers = []
         cache = {"hits": 0, "misses": 0, "size": 0}
+        state = {"entries": 0, "rows": 0, "reuses": 0}
         restarts = 0
         for worker, reply in zip(self.workers, replies):
             info = worker.summary()
@@ -753,9 +755,12 @@ class ShardDispatcher:
             restarts += worker.restarts
             if reply is not None:
                 info["cache"] = reply["cache"]
+                info["state"] = reply["state"]
                 info["served_by_kind"] = reply["served"]
                 for field_name in cache:
                     cache[field_name] += reply["cache"][field_name]
+                for field_name in state:
+                    state[field_name] += reply["state"][field_name]
             workers.append(info)
         lookups = cache["hits"] + cache["misses"]
         serving = {
@@ -766,6 +771,7 @@ class ShardDispatcher:
             "cache": dict(
                 cache, hit_rate=(cache["hits"] / lookups if lookups else None)
             ),
+            "state": state,
         }
         serving.update(self.counters.snapshot())
         return serving_stats_to_json(serving, workers)

@@ -82,6 +82,7 @@ class SweepResult:
     configs_run: int = 0
     explain_configs_run: int = 0
     tracer_checks: int = 0  #: traces compared against the reference tracer
+    stateful_checks: int = 0  #: explain-state service answers vs direct explain
     failures: list = field(default_factory=list)  #: (FuzzCase, OracleReport) pairs
 
     @property
@@ -98,7 +99,8 @@ class SweepResult:
             f"{self.skipped_errors} consistently-erroring), "
             f"{self.configs_run} executor configs, "
             f"{self.explain_configs_run} explain configs, "
-            f"{self.tracer_checks} reference-tracer checks — {status}"
+            f"{self.tracer_checks} reference-tracer checks, "
+            f"{self.stateful_checks} stateful-service checks — {status}"
         )
 
 
@@ -119,6 +121,7 @@ def run_sweep(
         result.configs_run += report.configs_run
         result.explain_configs_run += report.explain_configs_run
         result.tracer_checks += report.tracer_checks
+        result.stateful_checks += report.stateful_checks
         if case.nip is not None:
             result.with_question += 1
         if report.reference_error is not None:

@@ -24,7 +24,11 @@ and checks
    must return the same explanation payload as direct ``explain`` both with
    the result cache off and on, the cached re-request must be flagged as a
    hit, and a consistently-failing question must fail with the same
-   exception type through the service;
+   exception type through the service; on the same service, the question's
+   ``summarize`` twin and a sibling question (a second fresh constant,
+   :func:`~repro.fuzz.plans.gen_sibling`), which the service answers from
+   the question's explain state, must match direct ``explain`` too
+   (summaries included);
 6. **tracer agreement** — the columnar tracer and Algorithm 4 behind the
    first explain configuration must reproduce the row-at-a-time reference
    (:mod:`repro.fuzz.reference`): identical traced rows (ids, parents,
@@ -91,6 +95,9 @@ class OracleReport:
     explain_configs_run: int = 0
     #: Traces compared against the row-at-a-time reference tracer.
     tracer_checks: int = 0
+    #: Service answers derived from an explain state, compared with direct
+    #: ``explain`` (summarize twins and sibling questions).
+    stateful_checks: int = 0
     #: Exception repr when the reference itself failed (case counted skipped).
     reference_error: Optional[str] = None
 
@@ -239,7 +246,7 @@ def _check_service(
     query: Query,
     db: Database,
     question: WhyNotQuestion,
-    baseline_key,
+    baseline,
     baseline_error: Optional[str],
 ) -> None:
     """Cross-check :class:`repro.api.ExplanationService` against ``explain``.
@@ -247,9 +254,12 @@ def _check_service(
     Runs the service path with the cache disabled and enabled (twice, to
     exercise a hit); every response must carry the baseline's explanation
     payload, and the repeated cached request must be served as a hit with
-    the hit counter incremented.
+    the hit counter incremented.  Then the stateful answers
+    (:func:`_check_stateful`) on the same service.
     """
     from repro.api import ExplainRequest, ExplanationService
+
+    baseline_key = _explanation_key(baseline) if baseline is not None else None
 
     def fresh_request() -> ExplainRequest:
         return ExplainRequest(
@@ -308,6 +318,66 @@ def _check_service(
                 f"expected exactly 1 hit, got {service.cache_stats()}",
             )
         )
+    if baseline_error is None:
+        _check_stateful(report, service, query, db, question, baseline)
+
+
+def _check_stateful(
+    report: OracleReport,
+    service,
+    query: Query,
+    db: Database,
+    question: WhyNotQuestion,
+    baseline,
+) -> None:
+    """The question's ``summarize`` twin and a sibling question, asked of a
+    service holding the question's explain state, ≡ direct ``explain``."""
+    import random
+
+    from repro.api import ExplainOptions, ExplainRequest
+    from repro.fuzz.plans import gen_sibling
+    from repro.whynot.explain import explain
+    from repro.whynot.summarize import summarize_explanations
+    from repro.wire import summary_to_json
+
+    def direct_summaries():
+        summaries = summarize_explanations(baseline.explanations, baseline.sas)
+        return _explanation_key(baseline), [summary_to_json(s) for s in summaries]
+
+    checks = [("service summarize twin", question.nip, True, _outcome(direct_summaries))]
+    sibling = gen_sibling(random.Random(f"{question.name}:{question.nip!r}"), question)
+    if sibling is not None:
+        checks.append(
+            (
+                "service sibling",
+                sibling.nip,
+                None,
+                _outcome(lambda: (_explanation_key(explain(sibling, validate=False)), None)),
+            )
+        )
+    for config, nip, summarize, expected in checks:
+        request = ExplainRequest(
+            query=query,
+            nip=nip,
+            database=db,
+            name=question.name,
+            options=ExplainOptions(summarize=summarize),
+        )
+
+        def served():
+            result = service.explain(request).result
+            summaries = result.summaries
+            return _explanation_key(result), (
+                None if summaries is None else [summary_to_json(s) for s in summaries]
+            )
+
+        got = _outcome(served)
+        report.explain_configs_run += 1
+        report.stateful_checks += 1
+        if got != expected:
+            report.divergences.append(
+                Divergence("service", config, f"{_clip(got)} vs direct {_clip(expected)}")
+            )
 
 
 def _check_grammar(
@@ -552,6 +622,4 @@ def _check_explanations(
                     )
                 )
     if baseline[0] == "ok":
-        _check_service(
-            report, query, db, question, _explanation_key(baseline[1]), None
-        )
+        _check_service(report, query, db, question, baseline[1], None)

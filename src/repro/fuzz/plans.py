@@ -435,3 +435,56 @@ def gen_question(
         question._result_cache = result
         return question
     return None
+
+
+def gen_sibling(rng: random.Random, question: WhyNotQuestion) -> Optional[WhyNotQuestion]:
+    """A sibling of a :func:`gen_question` question, or None.
+
+    The sibling constrains the same attribute (or nested element attribute)
+    to a second fresh value, so the two differ only in a constant, like the
+    NIP variants a serving layer answers from one relaxed trace.  None when
+    the attribute's type has no second fresh value (booleans).
+    """
+    result = question.result()
+    rows = list(result.distinct())
+    nip = question.nip
+    schema = question.query.infer_schemas(question.db)[question.query.root.op_id]
+    for attr, col_type in schema.fields:
+        pattern = nip[attr]
+        if pattern is ANY:
+            continue
+        if isinstance(col_type, PrimitiveType):
+            observed = [t[attr] for t in rows] + [_taken(pattern)]
+            sibling = _fresh_primitive(rng, col_type, observed)
+        else:
+            element = next(e for e in pattern.distinct() if isinstance(e, Tup))
+            inner_name = next(n for n, v in element.items() if v is not ANY)
+            inner_type = dict(col_type.element.fields)[inner_name]
+            observed = [_taken(element[inner_name])]
+            for t in rows:
+                if isinstance(t[attr], Bag):
+                    for e in t[attr].distinct():
+                        if isinstance(e, Tup):
+                            observed.append(e.get(inner_name, NULL))
+            fresh = _fresh_primitive(rng, inner_type, observed)
+            sibling = (
+                None
+                if fresh is None
+                else Bag([element.replace(**{inner_name: fresh}), STAR])
+            )
+        if sibling is None:
+            return None
+        sibling_nip = nip.replace(**{attr: sibling})
+        if matching_tuples(result, sibling_nip):
+            return None
+        sibling_question = WhyNotQuestion(
+            question.query, question.db, sibling_nip, name=question.name
+        )
+        sibling_question._result_cache = result
+        return sibling_question
+    return None
+
+
+def _taken(pattern):
+    """A value that makes :func:`_fresh_primitive` avoid *pattern*."""
+    return pattern.bound + 1 if isinstance(pattern, Cond) else pattern

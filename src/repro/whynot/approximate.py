@@ -67,12 +67,17 @@ def approximate_msrs(
     sas: list[SchemaAlternative],
     trace: TraceResult,
     max_states: int = 100_000,
+    bounds: "Optional[_SideEffectBounds]" = None,
 ) -> list[Explanation]:
     """Run Algorithm 4 over the tracing snapshots and rank the results.
 
     Frontiers are sets of row ids; the rows of one operator's snapshot are
     the ids in ``(base, base + count]``, and their flags are read straight
     from the snapshot's mask columns.
+
+    *bounds* are the §5.4 side-effect bounds of a trace whose relaxed
+    evaluation *trace* shares (they read no consistency mask, so they hold
+    for every NIP annotated over the same columns); None builds them here.
     """
     query = question.query
     order = list(reversed(query.ops))  # root first
@@ -145,7 +150,8 @@ def approximate_msrs(
         if len(kept) < len(cons):
             push(sr | {op.op_id}, cons)
 
-    bounds = _SideEffectBounds(question, trace)
+    if bounds is None:
+        bounds = _SideEffectBounds(question, trace)
     explanations: dict[frozenset[int], Explanation] = {}
     for (i, sr), _ in found.items():
         lb, ub = bounds.compute(sr, i)
@@ -218,33 +224,45 @@ def _fold_ancestry(
 
 
 class _SideEffectBounds:
-    """Loose UB/LB on side effects (paper §5.4)."""
+    """Loose UB/LB on side effects (paper §5.4).
+
+    The bounds read the trace's values, validity, retained flags and
+    parents and ``|Q(D)|``, never a consistency mask, so one instance serves
+    every question annotated over the same relaxed evaluation.  Its folds
+    run on first use, and each is published by one assignment, so
+    concurrent readers at worst compute one twice.
+    """
 
     def __init__(self, question: WhyNotQuestion, trace: TraceResult):
         self.trace = trace
         self.query = question.query
         self.n_orig = len(question.result())
         self._final = trace.traces[trace.root_id]
-        full = (1 << trace.n_sas) - 1
-        # Per final row, the bitmask of SAs under which the row's entire
-        # ancestry carries no retained=False flag.
-        self._fr_masks = _fold_ancestry(
-            self.query,
-            trace,
-            lambda snap: snap.retained if snap.retained_known else None,
-            and_,
-            full,
-        )
         self._position = {op.op_id: p for p, op in enumerate(self.query.ops)}
+        self._retained: "Optional[tuple[list[int], set]]" = None
         self._blocked: Optional[list[int]] = None
-        # Tuples of the original result derived with every flag retained
-        # under S1 ("original tuples with only true valid/retained flags").
-        column = self._final.column(0)
-        self._fully_retained_s1 = {
-            column[k]
-            for k, (valid, fr) in enumerate(zip(self._final.valid, self._fr_masks))
-            if valid & fr & 1
-        }
+
+    def _retained_folds(self) -> "tuple[list[int], set]":
+        """Per final row, the bitmask of SAs under which the row's entire
+        ancestry carries no retained=False flag; and the tuples of the
+        original result derived with every flag retained under S1
+        ("original tuples with only true valid/retained flags")."""
+        if self._retained is None:
+            fr_masks = _fold_ancestry(
+                self.query,
+                self.trace,
+                lambda snap: snap.retained if snap.retained_known else None,
+                and_,
+                (1 << self.trace.n_sas) - 1,
+            )
+            column = self._final.column(0)
+            fully_retained_s1 = {
+                column[k]
+                for k, (valid, fr) in enumerate(zip(self._final.valid, fr_masks))
+                if valid & fr & 1
+            }
+            self._retained = (fr_masks, fully_retained_s1)
+        return self._retained
 
     def _blocked_ops(self) -> list[int]:
         """Per final row, the operators (bits by plan position) with an
@@ -265,7 +283,7 @@ class _SideEffectBounds:
         bit = 1 << i
         present = [k for k, valid in enumerate(final.valid) if valid & bit]
         column = final.column(i)
-        fully_retained_s1 = self._fully_retained_s1
+        fr_masks, fully_retained_s1 = self._retained_folds()
         matched = sum(1 for k in present if column[k] in fully_retained_s1)
         if i == 0:
             blocked = self._blocked_ops()
@@ -284,7 +302,6 @@ class _SideEffectBounds:
         if has_relaxable:
             lb = 0.0
         else:
-            fr_masks = self._fr_masks
             n_vr = sum(1 for k in present if fr_masks[k] & bit)
             lb = float(max(n_vr - self.n_orig, 0) + max(self.n_orig - n_vr, 0))
         return lb, float(ub)

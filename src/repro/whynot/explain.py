@@ -17,19 +17,27 @@ Modes:
 * ``revalidate=False`` — ablation: compatibility is inherited blindly along
   lineage (the behaviour of prior lineage-based approaches, kept for the
   comparison experiments).
+
+:func:`explain_reusing` answers a question from an earlier question's
+:class:`RelaxedTrace` when both trace the same SA queries: the relaxed
+evaluation does not depend on the NIP, so only the consistency annotation
+and Algorithm 4 run again.  The serving layer keeps these per query
+(:class:`~repro.api.service.ExplanationService`); :func:`explain` never
+reuses anything.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.whynot.alternatives import SchemaAlternative, enumerate_schema_alternatives
-from repro.whynot.approximate import Explanation, approximate_msrs
+from repro.whynot.approximate import Explanation, _SideEffectBounds, approximate_msrs
 from repro.whynot.backtrace import BacktraceResult, backtrace
 from repro.whynot.question import WhyNotQuestion
-from repro.whynot.tracing import TraceResult, trace
+from repro.whynot.tracing import TraceResult, annotate, sa_signature, trace
 
 
 @dataclass
@@ -124,6 +132,89 @@ def explain(
     by construction and the equivalence suite asserts identical explanation
     sets either way.
     """
+    return _explain(
+        question, alternatives, use_schema_alternatives, revalidate, max_sas,
+        validate, backend, workers, optimize,
+    )[0]
+
+
+@dataclass(frozen=True)
+class RelaxedTrace:
+    """The NIP-independent work of one explain run, for later questions.
+
+    ``trace``'s value columns, validity, retained masks, parents and SA
+    groups depend only on the database and the SA queries it was traced for
+    (``signature``, see :func:`~repro.whynot.tracing.sa_signature`), and
+    ``bounds`` (paper §5.4) only on those columns and ``|Q(D)|``.  A question
+    over the same query, database version, alternatives and options whose
+    SAs have the same signature re-annotates ``trace`` instead of tracing.
+    """
+
+    trace: TraceResult
+    signature: tuple
+    bounds: _SideEffectBounds
+    #: Guards the one-time evaluation of ``trace``'s lazy columns.
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, compare=False, repr=False
+    )
+
+    @classmethod
+    def of(
+        cls, question: WhyNotQuestion, sas: "list[SchemaAlternative]", trace: TraceResult
+    ) -> "RelaxedTrace":
+        """The reusable part of *question*'s run that traced *sas* into
+        *trace* (the bounds are built lazily, on first use)."""
+        return cls(trace, sa_signature(sas), _SideEffectBounds(question, trace))
+
+    def materialized(self) -> TraceResult:
+        """``trace`` with every lazy column of its fused narrow runs
+        evaluated (once, under ``lock``), safe to read from any thread."""
+        with self.lock:
+            self.trace.materialize()
+        return self.trace
+
+
+def explain_reusing(
+    question: WhyNotQuestion,
+    relaxed: Optional[RelaxedTrace],
+    alternatives: Sequence[Iterable] = (),
+    use_schema_alternatives: bool = True,
+    revalidate: bool = True,
+    max_sas: int = 64,
+    backend=None,
+    workers=None,
+    optimize: Optional[bool] = None,
+) -> "tuple[WhyNotResult, RelaxedTrace]":
+    """:func:`explain` without validation, reusing *relaxed* when it fits.
+
+    *relaxed* must come from a question over the same query, database
+    version, alternatives and ``use_schema_alternatives``/``max_sas``.
+    When the question's SAs have *relaxed*'s signature, only the
+    consistency annotation runs (``timings["annotate"]`` replaces
+    ``timings["tracing"]``) and Algorithm 4 reuses its bounds; otherwise
+    the question is traced in full.  Returns the result and the relaxed
+    trace it used, which is new when it traced.
+    """
+    return _explain(
+        question, alternatives, use_schema_alternatives, revalidate, max_sas,
+        False, backend, workers, optimize, relaxed, keep=True,
+    )
+
+
+def _explain(
+    question: WhyNotQuestion,
+    alternatives: Sequence[Iterable],
+    use_schema_alternatives: bool,
+    revalidate: bool,
+    max_sas: int,
+    validate: bool,
+    backend,
+    workers,
+    optimize: Optional[bool],
+    relaxed: Optional[RelaxedTrace] = None,
+    keep: bool = False,
+) -> "tuple[WhyNotResult, Optional[RelaxedTrace]]":
+    """The four steps; with *keep*, also the :class:`RelaxedTrace` used."""
     from repro.engine.backends import get_backend
     from repro.engine.optimizer import optimize_query, resolve_optimize
 
@@ -150,16 +241,27 @@ def explain(
     )
     timings["alternatives"] = time.perf_counter() - started
 
-    started = time.perf_counter()
-    traced = trace(
-        question.query, question.db, sas, revalidate=revalidate, backend=backend
-    )
-    timings["tracing"] = time.perf_counter() - started
+    if relaxed is not None and relaxed.signature == sa_signature(sas):
+        started = time.perf_counter()
+        traced = annotate(
+            relaxed.materialized(), question.query, question.db, sas, revalidate=revalidate
+        )
+        timings["annotate"] = time.perf_counter() - started
+    else:
+        started = time.perf_counter()
+        traced = trace(
+            question.query, question.db, sas, revalidate=revalidate, backend=backend
+        )
+        timings["tracing"] = time.perf_counter() - started
+        relaxed = RelaxedTrace.of(question, sas, traced) if keep else None
 
     started = time.perf_counter()
-    explanations = approximate_msrs(question, sas, traced)
+    explanations = approximate_msrs(
+        question, sas, traced, bounds=relaxed.bounds if relaxed is not None else None
+    )
     timings["approximate"] = time.perf_counter() - started
 
-    return WhyNotResult(
+    result = WhyNotResult(
         question, explanations, sas, base, traced, timings, optimizer_summary
     )
+    return result, relaxed

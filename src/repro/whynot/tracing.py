@@ -59,9 +59,10 @@ operator's strict and relaxed NIPs are tested against the kernel's column
 variables, and only the run's last value column is materialized.  Earlier
 operators' columns are :class:`LazyColumns`, built by the per-operator
 ``trace_narrow`` task on first access (row views, baselines, incremental
-reuse).  Whenever a group's kernel cannot run — an unsupported operator or
-NIP, rows of more than one layout, a bailout or an error — the whole run is
-traced operator by operator instead, so snapshots and errors are identical.
+reuse, re-annotation).  Whenever a group's kernel cannot run — an
+unsupported operator or NIP, rows of more than one layout, a bailout or an
+error — the whole run is traced operator by operator instead, so snapshots
+and errors are identical.
 
 Because the SA groups at an operator are *independent* — each group is
 evaluated through its own representative query against its own input
@@ -73,6 +74,11 @@ serial backend runs the identical task functions inline, so backends are
 result-equivalent by construction (asserted over every registered scenario
 in ``tests/engine/test_backends.py``).  The row-at-a-time tracer this layout
 replaced is kept as the test oracle in :mod:`repro.fuzz.reference`.
+
+Only the ``consistent`` masks depend on the NIP.  :func:`annotate` re-runs
+that pass alone over a trace made for SA queries with the same
+:func:`sa_signature`, sharing its values, groups, validity, retained masks
+and parents; the serving layer answers NIP variants of a query this way.
 
 Aggregate-value constraints in NIPs are checked softly: if no row at an
 operator is strictly consistent under some SA, consistency is re-evaluated
@@ -346,6 +352,14 @@ class OpTrace:
         self.child_base = child_base
         self._rows: Optional[list[TRow]] = None
 
+    def relaxed(self) -> "OpTrace":
+        """A snapshot sharing this one's relaxed evaluation (values, groups,
+        validity, retained flags, parents) with an empty ``consistent`` column."""
+        return OpTrace(
+            self.op_id, self.base, self.groups, self.cols, self.valid,
+            self.retained, self.retained_known, self.parents, self.child_base,
+        )
+
     @property
     def count(self) -> int:
         """Number of traced rows at this operator."""
@@ -460,6 +474,14 @@ class TraceResult:
             stack.extend(rows[rid].parents)
         return seen
 
+    def materialize(self) -> None:
+        """Evaluate every lazy value column of the fused narrow runs now, so
+        that later readers, on any thread, only read."""
+        for snap in self.traces.values():
+            if isinstance(snap.cols, LazyColumns):
+                for g in range(len(snap.cols)):
+                    snap.cols[g]
+
     def total_rows(self) -> int:
         """Total number of traced rows across all operators."""
         return sum(snap.count for snap in self.traces.values())
@@ -549,6 +571,23 @@ class Tracer:
                 snap = self._trace_op(op, children)
                 self._next_base += snap.count
                 self._annotate_consistency(op, snap, children)
+            result.traces[op.op_id] = snap
+        return result
+
+    def annotate(self, relaxed: TraceResult) -> TraceResult:
+        """Re-run only the consistency annotation over *relaxed*'s columns.
+
+        *relaxed* must have been traced for SA queries equal to this
+        tracer's (:func:`sa_signature`): its value columns, validity,
+        retained masks, parents and SA groups then hold for these SAs too,
+        and only the ``consistent`` columns, which test each SA's backtraced
+        NIP, are computed afresh, operator by operator.
+        """
+        result = TraceResult({}, relaxed.root_id, self.n)
+        for op in self.query.ops:
+            snap = relaxed.traces[op.op_id].relaxed()
+            children = [result.traces[c.op_id] for c in op.children]
+            self._annotate_consistency(op, snap, children)
             result.traces[op.op_id] = snap
         return result
 
@@ -1080,6 +1119,32 @@ def _index_of(items: list, value: Any) -> int:
             return k
     items.append(value)
     return len(items) - 1
+
+
+def sa_signature(sas: "list[SchemaAlternative]") -> tuple:
+    """What a relaxed trace depends on besides the database: per SA, every
+    operator's id, type and parameters (the equality SA groups are built on).
+
+    Two SA lists with equal signatures share value columns, validity,
+    retained masks and parents; only their consistency annotation differs.
+    """
+    return tuple(
+        tuple((op.op_id, type(op), op.params()) for op in sa.query.ops) for sa in sas
+    )
+
+
+def annotate(
+    relaxed: TraceResult,
+    query: Query,
+    db: Database,
+    sas: list[SchemaAlternative],
+    revalidate: bool = True,
+) -> TraceResult:
+    """Annotate *relaxed* for *sas*, whose :func:`sa_signature` must equal
+    that of the SAs it was traced for (see :meth:`Tracer.annotate`)."""
+    return Tracer(query, db, sas, revalidate=revalidate, backend="serial").annotate(
+        relaxed
+    )
 
 
 def trace(

@@ -482,7 +482,10 @@ def serving_stats_to_json(serving: dict, workers: "Sequence[dict]" = ()) -> dict
     ``"sharded"``, ``cache`` the aggregated hit/miss/size counters);
     ``workers`` holds one dict per shard worker (pid, liveness, restarts,
     queue depth, per-worker cache counters and latency percentiles) and is
-    empty for the single-process server.
+    empty for the single-process server.  Both may carry an optional
+    ``state`` section (explain-state ``entries``, ``rows`` and ``reuses``;
+    summed over the workers in ``serving``), which is not in
+    :data:`SERVING_STAT_FIELDS` so documents without it still decode.
     """
     missing = [f for f in SERVING_STAT_FIELDS if f not in serving]
     if missing:

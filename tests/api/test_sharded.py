@@ -233,6 +233,12 @@ class TestObservability:
         for worker in workers:
             assert set(worker["cache"]) == {"hits", "misses", "size"}
             assert worker["inflight"] == 0  # quiescent at probe time
+        # Each worker keeps its own explain states; the front end sums them.
+        assert serving["state"]["entries"] >= 1
+        for field_name in ("entries", "rows", "reuses"):
+            assert serving["state"][field_name] == sum(
+                worker["state"][field_name] for worker in workers
+            )
 
     def test_scenarios_listing_matches_single_process(self, sharded_client):
         names = {s["name"] for s in sharded_client.scenarios()}

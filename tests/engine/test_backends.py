@@ -241,9 +241,14 @@ def test_explain_process_equals_serial(name):
 def test_tracer_equals_reference(name, backend, revalidate):
     """Columnar snapshots ≡ the row-at-a-time reference tracer: every row
     view (id, parents, values, valid/consistent/retained masks) and every
-    ranked explanation (labels, SA index, bounds, rank) is identical."""
+    ranked explanation (labels, SA index, bounds, rank) is identical.
+
+    Re-annotated axis: the trace's own relaxed columns, annotated afresh
+    for SAs re-enumerated from the same NIP (the serving layer's reuse
+    path), must reproduce the reference too."""
     from repro.fuzz import reference
     from repro.scenarios import get_scenario
+    from repro.whynot.explain import RelaxedTrace, explain_reusing
 
     scenario = get_scenario(name)
     question = scenario.question(scale=10)
@@ -266,6 +271,52 @@ def test_tracer_equals_reference(name, backend, revalidate):
     )
     assert difference is None, f"{name} on {backend}: {difference}"
     assert got.trace.total_rows() == ref_trace.total_rows()
+
+    relaxed = RelaxedTrace.of(question, got.sas, got.trace)
+    again, used = explain_reusing(
+        question,
+        relaxed,
+        alternatives=scenario.alternatives,
+        revalidate=revalidate,
+        backend=backend,
+        workers=2,
+    )
+    assert used is relaxed and "annotate" in again.timings
+    difference = reference.compare(
+        again.trace, again.explanations, ref_trace, ref_explanations
+    )
+    assert difference is None, f"{name} re-annotated on {backend}: {difference}"
+
+
+@pytest.mark.parametrize("family", ["social", "tpch"])
+def test_reannotated_variant_equals_fresh_trace(family, nip_variants):
+    """A NIP-constant variant annotated over the planted question's relaxed
+    trace ≡ a fresh trace of the variant: every row view, masks included,
+    and every ranked explanation."""
+    from repro.factory import make_bundle
+    from repro.fuzz import reference
+    from repro.whynot.explain import RelaxedTrace, explain_reusing
+    from repro.whynot.question import WhyNotQuestion
+
+    bundle = make_bundle(family, 1)
+    planted = bundle.question()
+    first = explain(planted, alternatives=bundle.alternatives, validate=False)
+    relaxed = RelaxedTrace.of(planted, first.sas, first.trace)
+    for nip in nip_variants(bundle, 2):
+        variant = WhyNotQuestion(bundle.query, bundle.database, nip)
+        reused, used = explain_reusing(variant, relaxed, alternatives=bundle.alternatives)
+        assert used is relaxed and "annotate" in reused.timings
+        fresh = explain(
+            WhyNotQuestion(bundle.query, bundle.database, nip),
+            alternatives=bundle.alternatives,
+            validate=False,
+        )
+        difference = reference.compare(
+            reused.trace, reused.explanations, fresh.trace, fresh.explanations
+        )
+        assert difference is None, f"{family} variant {nip!r}: {difference}"
+        # The consistency masks are the variant's own, not the planted ones.
+        assert reference.row_view(reused.trace) != reference.row_view(first.trace)
 
 
 @pytest.mark.parametrize("name", SA_SCENARIOS)

@@ -217,6 +217,20 @@ class TestServingStatsPayload:
         assert serving == self._serving()
         assert decoded_workers == workers
 
+    def test_optional_state_section_round_trips(self):
+        from repro.wire import serving_stats_from_json, serving_stats_to_json
+
+        state = {"entries": 2, "rows": 1812, "reuses": 5}
+        workers = [{"index": 0, "pid": 123, "alive": True, "state": state}]
+        document = _wire_trip(serving_stats_to_json(self._serving(state=state), workers))
+        serving, decoded_workers = serving_stats_from_json(document)
+        assert serving["state"] == state
+        assert decoded_workers == workers
+        # Documents without the section (older servers) still decode.
+        assert "state" not in serving_stats_from_json(
+            serving_stats_to_json(self._serving())
+        )[0]
+
     def test_workers_default_to_empty(self):
         from repro.wire import serving_stats_from_json, serving_stats_to_json
 

@@ -14,7 +14,11 @@ drives it through :class:`repro.api.Client`:
    /v1/databases[/{name}]`` lists, ``POST /v1/databases/{name}/mutate``
    advances the version — and the version-aware cache proof (a mutation to
    database A leaves database B's cached entries warm, hit counters show it);
-7. the same checks against ``serve --processes 2`` (the sharded front end:
+7. the per-query explain state: after a write to a GenSocial database, the
+   planted question, a NIP-constant variant and the ``summarize`` twin
+   answer like in-process ``explain()``, and ``GET /v1/stats`` reports a
+   state entry and its reuses;
+8. the same checks against ``serve --processes 2`` (the sharded front end:
    two real worker processes), plus ``GET /v1/stats`` decoding, the
    routing-locality cache hit, and the replicated registry: a mutation
    broadcast through the front end converges on every worker.
@@ -47,9 +51,11 @@ from repro.algebra.operators import (  # noqa: E402
     TableAccess,
 )
 from repro.engine.database import Database  # noqa: E402
+from repro.factory import social_bundle  # noqa: E402
 from repro.nested.values import Tup  # noqa: E402
 from repro.scenarios import get_scenario  # noqa: E402
 from repro.whynot.explain import explain  # noqa: E402
+from repro.whynot.question import WhyNotQuestion  # noqa: E402
 from repro.wire import check_envelope, serving_stats_from_json  # noqa: E402
 
 SCENARIO = "Q1"
@@ -142,6 +148,51 @@ def registry_smoke(client: Client) -> None:
     after_a = client.explain(request=req_a)
     assert not after_a.cached, "mutating a read relation must evict A's entry"
     print("mutation ok: version advanced, cache invalidation is per-database")
+
+
+def state_smoke(client: Client) -> None:
+    """Write, then ask a question, a NIP-constant variant and the summarize
+    twin: the server answers the last two from the first one's explain
+    state, and every answer must match in-process ``explain()``."""
+    bundle = social_bundle(1)
+    answer = bundle.question().result()
+    users = sorted({r["user"]["name"] for r in bundle.database.relation("T").distinct()})
+    taken = {t["uName"] for t in answer.distinct()} | {bundle.nip["uName"]}
+    variant_name = next(name for name in users if name not in taken)
+    filler = next(
+        r
+        for r in bundle.database.relation("T").distinct()
+        if r["user"]["name"] not in taken | {variant_name}
+    )
+    client.register_database("smoke_social", bundle.database)
+    client.mutate("smoke_social", deletes={"T": [filler]})
+    db = bundle.database.apply_mutations(deletes={"T": [filler]})
+
+    def ask(nip, summarize=None):
+        request = ExplainRequest(
+            query=bundle.query,
+            nip=nip,
+            database="smoke_social",
+            alternatives=bundle.alternatives,
+            options=ExplainOptions(summarize=summarize),
+        )
+        served = client.explain(request=request)
+        question = WhyNotQuestion(bundle.query, db, nip)
+        direct = explain(question, alternatives=bundle.alternatives)
+        expected = [frozenset(e.labels) for e in direct.explanations]
+        assert served.explanation_sets() == expected, (
+            f"served {served.explanation_sets()} != in-process {expected}"
+        )
+        return served
+
+    ask(bundle.nip)
+    ask(bundle.nip.replace(uName=variant_name))
+    twin = ask(bundle.nip, summarize=True)
+    assert twin.raw["result"].get("summaries"), "summarize twin lost its summaries"
+    serving, _ = serving_stats_from_json(client._request("GET", "/stats"))
+    state = serving["state"]
+    assert state["entries"] >= 1 and state["reuses"] >= 1, state
+    print(f"explain state ok: variant and twin match in-process (state {state})")
 
 
 def sharded_registry_smoke(client: Client) -> None:
@@ -237,6 +288,7 @@ def main() -> int:
         print(f"query ok: |result|={len(bag)} backend={metrics.backend}")
 
         registry_smoke(client)
+        state_smoke(client)
     finally:
         drain(process)
 
