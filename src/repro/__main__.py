@@ -165,12 +165,19 @@ def _run_query_file(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import get_scenario, run_scenario
+    from repro.scenarios import SCENARIOS, get_scenario, run_scenario
 
     if args.query_file is not None:
         return _run_query_file(args)
     if args.scenario is None:
         print("error: a scenario name (or --query-file) is required", file=sys.stderr)
+        return 2
+    if args.scenario not in SCENARIOS:
+        print(
+            f"error: no scenario named {args.scenario!r} "
+            "(see `python -m repro list`)",
+            file=sys.stderr,
+        )
         return 2
     scenario = get_scenario(args.scenario)
     print(f"{scenario.name}: {scenario.description}")
@@ -296,7 +303,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
         print(
             f"mutation fuzzing: seed={args.seed} cases={args.cases} "
-            f"steps={args.mutation_steps} depth={args.depth} rows={args.rows} "
+            f"steps={args.steps} depth={args.depth} rows={args.rows} "
             f"ops={args.ops} partitions={args.partitions[-1]} "
             f"backends={'+'.join(backends)}"
         )
@@ -304,7 +311,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             args.seed,
             args.cases,
             config,
-            steps=args.mutation_steps,
+            steps=args.steps,
             questions=not args.no_questions,
             backends=backends,
             workers=args.workers,
@@ -590,12 +597,13 @@ def main(argv=None) -> int:
     fuzz.add_argument(
         "--mutations",
         action="store_true",
-        help="fuzz mutation sequences instead: delta-incremental evaluation "
-        "and explanation maintenance must equal from-scratch recomputation "
-        "at every database version (docs/MUTATIONS.md)",
+        help="fuzz mutation sequences instead: a service that applies each "
+        "write with mutate_database must answer query and explain like a "
+        "fresh computation at every database version (docs/MUTATIONS.md)",
     )
     fuzz.add_argument(
         "--mutation-steps",
+        dest="steps",
         type=_positive_int,
         default=3,
         help="mutations applied per case in --mutations mode (default 3)",

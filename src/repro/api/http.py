@@ -96,6 +96,14 @@ def databases_route(path: str) -> "Optional[tuple[str, Optional[str]]]":
     return None
 
 
+def counted_post(path: str, route: "Optional[tuple[str, Optional[str]]]") -> bool:
+    """Whether ``/v1/stats`` counts a POST to *path*: explain, query and
+    mutate requests, whatever their status (shared by both front ends)."""
+    return path in (f"/{API_VERSION}/explain", f"/{API_VERSION}/query") or (
+        route is not None and route[0] == "mutate"
+    )
+
+
 def error_document(exc: BaseException) -> dict:
     """The JSON error body for one exception (shared by both front ends).
 
@@ -238,54 +246,41 @@ class _Handler(JsonHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         """Dispatch ``POST /v1/explain``, ``/v1/query`` and
-        ``/v1/databases/{name}/mutate``."""
+        ``/v1/databases/{name}/mutate``, counting each of them in
+        ``/v1/stats`` before its response goes out."""
         started = perf_counter()
-        status = 500
         route = databases_route(self.path)
+        status, document = self._post(route)
+        if counted_post(self.path, route):
+            self.server.counters.record_outcome(status, perf_counter() - started)
+        self._send_json(status, document)
+
+    def _post(self, route) -> "tuple[int, dict]":
+        """Answer one POST: ``(status, JSON body)``."""
         try:
             if self.path == f"/{API_VERSION}/explain":
-                document = self._read_body()
-                request = ExplainRequest.from_json(document)
-                response = self.server.service.explain(request)
-                status = 200
-                self._send_json(200, response.to_json())
-            elif self.path == f"/{API_VERSION}/query":
-                body = self._run_query(self._read_body())
-                status = 200
-                self._send_json(200, body)
-            elif route is not None and route[0] == "mutate":
+                request = ExplainRequest.from_json(self._read_body())
+                return 200, self.server.service.explain(request).to_json()
+            if self.path == f"/{API_VERSION}/query":
+                return 200, self._run_query(self._read_body())
+            if route is not None and route[0] == "mutate":
                 mutation = mutation_from_json(self._read_body())
                 try:
                     self.server.service.mutate_database(route[1], mutation)
                 except UnknownDatabase as exc:
-                    status = 404
-                    self._send_error_json(404, exc)
-                    return
-                status = 200
-                self._send_json(200, self.server.service.database_info(route[1]))
-            elif route is not None:  # POST on /v1/databases[/{name}]
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use GET or PUT"}})
-                return
-            elif self.path in (f"/{API_VERSION}/health", f"/{API_VERSION}/scenarios",
-                               f"/{API_VERSION}/stats"):
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use GET"}})
-                return
-            else:
-                self._send_json(404, {"error": {"type": "NotFound",
-                                                "message": f"no route {self.path}"}})
-                return
+                    return 404, error_document(exc)
+                return 200, self.server.service.database_info(route[1])
+            if route is not None:  # POST on /v1/databases[/{name}]
+                return 405, {"error": {"type": "MethodNotAllowed",
+                                       "message": "use GET or PUT"}}
+            if self.path in (f"/{API_VERSION}/health", f"/{API_VERSION}/scenarios",
+                             f"/{API_VERSION}/stats"):
+                return 405, {"error": {"type": "MethodNotAllowed", "message": "use GET"}}
+            return 404, {"error": {"type": "NotFound", "message": f"no route {self.path}"}}
         except CLIENT_ERRORS as exc:
-            status = 400
-            self._send_error_json(400, exc)
+            return 400, error_document(exc)
         except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error_json(500, exc)
-        finally:
-            if self.path in (f"/{API_VERSION}/explain", f"/{API_VERSION}/query") or (
-                route is not None and route[0] == "mutate"
-            ):
-                self.server.counters.record_outcome(status, perf_counter() - started)
+            return 500, error_document(exc)
 
     def _health(self) -> dict:
         service = self.server.service

@@ -53,8 +53,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
+from repro.algebra.operators import Query, TableAccess
 from repro.engine.database import Database, Mutation
-from repro.engine.deltas import read_tables
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionMetrics
 from repro.nested.values import Bag
@@ -92,6 +92,16 @@ MAX_SCENARIO_SCALE = 10_000
 STATE_MAX_ROWS = 500_000
 #: Unsummarized results one explain state keeps for twin questions.
 STATE_MAX_RESULTS = 8
+
+
+def read_tables(query: Query) -> "frozenset[str]":
+    """The relations *query* reads: every ``TableAccess`` table in the plan.
+
+    This is the dependency set the version-aware result cache and the
+    explain states key on: an entry stays valid while all of its read
+    relations are unchanged.
+    """
+    return frozenset(op.table for op in query.ops if isinstance(op, TableAccess))
 
 
 class UnknownDatabase(KeyError):

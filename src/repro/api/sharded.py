@@ -61,6 +61,7 @@ from repro import __version__
 from repro.api.http import (
     MAX_BODY_BYTES,
     JsonHandler,
+    counted_post,
     databases_route,
     error_document,
     run_query_document,
@@ -902,48 +903,52 @@ class _ShardedHandler(JsonHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         """Relay ``POST /v1/explain`` / ``/v1/query`` to one worker and
-        broadcast ``POST /v1/databases/{name}/mutate`` to all of them."""
+        broadcast ``POST /v1/databases/{name}/mutate`` to all of them.
+
+        ``/v1/stats`` counts the same POSTs as the in-process server, each
+        before its response goes out: explain and query answers when their
+        worker replies, mutates and unparseable bodies here."""
+        started = time.perf_counter()
         route = databases_route(self.path)
         try:
-            if self.path == f"/{API_VERSION}/explain":
-                kind = "explain"
-            elif self.path == f"/{API_VERSION}/query":
-                kind = "query"
-            elif route is not None and route[0] == "mutate":
-                try:
-                    document = self._read_body()
-                except ValueError as exc:
-                    self._send_error_json(400, exc)
-                    return
-                status, body, headers = self.server.dispatcher.mutate_database_doc(
-                    route[1], document
-                )
-                self._send_json(status, body, headers)
-                return
-            elif route is not None:  # POST on /v1/databases[/{name}]
+            if route is not None and route[0] != "mutate":  # /v1/databases[/{name}]
                 self._send_json(405, {"error": {"type": "MethodNotAllowed",
                                                 "message": "use GET or PUT"}})
                 return
-            elif self.path in (f"/{API_VERSION}/health", f"/{API_VERSION}/scenarios",
-                               f"/{API_VERSION}/stats"):
+            if self.path in (f"/{API_VERSION}/health", f"/{API_VERSION}/scenarios",
+                             f"/{API_VERSION}/stats"):
                 self._send_json(405, {"error": {"type": "MethodNotAllowed",
                                                 "message": "use GET"}})
                 return
-            else:
+            if not counted_post(self.path, route):
                 self._send_json(404, {"error": {"type": "NotFound",
                                                 "message": f"no route {self.path}"}})
                 return
+            dispatcher = self.server.dispatcher
             try:
                 document = self._read_body()
             except ValueError as exc:
-                self._send_error_json(400, exc)
+                self._send_counted(started, 400, error_document(exc))
                 return
-            status, body, headers = self.server.dispatcher.dispatch(kind, document)
+            if route is not None:
+                self._send_counted(started, *dispatcher.mutate_database_doc(route[1], document))
+                return
+            kind = "explain" if self.path == f"/{API_VERSION}/explain" else "query"
+            status, body, headers = dispatcher.dispatch(kind, document)
             self._send_json(status, body, headers)
         except Overloaded as exc:
             self._send_error_json(503, exc, {"Retry-After": exc.retry_after})
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             self._send_error_json(500, exc)
+
+    def _send_counted(
+        self, started: float, status: int, body: dict, headers: Optional[dict] = None
+    ) -> None:
+        """Count one answer the front end gives itself, then send it."""
+        self.server.dispatcher.counters.record_outcome(
+            status, time.perf_counter() - started
+        )
+        self._send_json(status, body, headers)
 
 
 def make_sharded_server(

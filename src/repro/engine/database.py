@@ -7,16 +7,16 @@ unchanged relation (the same :class:`~repro.nested.values.Bag` objects) and
 rebuilds only the mutated ones.  Each version records
 
 * ``version_id`` — its position in the chain (the root snapshot is 0),
-* ``parent`` — the previous version (``None`` for the root),
 * ``last_mutation`` — the :class:`Mutation` that produced it,
 * per-relation **version stamps** (:meth:`relation_version`) — the
   ``version_id`` at which each relation last changed, which is what the
   serving layer's version-aware result cache keys on (a query's cache entry
   stays valid as long as the relations it *reads* are unchanged).
 
-The delta-incremental evaluator (:mod:`repro.engine.deltas`) consumes the
-same chain: the signed row deltas of a :class:`Mutation` are exactly what it
-propagates through memoized operator state.
+A version holds no reference to the one it was derived from: once nothing
+else refers to an old version (the serving registry replaces it on every
+write), it and the relation bags only it used are freed.  Every query and
+why-not question is answered from the version it names alone.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ class Mutation:
             len(b) for b in self.deletes.values()
         )
 
-    def signed_delta(self, name: str) -> "dict[Tup, int]":
-        """Net row delta of one relation: ``row -> signed count`` (no zeros)."""
-        delta: dict[Tup, int] = {}
-        for row, count in self.inserts.get(name, Bag()).items():
-            delta[row] = delta.get(row, 0) + count
-        for row, count in self.deletes.get(name, Bag()).items():
-            delta[row] = delta.get(row, 0) - count
-        return {row: count for row, count in delta.items() if count}
-
     def __repr__(self) -> str:
         parts = []
         for name in self.tables():
@@ -110,8 +101,6 @@ class Database:
         self.version: int = 0
         #: position in the version chain (0 for a freshly built snapshot).
         self.version_id: int = 0
-        #: the previous version, or ``None`` for a chain root.
-        self.parent: "Optional[Database]" = None
         #: the mutation that produced this version (``None`` for a root).
         self.last_mutation: Optional[Mutation] = None
         self._relation_versions: dict[str, int] = {}
@@ -189,7 +178,6 @@ class Database:
         child._schemas = dict(self._schemas)
         child.version = self.version + 1
         child.version_id = self.version_id + 1
-        child.parent = self
         child.last_mutation = mutation
         child._relation_versions = dict(self._relation_versions)
         child._relation_epochs = dict(self._relation_epochs)

@@ -18,15 +18,15 @@ Modules:
 * :mod:`repro.fuzz.oracle` — the differential oracle (results, metrics
   invariants, explanation sets, matcher agreement);
 * :mod:`repro.fuzz.harness` — seeded sweeps and failure shrinking;
-* :mod:`repro.fuzz.mutations` — fuzzed mutation chains: delta-incremental
-  evaluation and explanation maintenance vs from-scratch recomputation;
+* :mod:`repro.fuzz.mutations` — fuzzed mutation chains applied through the
+  service's write path, whose answers must equal from-scratch ones;
 * :mod:`repro.fuzz.reference` — the row-at-a-time reference tracer and
   Algorithm 4 that the columnar tracer is checked against;
 * :mod:`repro.fuzz.serialize` — JSON round-tripping of cases for the pinned
   corpus in ``tests/fuzz/corpus/``.
 
 Entry points: ``python -m repro fuzz --seed 4 --cases 200`` (CLI; add
-``--mutations`` for the incremental-vs-scratch sweep) and
+``--mutations`` for the write-path sweep) and
 ``tests/fuzz/test_differential.py`` (pinned corpus + tier-1 mini sweep).
 See ``docs/FUZZING.md`` for the workflow.
 """

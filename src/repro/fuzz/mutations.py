@@ -1,27 +1,35 @@
-"""Fuzzed mutation sequences: the incremental ≡ from-scratch oracle.
+"""Fuzzed mutation sequences: the service write path ≡ from-scratch answers.
 
-The delta-incremental subsystem (:mod:`repro.engine.deltas`) promises that
-maintaining a result (and a why-not explanation) across a database version
-chain is observationally identical to recomputing from scratch on every
-version.  This module turns that promise into a differential gate:
+A registered database changes only through
+:meth:`~repro.api.service.ExplanationService.mutate_database`, which
+advances the name to the next version (``Database.apply_mutations``) and
+evicts the cached results and explain states that read a mutated relation.
+After every write the service must answer exactly as a fresh computation on
+the new version does.  This module turns that promise into a differential
+gate:
 
 * :func:`gen_mutation` derives a random **valid** mutation against a live
   version — deletes sample existing rows (sometimes re-expressed in a
   canonically-equal surface form: ``2`` for ``2.0``, ``-0.0`` for ``0.0``, a
   fresh ``float('nan')`` for the canonical NaN), inserts are freshly
   generated rows for the relation's current schema;
-* :func:`check_mutation_case` applies a generated chain of such mutations
-  and cross-checks, at **every** version,
+* :func:`check_mutation_case` registers a case's base database with a fresh
+  :class:`~repro.api.service.ExplanationService`, applies a generated chain
+  of such mutations through ``mutate_database`` and cross-checks, at
+  **every** version,
 
-  1. :class:`~repro.engine.deltas.DeltaEvaluator` (per requested
-     backend) against the reference ``Query.evaluate`` bag, and
-  2. :class:`~repro.engine.deltas.IncrementalExplainer` against a
-     from-scratch ``explain`` — identical ranked explanation label sets,
-     and identical exception types when a version flips the question
-     ill-posed (an insert satisfied it) or back — and every trace it keeps,
-     including delta re-traces that reuse retained column snapshots,
-     against the row-at-a-time reference tracer
-     (:mod:`repro.fuzz.reference`) replayed with the same reuse;
+  1. ``query`` (per requested backend, asked twice: the first call plans
+     the query for the new version, the second reuses that plan) against
+     the reference ``Query.evaluate`` bag of the version, and
+  2. ``explain`` of the case's question and of its sibling
+     (:func:`~repro.fuzz.plans.gen_sibling`: the same attribute constrained
+     to a second fresh value, answered from the question's explain state)
+     against a fresh library :func:`~repro.whynot.explain.explain` on the
+     version — identical ranked explanation label sets, or identical
+     exception types when an insert satisfied the question (the service,
+     asked again with ``satisfied_ok``, must then return matching
+     witnesses) — with every fresh trace checked against the row-at-a-time
+     reference tracer (:mod:`repro.fuzz.reference`);
 
 * :func:`run_mutation_sweep` drives the whole thing from a seed, exactly
   like :func:`repro.fuzz.harness.run_sweep` (cases are the regular fuzz
@@ -35,11 +43,10 @@ The CLI entry point is ``python -m repro fuzz --mutations`` (see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.engine.database import Database, Mutation
-from repro.engine.deltas import DeltaEvaluator, IncrementalExplainer
 from repro.fuzz.data import FuzzConfig, _gen_row
 from repro.fuzz.harness import FuzzCase, generate_case
 from repro.fuzz.oracle import (
@@ -52,6 +59,9 @@ from repro.fuzz.oracle import (
 )
 from repro.nested.values import NAN, Bag, Tup
 
+#: The name each case's base database is registered under.
+DB_NAME = "fuzz"
+
 
 def _variant_value(rng: random.Random, value: Any) -> Any:
     """Re-express *value* in a random canonically-equal surface form.
@@ -60,7 +70,7 @@ def _variant_value(rng: random.Random, value: Any) -> Any:
     and the value model's equality make these forms address the same stored
     rows: ``2`` ≡ ``2.0``, ``0.0`` ≡ ``-0.0``, any NaN ≡ the canonical
     ``NAN``.  Deletes written through a variant must therefore hit the
-    original rows — exactly what the satellite edge-case tests pin.
+    original rows — exactly what the canonical-form edge-case tests pin.
     """
     if value is NAN:
         return float("nan") if rng.random() < 0.5 else value
@@ -154,13 +164,15 @@ def check_mutation_case(
     num_partitions: int = 3,
     config: Optional[FuzzConfig] = None,
 ) -> OracleReport:
-    """Differentially test one case across a fuzzed mutation chain.
+    """Differentially test the service write path over one fuzzed chain.
 
-    At every version the maintained state must equal a from-scratch
-    recomputation — identical result bags for each requested backend and
-    identical explanation label sets (or identical exception types when the
-    reference itself errors / the question flips ill-posed).
+    ``configs_run`` counts service ``query`` answers, ``explain_configs_run``
+    service ``explain`` answers (``stateful_checks`` of them for the
+    sibling) and ``tracer_checks`` fresh traces compared with the reference
+    tracer.  Checking stops at a case's first divergence.
     """
+    from repro.api import ExplanationService
+
     report = OracleReport()
     base = case.database()
     reference = _outcome(lambda: case.query.evaluate(base))
@@ -168,230 +180,182 @@ def check_mutation_case(
         report.reference_error = reference[1]
         return report
     versions = gen_mutation_chain(rng, base, steps, config)
-    references = [reference]
-    for db_v in versions[1:]:
-        references.append(_outcome(lambda db_v=db_v: case.query.evaluate(db_v)))
-
-    for backend in backends:
-        _check_delta_evaluator(
-            report, case, versions, references, backend, workers, num_partitions
+    service = ExplanationService(cache_size=8)
+    service.register_database(DB_NAME, base)
+    nips = {} if case.nip is None else {"question": case.nip}
+    for db_v in versions:
+        label = f"version={db_v.version_id}"
+        if db_v is not base:
+            written = _outcome(lambda: service.mutate_database(DB_NAME, db_v.last_mutation))
+            if written[0] == "error":
+                report.divergences.append(
+                    Divergence("mutation", label, f"mutate_database raised {written[1]}")
+                )
+                return report
+            stale = _stale_answers(service)
+            if stale:
+                report.divergences.append(
+                    Divergence(
+                        "mutation", label,
+                        f"{stale} cached answers read a relation the write replaced",
+                    )
+                )
+                return report
+        expected = (
+            reference if db_v is base else _outcome(lambda: case.query.evaluate(db_v))
         )
-    if case.nip is not None:
-        _check_incremental_explainer(
-            report, case, versions, references, workers, num_partitions
-        )
+        for backend in backends:
+            if not _check_query(
+                report, service, case, expected, backend, workers, num_partitions, label
+            ):
+                return report
+        if expected[0] == "error":
+            nips.clear()  # the query itself errors: no question to explain
+        for kind in list(nips):
+            if not _check_explain(report, service, case, db_v, kind, nips, label):
+                return report
     return report
 
 
-def _check_delta_evaluator(
+def _stale_answers(service) -> int:
+    """Cached results and explain-state results of :data:`DB_NAME` that read
+    a relation at another version than the registered one.  Their keys can
+    no longer be hit, so a write that keeps them only holds old versions
+    alive."""
+    from repro.api.service import read_tables
+
+    db = service.database(DB_NAME)
+    with service._lock:
+        held = list(service._cache.values())
+        held.extend(r for state in service._states.values() for r in state.results.values())
+    return sum(
+        any(
+            r.question.db.relation_stamp(t) != db.relation_stamp(t)
+            for t in read_tables(r.question.query)
+            if t in db
+        )
+        for r in held
+    )
+
+
+def _check_query(
     report: OracleReport,
+    service,
     case: FuzzCase,
-    versions: "list[Database]",
-    references: list,
+    expected,
     backend: str,
     workers: int,
     num_partitions: int,
-) -> None:
-    label = f"delta backend={backend}"
-    try:
-        evaluator = DeltaEvaluator(
-            case.query,
-            versions[0],
-            num_partitions=num_partitions,
-            backend=backend,
-            workers=workers,
-            optimize=False,
-        )
-    except Exception as exc:  # noqa: BLE001 - reference succeeded, so must this
-        report.divergences.append(
-            Divergence(
-                "mutation", label,
-                f"base rebase raised {type(exc).__name__} "
-                "but the reference evaluated",
-            )
-        )
-        return
-    report.configs_run += 1
-    if evaluator.result() != references[0][1]:
-        report.divergences.append(
-            Divergence(
-                "mutation", f"{label} version=0",
-                _bag_diff(references[0][1], evaluator.result()),
-            )
-        )
-        return
-    for k, db_v in enumerate(versions[1:], start=1):
-        expected = references[k]
-        got = _outcome(lambda: evaluator.update(db_v))
-        report.configs_run += 1
-        config_label = f"{label} version={db_v.version_id} [{evaluator.last_stats.get('mode', '?')}]"
-        if got[0] != expected[0]:
-            report.divergences.append(
-                Divergence(
-                    "mutation", config_label,
-                    f"incremental={'ok' if got[0] == 'ok' else got[1]} vs "
-                    f"from-scratch={'ok' if expected[0] == 'ok' else expected[1]}",
-                )
-            )
-            return
-        if expected[0] == "error":
-            if got[1] != expected[1]:
-                report.divergences.append(
-                    Divergence(
-                        "mutation", config_label,
-                        f"exception {got[1]} vs reference {expected[1]}",
-                    )
-                )
-            return  # the chain is consistently-erroring from here on
-        if got[1] != expected[1]:
-            report.divergences.append(
-                Divergence("mutation", config_label, _bag_diff(expected[1], got[1]))
-            )
-            return
-
-
-def _check_incremental_explainer(
-    report: OracleReport,
-    case: FuzzCase,
-    versions: "list[Database]",
-    references: list,
-    workers: int,
-    num_partitions: int,
-) -> None:
-    from repro.whynot.explain import explain
-    from repro.whynot.question import WhyNotQuestion
-
-    def fresh(db_v: Database) -> WhyNotQuestion:
-        return WhyNotQuestion(case.query, db_v, case.nip, name=case.name)
-
-    def scratch(db_v: Database):
-        return explain(
-            fresh(db_v), backend="serial", workers=workers, validate=True,
-            optimize=False,
-        )
-
-    baseline = _outcome(lambda: scratch(versions[0]))
-    try:
-        explainer = IncrementalExplainer(
-            fresh(versions[0]), backend="serial", workers=workers,
-            num_partitions=num_partitions,
-        )
-        incremental = ("ok", explainer.last_result)
-    except Exception as exc:  # noqa: BLE001 - compared against the baseline
-        explainer = None
-        incremental = ("error", type(exc).__name__)
-    report.explain_configs_run += 1
-    if incremental[0] != baseline[0]:
-        report.divergences.append(
-            Divergence(
-                "mutation-explain", "version=0",
-                f"incremental={'ok' if incremental[0] == 'ok' else incremental[1]}"
-                f" vs from-scratch={'ok' if baseline[0] == 'ok' else baseline[1]}",
-            )
-        )
-        return
-    if baseline[0] == "error":
-        if incremental[1] != baseline[1]:
-            report.divergences.append(
-                Divergence(
-                    "mutation-explain", "version=0",
-                    f"exception {incremental[1]} vs {baseline[1]}",
-                )
-            )
-        return  # both consistently refuse the base question; nothing to maintain
-    if _explanation_key(incremental[1]) != _explanation_key(baseline[1]):
-        report.divergences.append(
-            Divergence(
-                "mutation-explain", "version=0",
-                f"explanations {_explanation_key(incremental[1])} "
-                f"vs {_explanation_key(baseline[1])}",
-            )
-        )
-        return
-    # Each trace is compared with the reference only after the next version
-    # re-traced from it: the comparison's row views materialize the lazy
-    # intermediate columns of fused narrow runs, and delta re-traces must
-    # also be checked reusing snapshots whose columns are still lazy.
-    pending = [(explainer.last_result, "base", None, "version=0")]
-
-    def check_pending() -> bool:
-        ok = all(_check_retrace(report, explainer.revalidate, *p) for p in pending)
-        pending.clear()
-        return ok
-
-    for k, db_v in enumerate(versions[1:], start=1):
-        if references[k][0] == "error":
-            break  # the query itself errors from this version on
-        expected = _outcome(lambda db_v=db_v: scratch(db_v))
-        previous = explainer.trace
-        got = _outcome(lambda db_v=db_v: explainer.apply(db_v))
-        report.explain_configs_run += 1
-        label = f"version={db_v.version_id}"
-        if got[0] != expected[0]:
-            report.divergences.append(
-                Divergence(
-                    "mutation-explain", label,
-                    f"incremental={'ok' if got[0] == 'ok' else got[1]} vs "
-                    f"from-scratch={'ok' if expected[0] == 'ok' else expected[1]}",
-                )
-            )
-            return
-        if expected[0] == "error":
-            if got[1] != expected[1]:
-                report.divergences.append(
-                    Divergence(
-                        "mutation-explain", label,
-                        f"exception {got[1]} vs {expected[1]}",
-                    )
-                )
-                return
-            continue  # both ill-posed here (e.g. an insert satisfied the
-            # question); the explainer keeps its stale-set and must recover
-            # on the next well-posed version.
-        if _explanation_key(got[1]) != _explanation_key(expected[1]):
-            report.divergences.append(
-                Divergence(
-                    "mutation-explain",
-                    f"{label} [{explainer.last_stats.get('mode', '?')}]",
-                    f"explanations {_explanation_key(got[1])} "
-                    f"vs {_explanation_key(expected[1])}",
-                )
-            )
-            return
-        if not check_pending():
-            return
-        pending.append((explainer.last_result, explainer.last_stats["mode"], previous, label))
-    check_pending()
-
-
-def _check_retrace(
-    report: OracleReport,
-    revalidate: bool,
-    result,
-    mode: str,
-    previous,
     label: str,
 ) -> bool:
-    """One explainer result's trace ≡ the row-at-a-time reference tracer's.
+    """The service's ``query`` on the registered version ≡ *expected*, for
+    the call that plans the version and the one that reuses the plan."""
+    from repro.api import ExplainOptions
 
-    *mode* is the explainer's ``last_stats["mode"]`` for *result*.  A delta
-    re-trace is replayed on the reference with the same reused operators
-    (as row snapshots of *previous*) and the same row-id offset, so row ids
-    line up exactly; a base or full trace is compared with a from-scratch
-    reference trace.  Returns False (after recording a divergence) when
-    they differ.
+    options = ExplainOptions(
+        backend=backend, workers=workers, partitions=num_partitions, optimize=True
+    )
+    for attempt in ("miss", "hit"):
+        got = _outcome(lambda: service.query(case.query, DB_NAME, options)[0])
+        report.configs_run += 1
+        config = f"query backend={backend} {attempt} {label}"
+        if got[0] != expected[0] or (got[0] == "error" and got[1] != expected[1]):
+            report.divergences.append(
+                Divergence(
+                    "mutation", config,
+                    f"service={'ok' if got[0] == 'ok' else got[1]} vs "
+                    f"from-scratch={'ok' if expected[0] == 'ok' else expected[1]}",
+                )
+            )
+            return False
+        if got[0] == "ok" and got[1] != expected[1]:
+            report.divergences.append(
+                Divergence("mutation", config, _bag_diff(expected[1], got[1]))
+            )
+            return False
+    return True
+
+
+def _check_explain(
+    report: OracleReport,
+    service,
+    case: FuzzCase,
+    db_v: Database,
+    kind: str,
+    nips: dict,
+    label: str,
+) -> bool:
+    """The service's answer to ``nips[kind]`` ≡ a fresh ``explain`` on *db_v*.
+
+    On the base version a successful question adds its sibling to *nips*.
     """
+    from repro.api.service import ExplainRequest, SatisfiedResponse
+    from repro.fuzz.plans import gen_sibling
+    from repro.whynot.explain import explain
+    from repro.whynot.matching import matches
+    from repro.whynot.question import WhyNotQuestion
+
+    nip = nips[kind]
+    fresh = WhyNotQuestion(case.query, db_v, nip, name=case.name)
+    expected = _outcome(lambda: explain(fresh, backend="serial", validate=True))
+    request = ExplainRequest(query=case.query, nip=nip, database=DB_NAME, name=case.name)
+    got = _outcome(lambda: service.explain(request).result)
+    report.explain_configs_run += 1
+    report.stateful_checks += kind == "sibling"
+    config = f"explain {kind} {label}"
+    if got[0] != expected[0] or (got[0] == "error" and got[1] != expected[1]):
+        report.divergences.append(
+            Divergence(
+                "mutation-explain", config,
+                f"service={'ok' if got[0] == 'ok' else got[1]} vs "
+                f"from-scratch={'ok' if expected[0] == 'ok' else expected[1]}",
+            )
+        )
+        return False
+    if expected[0] == "error":
+        if expected[1] != "IllPosedQuestion":
+            return True
+        # An insert satisfied the question: asked to, the service must say so.
+        answer = _outcome(lambda: service.explain(replace(request, satisfied_ok=True)))
+        if not (
+            answer[0] == "ok"
+            and isinstance(answer[1], SatisfiedResponse)
+            and answer[1].witnesses
+            and all(matches(w, nip) for w in answer[1].witnesses)
+        ):
+            report.divergences.append(
+                Divergence(
+                    "mutation-explain", f"{config} satisfied_ok",
+                    f"expected matching witnesses, got {_clip(answer[1])}",
+                )
+            )
+            return False
+        return True
+    if _explanation_key(got[1]) != _explanation_key(expected[1]):
+        report.divergences.append(
+            Divergence(
+                "mutation-explain", config,
+                f"explanations {_explanation_key(got[1])} "
+                f"vs {_explanation_key(expected[1])}",
+            )
+        )
+        return False
+    if not _check_reference(report, expected[1], config):
+        return False
+    if kind == "question" and db_v.version_id == 0:
+        sibling = gen_sibling(random.Random(f"{case.name}:{nip!r}"), fresh)
+        if sibling is not None:
+            nips["sibling"] = sibling.nip
+    return True
+
+
+def _check_reference(report: OracleReport, result, config: str) -> bool:
+    """A fresh explain's trace and explanations ≡ the row-at-a-time
+    reference tracer's; False (after recording a divergence) otherwise."""
     from repro.fuzz import reference
 
     question = result.question
-    reuse, rid_start = None, 0
-    if mode == "delta":
-        reuse = reference.reuse_rows(previous, result.trace)
-        rid_start = previous.max_rid()
-    ref_trace = reference.trace(
-        question.query, question.db, result.sas,
-        revalidate=revalidate, reuse=reuse, rid_start=rid_start,
-    )
+    ref_trace = reference.trace(question.query, question.db, result.sas)
     ref_explanations = reference.approximate_msrs(question, result.sas, ref_trace)
     report.tracer_checks += 1
     difference = reference.compare(
@@ -399,9 +363,7 @@ def _check_retrace(
     )
     if difference is None:
         return True
-    report.divergences.append(
-        Divergence("mutation-tracer", f"{label} [{mode}]", _clip(difference))
-    )
+    report.divergences.append(Divergence("mutation-tracer", config, _clip(difference)))
     return False
 
 
@@ -414,9 +376,10 @@ class MutationSweepResult:
     cases: int = 0
     with_question: int = 0
     skipped_errors: int = 0
-    configs_run: int = 0
-    explain_configs_run: int = 0
-    tracer_checks: int = 0  #: (re-)traces compared against the reference tracer
+    configs_run: int = 0  #: service ``query`` answers checked
+    explain_configs_run: int = 0  #: service ``explain`` answers checked
+    sibling_checks: int = 0  #: of those, answers to sibling questions
+    tracer_checks: int = 0  #: fresh traces compared against the reference tracer
     failures: list = field(default_factory=list)  #: (FuzzCase, OracleReport)
 
     @property
@@ -431,8 +394,9 @@ class MutationSweepResult:
             f"mutation sweep seed={self.seed}: {self.cases} cases × "
             f"{self.steps} mutations ({self.with_question} with why-not "
             f"questions, {self.skipped_errors} consistently-erroring), "
-            f"{self.configs_run} incremental-vs-scratch result checks, "
-            f"{self.explain_configs_run} explanation checks, "
+            f"{self.configs_run} service result checks, "
+            f"{self.explain_configs_run} service explanation checks "
+            f"({self.sibling_checks} siblings), "
             f"{self.tracer_checks} reference-tracer checks — {status}"
         )
 
@@ -470,6 +434,7 @@ def run_mutation_sweep(
         result.cases += 1
         result.configs_run += report.configs_run
         result.explain_configs_run += report.explain_configs_run
+        result.sibling_checks += report.stateful_checks
         result.tracer_checks += report.tracer_checks
         if case.nip is not None:
             result.with_question += 1

@@ -8,13 +8,11 @@ per-row ancestor sets.  It has no production caller.  The backend
 equivalence tests and the differential fuzz oracle (:mod:`repro.fuzz.oracle`,
 :mod:`repro.fuzz.mutations`) compare the production tracer against it: the
 row views (ids, parents, values, valid/consistent/retained masks) and the
-ranked explanations (labels, SA index, bounds, rank) must be identical,
-including incremental re-traces that reuse retained snapshots.
+ranked explanations (labels, SA index, bounds, rank) must be identical.
 
 :func:`reference_explain` runs the whole pipeline with this tracer;
 :func:`row_view`, :func:`explanation_view` and :func:`compare` turn results
-into comparable data, and :func:`reuse_rows` converts retained production
-snapshots for an incremental reference re-trace.
+into comparable data.
 """
 
 from __future__ import annotations
@@ -118,8 +116,6 @@ class RowTracer:
         db: Database,
         sas: list[SchemaAlternative],
         revalidate: bool = True,
-        reuse: "Optional[dict[int, RowOpTrace]]" = None,
-        rid_start: int = 0,
     ):
         self.query = query
         self.db = db
@@ -127,8 +123,7 @@ class RowTracer:
         self.revalidate = revalidate
         self.n = len(sas)
         self._full_mask = (1 << self.n) - 1
-        self.reuse = reuse or {}
-        self._rid = itertools.count(rid_start + 1)
+        self._rid = itertools.count(1)
         # Per-SA operator views, schemas and evaluation contexts.
         self._ops = {
             op.op_id: [sa.query.op(op.op_id) for sa in sas] for op in query.ops
@@ -148,26 +143,12 @@ class RowTracer:
     # -- public entry --------------------------------------------------------
 
     def run(self) -> RowTraceResult:
-        """Trace every operator bottom-up and assemble the :class:`RowTraceResult`.
-
-        Operators listed in ``reuse`` (a retained base trace, keyed by op id)
-        are **not** re-evaluated: their annotated rows — including the per-SA
-        validity/consistency bitmasks — are merged into the result as-is, and
-        only operators outside the reuse set are traced afresh.  This is what
-        makes incremental re-tracing after a mutation cheap: the caller passes
-        the base version's :class:`RowOpTrace` for every operator whose inputs
-        did not change (see :mod:`repro.engine.deltas`), together with a
-        ``rid_start`` above every retained row id so new rows never collide.
-        """
+        """Trace every operator bottom-up and assemble the :class:`RowTraceResult`."""
         result = RowTraceResult({}, self.query.root.op_id, self.n)
         for op in self.query.ops:
-            reused = self.reuse.get(op.op_id)
-            if reused is not None:
-                rows, groups = reused.rows, reused.groups
-            else:
-                child_traces = [result.traces[c.op_id] for c in op.children]
-                rows, groups = self._trace_op(op, child_traces)
-                self._annotate_consistency(op, rows, groups, result.rows_by_rid)
+            child_traces = [result.traces[c.op_id] for c in op.children]
+            rows, groups = self._trace_op(op, child_traces)
+            self._annotate_consistency(op, rows, groups, result.rows_by_rid)
             result.traces[op.op_id] = RowOpTrace(op.op_id, rows, groups)
             for row in rows:
                 result.rows_by_rid[row.rid] = row
@@ -784,14 +765,9 @@ def trace(
     db: Database,
     sas: list[SchemaAlternative],
     revalidate: bool = True,
-    reuse: "Optional[dict[int, RowOpTrace]]" = None,
-    rid_start: int = 0,
 ) -> RowTraceResult:
     """Run the row-at-a-time reference tracer (serial; see :func:`repro.whynot.tracing.trace`)."""
-    return RowTracer(
-        query, db, sas, revalidate=revalidate, reuse=reuse,
-        rid_start=rid_start,
-    ).run()
+    return RowTracer(query, db, sas, revalidate=revalidate).run()
 
 
 def _task_trace_narrow(state: WorkerState, sa: int, op_id: int, parent_vals: list) -> Any:
@@ -1088,12 +1064,3 @@ def compare(
     if got_e != want_e:
         return f"explanations {got_e} vs reference {want_e}"
     return None
-
-
-def reuse_rows(previous: TraceResult, current: TraceResult) -> "dict[int, RowOpTrace]":
-    """Row snapshots of the operators *current* reused from *previous*."""
-    return {
-        op_id: RowOpTrace(op_id, snap.rows, snap.groups)
-        for op_id, snap in current.traces.items()
-        if previous.traces.get(op_id) is snap
-    }

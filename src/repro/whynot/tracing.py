@@ -58,8 +58,8 @@ per group): selections record retained rows instead of filtering, every
 operator's strict and relaxed NIPs are tested against the kernel's column
 variables, and only the run's last value column is materialized.  Earlier
 operators' columns are :class:`LazyColumns`, built by the per-operator
-``trace_narrow`` task on first access (row views, baselines, incremental
-reuse, re-annotation).  Whenever a group's kernel cannot run — an
+``trace_narrow`` task on first access (row views, baselines,
+re-annotation).  Whenever a group's kernel cannot run — an
 unsupported operator or NIP, rows of more than one layout, a bailout or an
 error — the whole run is traced operator by operator instead, so snapshots
 and errors are identical.
@@ -486,13 +486,6 @@ class TraceResult:
         """Total number of traced rows across all operators."""
         return sum(snap.count for snap in self.traces.values())
 
-    def max_rid(self) -> int:
-        """The largest traced row id (0 when nothing was traced)."""
-        return max(
-            (snap.base + snap.count for snap in self.traces.values() if snap.count),
-            default=0,
-        )
-
 
 class Tracer:
     """Runs the instrumented evaluation for a list of schema alternatives."""
@@ -504,8 +497,6 @@ class Tracer:
         sas: list[SchemaAlternative],
         revalidate: bool = True,
         backend: "str | ExecutionBackend | None" = None,
-        reuse: "Optional[dict[int, OpTrace]]" = None,
-        rid_start: int = 0,
     ):
         self.query = query
         self.db = db
@@ -513,8 +504,7 @@ class Tracer:
         self.revalidate = revalidate
         self.n = len(sas)
         self._full_mask = (1 << self.n) - 1
-        self.reuse = reuse or {}
-        self._next_base = rid_start
+        self._next_base = 0
         # Per-SA operator views and schemas.
         self._ops = {
             op.op_id: [sa.query.op(op.op_id) for sa in sas] for op in query.ops
@@ -543,34 +533,22 @@ class Tracer:
     # -- public entry --------------------------------------------------------
 
     def run(self) -> TraceResult:
-        """Trace every operator bottom-up and assemble the :class:`TraceResult`.
-
-        Operators listed in ``reuse`` (a retained base trace, keyed by op id)
-        are **not** re-evaluated: their snapshots — including the per-SA
-        validity/consistency masks — are merged into the result as-is, and
-        only operators outside the reuse set are traced afresh.  This is what
-        makes incremental re-tracing after a mutation cheap: the caller passes
-        the base version's :class:`OpTrace` for every operator whose inputs
-        did not change (see :mod:`repro.engine.deltas`), together with a
-        ``rid_start`` above every retained row id so new rows never collide.
-        """
+        """Trace every operator bottom-up and assemble the :class:`TraceResult`."""
         result = TraceResult({}, self.query.root.op_id, self.n)
         ops = self.query.ops
         per_op_until = 0
         for i, op in enumerate(ops):
             if op.op_id in result.traces:
                 continue  # traced by a fused run
-            snap = self.reuse.get(op.op_id)
-            if snap is None:
-                children = [result.traces[c.op_id] for c in op.children]
-                if i >= per_op_until:
-                    run, groups = self._narrow_run(ops, i, children)
-                    if run and self._trace_run(run, children[0], groups, result):
-                        continue
-                    per_op_until = i + len(run)
-                snap = self._trace_op(op, children)
-                self._next_base += snap.count
-                self._annotate_consistency(op, snap, children)
+            children = [result.traces[c.op_id] for c in op.children]
+            if i >= per_op_until:
+                run, groups = self._narrow_run(ops, i, children)
+                if run and self._trace_run(run, children[0], groups, result):
+                    continue
+                per_op_until = i + len(run)
+            snap = self._trace_op(op, children)
+            self._next_base += snap.count
+            self._annotate_consistency(op, snap, children)
             result.traces[op.op_id] = snap
         return result
 
@@ -706,8 +684,8 @@ class Tracer:
         """The narrow run starting at ``ops[i]`` and its SA groups.
 
         Empty unless ``ops[i]`` changes values; the run then extends over
-        its unary narrow or selection parents while they are not reused and
-        keep the first operator's SA partition.
+        its unary narrow or selection parents while they keep the first
+        operator's SA partition.
         """
         op = ops[i]
         if not isinstance(op, _VALUE_NARROW):
@@ -718,7 +696,6 @@ class Tracer:
             if (
                 not isinstance(parent, _VALUE_NARROW + (Selection,))
                 or parent.children[0] is not run[-1]
-                or parent.op_id in self.reuse
                 or self._meet_for(parent, groups).gids != groups.gids
             ):
                 break
@@ -1153,18 +1130,10 @@ def trace(
     sas: list[SchemaAlternative],
     revalidate: bool = True,
     backend: "str | ExecutionBackend | None" = None,
-    reuse: "Optional[dict[int, OpTrace]]" = None,
-    rid_start: int = 0,
 ) -> TraceResult:
     """Run the instrumented (relaxed) evaluation for all schema alternatives.
 
     *backend* selects where independent SA groups evaluate (see
-    :mod:`repro.engine.backends`); results are backend-invariant.  *reuse*
-    merges retained per-operator snapshots from a base version instead of
-    re-evaluating them (incremental re-trace after a mutation); *rid_start*
-    offsets freshly allocated row ids above the retained ones.
+    :mod:`repro.engine.backends`); results are backend-invariant.
     """
-    return Tracer(
-        query, db, sas, revalidate=revalidate, backend=backend, reuse=reuse,
-        rid_start=rid_start,
-    ).run()
+    return Tracer(query, db, sas, revalidate=revalidate, backend=backend).run()

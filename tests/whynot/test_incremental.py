@@ -1,22 +1,27 @@
-"""Incremental explanation maintenance: ``IncrementalExplainer`` ≡ ``explain``.
+"""Explanations after a write: the service's answer ≡ a fresh ``explain``.
 
-Every version of a mutated database must yield the identical ranked
-explanation label sets through the incremental path (retained backtrace +
-schema alternatives, partial re-trace of only the operators whose inputs
-changed) as through a from-scratch ``explain`` — including the edge cases
-the mutation satellite pins: deleting the row that feeds the only
-explanation, an insert that flips the question to answered (both paths must
-raise ``IllPosedQuestion``, and the explainer must recover on the next
-well-posed version), and mutations addressed in canonically-equal forms.
+Every version of a database mutated through
+:meth:`~repro.api.service.ExplanationService.mutate_database` must yield the
+identical ranked explanation label sets through the service (its version-
+aware result cache and per-query explain states) as a from-scratch
+``explain`` on that version — including the edge cases: deleting the row
+that feeds the only explanation, an insert that flips the question to
+answered (both raise ``IllPosedQuestion``; the service returns witnesses
+under ``satisfied_ok``) and the delete that makes it well-posed again, and
+mutations addressed in canonically-equal forms.  A write to a relation the
+query does not read keeps its cached result and explain state warm.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.algebra.expressions import Attr, Cmp, Const
 from repro.algebra.operators import Projection, Query, Selection, TableAccess
+from repro.api import ExplainRequest, ExplanationService
+from repro.api.service import ExplainOptions, SatisfiedResponse, read_tables
 from repro.engine.database import Database
-from repro.engine.deltas import IncrementalExplainer
-from repro.nested.values import Bag, Tup
+from repro.nested.values import Tup
 from repro.scenarios import get_scenario
 from repro.whynot.explain import explain
 from repro.whynot.question import IllPosedQuestion, WhyNotQuestion
@@ -26,10 +31,25 @@ def _labels(result):
     return [frozenset(e.labels) for e in result.explanations]
 
 
-def _scratch(query, db, nip):
+def _scratch(query, db, nip, alternatives=()):
     return explain(
-        WhyNotQuestion(query, db, nip), backend="serial", optimize=False
+        WhyNotQuestion(query, db, nip), alternatives=alternatives, backend="serial"
     )
+
+
+def _same_as_scratch(service, request, db):
+    """Assert the service answers *request* on *db* like a fresh explain:
+    the same label sets, or the same exception type.  Returns the service's
+    result (None when both raised)."""
+    try:
+        expected = _scratch(request.query, db, request.nip, request.alternatives)
+    except Exception as exc:  # noqa: BLE001 - compare outcome types
+        with pytest.raises(type(exc)):
+            service.explain(request)
+        return None
+    got = service.explain(request).result
+    assert _labels(got) == _labels(expected)
+    return got
 
 
 class TestScenarioEquivalence:
@@ -37,33 +57,22 @@ class TestScenarioEquivalence:
     def test_mutation_chain_matches_scratch(self, name):
         scenario = get_scenario(name)
         db = scenario.make_db(scenario.default_scale // 3 or 1)
-        question = WhyNotQuestion(
-            scenario.make_query(), db, scenario.make_nip(), name=name
+        query = scenario.make_query()
+        service = ExplanationService(databases={"db": db})
+        request = ExplainRequest(
+            query=query,
+            nip=scenario.make_nip(),
+            database="db",
+            alternatives=scenario.alternatives,
+            name=name,
         )
-        explainer = IncrementalExplainer(question)
-        baseline = explain(
-            WhyNotQuestion(question.query, db, question.nip, name=name),
-            optimize=False,
-        )
-        assert _labels(explainer.last_result) == _labels(baseline)
-        table = sorted(explainer.evaluator.reads)[0]
-        version = db
+        assert _same_as_scratch(service, request, db) is not None
+        table = sorted(read_tables(query))[0]
         for _ in range(2):
+            version = service.database("db")
             row = next(iter(version.relation(table).distinct()))
-            version = version.apply_mutations(deletes={table: [row]})
-            try:
-                expected = explain(
-                    WhyNotQuestion(question.query, version, question.nip),
-                    optimize=False,
-                )
-            except IllPosedQuestion:
-                with pytest.raises(IllPosedQuestion):
-                    explainer.apply(version)
-                continue
-            got = explainer.apply(version)
-            assert _labels(got) == _labels(expected)
-            assert explainer.last_stats["mode"] == "delta"
-            assert explainer.last_stats["ops_reused"] >= 0
+            version = service.mutate_database("db", deletes={table: [row]})
+            _same_as_scratch(service, request, version)
 
 
 class TestEdgeCases:
@@ -78,37 +87,37 @@ class TestEdgeCases:
 
     def test_delete_of_the_row_feeding_the_only_explanation(self):
         db, query, nip = self._filter_case()
-        explainer = IncrementalExplainer(WhyNotQuestion(query, db, nip))
+        service = ExplanationService(databases={"db": db})
+        request = ExplainRequest(query=query, nip=nip, database="db")
         # Base: the selection is the only picky operator.
-        assert _labels(explainer.last_result), "expected a non-empty explanation"
+        base = _same_as_scratch(service, request, db)
+        assert base is not None and _labels(base), "expected a non-empty explanation"
         # Deleting (a=1, b="x") removes the only row the explanation traces
-        # back to; whatever from-scratch does now, incremental must match.
-        v1 = db.apply_mutations(deletes={"T": [Tup(a=1, b="x")]})
-        try:
-            expected = _scratch(query, v1, nip)
-        except Exception as exc:  # noqa: BLE001 - compare outcome types
-            with pytest.raises(type(exc)):
-                explainer.apply(v1)
-        else:
-            assert _labels(explainer.apply(v1)) == _labels(expected)
+        # back to; whatever from-scratch does now, the service must match.
+        v1 = service.mutate_database("db", deletes={"T": [Tup(a=1, b="x")]})
+        _same_as_scratch(service, request, v1)
 
     def test_insert_flips_question_to_answered_and_back(self):
         db = Database({"T": [Tup(a=1, b="x")]})
         query = Query(Projection(TableAccess("T"), ["b"]))
         nip = Tup(b="y")
-        explainer = IncrementalExplainer(WhyNotQuestion(query, db, nip))
+        service = ExplanationService(databases={"db": db})
+        request = ExplainRequest(query=query, nip=nip, database="db")
+        assert _same_as_scratch(service, request, db) is not None
         # v1 inserts a row whose projection IS the missing tuple: the
-        # question is now answered, so both paths must refuse it.
-        v1 = db.apply_mutations(inserts={"T": [Tup(a=2, b="y")]})
+        # question is now answered, so both paths must refuse it...
+        v1 = service.mutate_database("db", inserts={"T": [Tup(a=2, b="y")]})
         with pytest.raises(IllPosedQuestion):
             _scratch(query, v1, nip)
         with pytest.raises(IllPosedQuestion):
-            explainer.apply(v1)
-        # v2 removes it again: the question is well-posed once more and the
-        # explainer must recover (its trace of T is stale from v1).
-        v2 = v1.apply_mutations(deletes={"T": [Tup(a=2, b="y")]})
-        expected = _scratch(query, v2, nip)
-        assert _labels(explainer.apply(v2)) == _labels(expected)
+            service.explain(request)
+        # ...and the service names the witness when asked to.
+        satisfied = service.explain(replace(request, satisfied_ok=True))
+        assert isinstance(satisfied, SatisfiedResponse)
+        assert satisfied.witnesses == [Tup(b="y")]
+        # v2 removes it again: the question is well-posed once more.
+        v2 = service.mutate_database("db", deletes={"T": [Tup(a=2, b="y")]})
+        assert _same_as_scratch(service, request, v2) is not None
 
     def test_canonical_form_mutations_hit_the_same_rows(self):
         db = Database({"T": [Tup(a=2.0, b="x"), Tup(a=0.0, b="y"),
@@ -117,36 +126,46 @@ class TestEdgeCases:
             Selection(TableAccess("T"), Cmp(">=", Attr("a"), Const(5)))
         )
         nip = Tup(a=2.0, b="x")
-        explainer = IncrementalExplainer(WhyNotQuestion(query, db, nip))
-        # Delete the row through its canonical variants: int 2 for the
-        # stored 2.0 and -0.0 for 0.0.  The incremental path must see the
-        # same post-state from-scratch explanation (or the same refusal).
-        v1 = db.apply_mutations(
-            deletes={"T": [Tup(a=2, b="x"), Tup(a=-0.0, b="y")]}
+        service = ExplanationService(databases={"db": db})
+        request = ExplainRequest(query=query, nip=nip, database="db")
+        _same_as_scratch(service, request, db)
+        # Delete the rows through their canonical variants: int 2 for the
+        # stored 2.0 and -0.0 for 0.0.  The service must answer for the same
+        # post-state as from-scratch (or refuse it the same way).
+        v1 = service.mutate_database(
+            "db", deletes={"T": [Tup(a=2, b="x"), Tup(a=-0.0, b="y")]}
         )
         assert len(v1.relation("T")) == 1
-        try:
-            expected = _scratch(query, v1, nip)
-        except Exception as exc:  # noqa: BLE001 - compare outcome types
-            with pytest.raises(type(exc)):
-                explainer.apply(v1)
-        else:
-            assert _labels(explainer.apply(v1)) == _labels(expected)
+        _same_as_scratch(service, request, v1)
 
     def test_untouched_operators_are_reused(self):
         scenario = get_scenario("Q1")
         db = scenario.make_db(20)
-        question = WhyNotQuestion(
-            scenario.make_query(), db, scenario.make_nip(), name="Q1"
+        query = scenario.make_query()
+        service = ExplanationService(databases={"db": db})
+        request = ExplainRequest(
+            query=query,
+            nip=scenario.make_nip(),
+            database="db",
+            alternatives=scenario.alternatives,
+            name="Q1",
         )
-        explainer = IncrementalExplainer(question)
-        table = sorted(explainer.evaluator.reads)[0]
-        row = next(iter(db.relation(table).distinct()))
-        version = db.apply_mutations(deletes={table: [row]})
-        try:
-            explainer.apply(version)
-        except IllPosedQuestion:
-            pytest.skip("mutation flipped the question; reuse not observable")
-        stats = explainer.last_stats
-        assert stats["mode"] == "delta"
-        assert stats["ops_retraced"] >= 1
+        assert not service.explain(request).cached
+        # A write to a relation Q1 does not read keeps its result warm...
+        unread = next(t for t in db.tables() if t not in read_tables(query))
+        row = next(iter(db.relation(unread).distinct()))
+        version = service.mutate_database("db", deletes={unread: [row]})
+        assert service.explain(request).cached
+        # ...and its explain state: the summarize twin copies the stored result.
+        reuses = service.state_stats()["reuses"]
+        twin = service.explain(replace(request, options=ExplainOptions(summarize=True)))
+        assert not twin.cached
+        assert service.state_stats()["reuses"] == reuses + 1
+        expected = _scratch(query, version, request.nip, scenario.alternatives)
+        assert _labels(twin.result) == _labels(expected)
+        # A write to the relation it reads evicts both.
+        read = sorted(read_tables(query))[0]
+        row = next(iter(version.relation(read).distinct()))
+        version = service.mutate_database("db", deletes={read: [row]})
+        assert service.state_stats()["entries"] == 0
+        assert not service.explain(request).cached
