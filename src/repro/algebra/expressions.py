@@ -25,7 +25,7 @@ always agree with it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Optional
 
 from repro.nested.paths import Path, compile_path, parse_path, path_str
 from repro.nested.values import NAN, NULL, Bag, Tup, is_null
@@ -313,16 +313,23 @@ class Cmp(Expr):
         return run
 
     def emit_kernel(self, kb) -> str:
-        lhs = kb.capture(self.left.emit_kernel(kb))
-        rhs = kb.capture(self.right.emit_kernel(kb))
+        lhs, lhs_null = _kernel_operand(kb, self.left)
+        rhs, rhs_null = _kernel_operand(kb, self.right)
+        if lhs_null or rhs_null:
+            return "False"
         out = kb.tmp()
-        kb.emit(f"if {kb.null_test(lhs)} or {kb.null_test(rhs)}:")
+        tests = _null_tests(kb, (lhs, lhs_null), (rhs, rhs_null))
+        if tests:
+            kb.emit(f"if {tests}:")
+            kb.emit(f"    {out} = False")
+            kb.emit("else:")
+            kb.indent += 1
+        kb.emit("try:")
+        kb.emit(f"    {out} = {lhs} {_CMP_SOURCE[self.op]} {rhs}")
+        kb.emit("except TypeError:")
         kb.emit(f"    {out} = False")
-        kb.emit("else:")
-        kb.emit("    try:")
-        kb.emit(f"        {out} = {lhs} {_CMP_SOURCE[self.op]} {rhs}")
-        kb.emit("    except TypeError:")
-        kb.emit(f"        {out} = False")
+        if tests:
+            kb.indent -= 1
         return out
 
     def children(self) -> tuple[Expr, ...]:
@@ -619,13 +626,20 @@ class Contains(Expr):
         return run
 
     def emit_kernel(self, kb) -> str:
-        hay = kb.capture(self.haystack.emit_kernel(kb))
-        needle = kb.capture(self.needle.emit_kernel(kb))
+        hay, hay_null = _kernel_operand(kb, self.haystack)
+        needle, needle_null = _kernel_operand(kb, self.needle)
+        if hay_null or needle_null:
+            return "False"
         out = kb.tmp()
-        kb.emit(f"if {kb.null_test(hay)} or {kb.null_test(needle)}:")
-        kb.emit(f"    {out} = False")
-        kb.emit(f"elif isinstance({hay}, str):")
-        kb.emit(f"    {out} = str({needle}) in {hay}")
+        text = needle
+        if not (isinstance(self.needle, Const) and type(self.needle.value) is str):
+            text = f"str({needle})"
+        tests = _null_tests(kb, (hay, hay_null), (needle, needle_null))
+        if tests:
+            kb.emit(f"if {tests}:")
+            kb.emit(f"    {out} = False")
+        kb.emit(f"{'el' if tests else ''}if isinstance({hay}, str):")
+        kb.emit(f"    {out} = {text} in {hay}")
         kb.emit(f"elif isinstance({hay}, _Bag):")
         kb.emit(f"    {out} = {needle} in {hay}")
         kb.emit("else:")
@@ -685,6 +699,20 @@ class IsNull(Expr):
 
     def __repr__(self) -> str:
         return f"isnull({self.term!r})"
+
+
+def _kernel_operand(kb, expr: Expr) -> "tuple[str, Optional[bool]]":
+    """A comparison operand's kernel source and whether it is ⊥, settled at
+    codegen for a constant (inlined as it is) and None otherwise (captured
+    into a variable and tested per row)."""
+    if isinstance(expr, Const):
+        return expr.emit_kernel(kb), is_null(expr.value)
+    return kb.capture(expr.emit_kernel(kb)), None
+
+
+def _null_tests(kb, *operands: "tuple[str, Optional[bool]]") -> str:
+    """The per-row ⊥ tests of the operands not settled at codegen."""
+    return " or ".join(kb.null_test(var) for var, null in operands if null is None)
 
 
 def col(path: "str | Path") -> Attr:

@@ -38,6 +38,7 @@ instead of recomputing them per partition.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.algebra.aggregates import AggSpec, apply_aggregate
@@ -1547,21 +1548,22 @@ class Query:
     def infer_schemas(self, db) -> dict[int, TupleType]:
         """Row schema (TupleType) of every operator's output.
 
-        Cached for the most recent database (single entry, so a long-lived
-        query doesn't pin every database it was ever evaluated against):
+        Cached for the most recent database through a weak reference (a
+        single entry that pins no database, so a long-lived query — say, in
+        a cached explain result — never keeps a superseded version alive):
         schema inference is pure in the query parameters (immutable once
         built) and the database's table schemas, whose staleness the
         database's ``version`` counter tracks.
         """
         version = getattr(db, "version", None)
         entry = getattr(self, "_schema_cache", None)
-        if entry is not None and entry[0] is db and entry[1] == version:
+        if entry is not None and entry[0]() is db and entry[1] == version:
             return entry[2]
         schemas: dict[int, TupleType] = {}
         for op in self.ops:
             child_schemas = [schemas[c.op_id] for c in op.children]
             schemas[op.op_id] = op.output_schema(child_schemas, db)
-        self._schema_cache = (db, version, schemas)
+        self._schema_cache = (weakref.ref(db), version, schemas)
         return schemas
 
     def evaluate(self, db) -> Bag:
@@ -1648,7 +1650,7 @@ class Query:
         return "\n".join(lines)
 
     def __getstate__(self) -> dict:
-        """Pickle without the schema/plan caches (they pin database references)."""
+        """Pickle without the schema/plan caches (weak database references)."""
         return {
             k: v
             for k, v in self.__dict__.items()

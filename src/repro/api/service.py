@@ -411,7 +411,8 @@ class _ExplainState:
     SA signature and bounds, replaced as one object when a question with
     other SA queries traces in full; ``results`` the unsummarized result of
     each NIP (by canonical NIP document).  ``db_name``/``reads`` let a
-    mutation evict the state like the result entries of the same query.
+    mutation evict the state like the result entries of the same query, or
+    rebind it to the new version when it reads no mutated relation.
     """
 
     __slots__ = ("answer", "relaxed", "results", "db_name", "reads")
@@ -428,6 +429,12 @@ class _ExplainState:
         self.results: "OrderedDict[str, WhyNotResult]" = OrderedDict()
         self.db_name = db_name
         self.reads = reads
+
+    def rebind(self, db: Database) -> None:
+        """Refer to *db*, a later version that changed none of ``reads``."""
+        self.relaxed.trace.rebind(db)
+        for nip_doc, result in self.results.items():
+            self.results[nip_doc] = _rebound(result, db)
 
 
 class ExplanationService:
@@ -515,7 +522,9 @@ class ExplanationService:
         registry entry **without** bumping the registration token, so cache
         keys stay comparable across versions.  Cached entries whose read set
         intersects the mutated relations are purged via the dependency map;
-        every other entry (same or other databases) stays warm.
+        every other entry (same or other databases) stays warm, and the
+        surviving entries and explain states of this database are rebound
+        to the new version, so none keeps the old one alive.
 
         Raises :class:`UnknownDatabase` for an unknown name and the
         underlying ``KeyError``/``ValueError`` for invalid mutations.
@@ -539,12 +548,16 @@ class ExplanationService:
             for key in stale:
                 self._cache.pop(key, None)
                 self._cache_deps.pop(key, None)
-            for key in [
-                key
-                for key, state in self._states.items()
-                if state.db_name == name and state.reads & mutated
-            ]:
-                del self._states[key]
+            for key, (dep_name, _) in self._cache_deps.items():
+                if dep_name == name:
+                    self._cache[key] = _rebound(self._cache[key], new_db)
+            for key, state in list(self._states.items()):
+                if state.db_name != name:
+                    continue
+                if state.reads & mutated:
+                    del self._states[key]
+                else:
+                    state.rebind(new_db)
         return new_db
 
     def database_info(self, name: str) -> dict:
@@ -883,6 +896,15 @@ class ExplanationService:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+
+
+def _rebound(result: WhyNotResult, db: Database) -> WhyNotResult:
+    """*result* as an answer over *db*, a later version that changed none
+    of the relations its query reads (so ``Q(D)`` and the explanations are
+    unchanged), holding no reference to the version it was computed over."""
+    if result.trace is not None:
+        result.trace.rebind(db)
+    return replace(result, question=replace(result.question, db=db))
 
 
 def _canonical(document: Any) -> str:

@@ -152,6 +152,15 @@ class WorkerState:
         self._ctx: Optional[EvalContext] = None
         self._sa_ctxs: dict[int, EvalContext] = {}
 
+    def rebind(self, db) -> None:
+        """Evaluate against *db* from now on and drop the contexts built
+        over the previous database.  *db* must hold the same relations
+        wherever the plans read (a later version that changed none of
+        them), so every task still returns what it did."""
+        self.db = db
+        self._ctx = None
+        self._sa_ctxs = {}
+
     def ctx(self) -> EvalContext:
         """Lazily built evaluation context for the main query."""
         if self._ctx is None:
@@ -256,7 +265,7 @@ def _task_trace_run(
     traced operator by operator: no present row, rows of more than one
     layout, an unsupported operator or NIP, a bailout, or any error.
     """
-    from repro.whynot.matching import compile_pattern, pattern_shape
+    from repro.whynot.matching import nip_shape
 
     present = [v for v in parent_vals if v is not None]
     if not present:
@@ -264,8 +273,8 @@ def _task_trace_run(
     layout = present[0]._layout
     if any(v._layout is not layout for v in present):
         return None
-    parts = [pattern_shape(nip) for nip in nips]
-    if None in parts:
+    parts = [nip_shape(nip) for nip in nips]
+    if any(shape != "?" and shape[0] != "tup" for shape, _ in parts):
         return None
     try:
         ops = [state.sa_op(sa, op_id) for op_id in op_ids]
@@ -274,8 +283,7 @@ def _task_trace_run(
         )
         if kernel is None:
             return None
-        matchers = [compile_pattern(sub) for _, subs in parts for sub in subs]
-        column, flags, hits = kernel.fn(present, matchers)
+        column, flags, hits = kernel.fn(present, [a for _, args in parts for a in args])
     except Exception:
         # Any failure, bailout or genuine error: the per-operator path
         # reruns the run and raises errors in the row path's order and text.

@@ -24,10 +24,12 @@ Contract (see ``docs/KERNELS.md`` for the full walkthrough):
   row path's exact error messages.
 * **Caching.**  Kernels are cached globally, keyed by the tuple of
   per-operator :meth:`~repro.algebra.operators.Operator.kernel_key` values
-  plus the input layout's name tuple — a *semantic* key, so structurally
-  fresh but equivalent ``Query`` objects (every benchmark round builds new
-  ones) hit the cache.  Failed builds are cached as ``None`` (negative
-  entries) so unsupported chains don't retry codegen per task.
+  plus the input layout's name tuple and the nested layouts of the chain's
+  inferred input type (which inline nested path reads bind) — a *semantic*
+  key, so structurally fresh but equivalent ``Query`` objects (every
+  benchmark round builds new ones) hit the cache.  Failed builds are cached
+  as ``None`` (negative entries) so unsupported chains don't retry codegen
+  per task.
 * **Stats parity.**  A kernel returns per-operator row counters so the
   executor reports the same ``rows_in``/``rows_out``/``tasks`` metrics as
   the row path; only cardinality-changing operators
@@ -36,8 +38,10 @@ Contract (see ``docs/KERNELS.md`` for the full walkthrough):
 * **Relaxed trace kernels.**  :func:`trace_kernel` builds the tracer's
   variant (:mod:`repro.whynot.tracing`): one kernel per SA group per narrow
   run, where selections record retained row indices instead of filtering,
-  each operator's strict/relaxed NIP checks run against its column
-  variables, and only the run's last row is materialized.
+  each operator's strict/relaxed NIP checks run inline against its column
+  variables (the generated Definition-4 tests of
+  :mod:`repro.whynot.matching`), and only the run's last row is
+  materialized.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.algebra.expressions import KernelUnsupported
 from repro.nested.paths import Path, parse_path
+from repro.nested.types import TupleType
 from repro.nested.values import NAN, NULL, Bag, Layout, Tup, is_null
 
 
@@ -96,6 +101,14 @@ def _rest_getter(rest: Path) -> Callable[[Any], Any]:
 _REST_GETTERS: "dict[Path, Callable[[Any], Any]]" = {}
 
 
+def _rest_getter_for(rest: Path) -> Callable[[Any], Any]:
+    """The interned :func:`_rest_getter` for *rest*."""
+    getter = _REST_GETTERS.get(rest)
+    if getter is None:
+        getter = _REST_GETTERS[rest] = _rest_getter(rest)
+    return getter
+
+
 class KernelBuilder:
     """Accumulates the body of one chain kernel during codegen.
 
@@ -111,6 +124,10 @@ class KernelBuilder:
         #: Relaxed (tracing) semantics: selections record retained row
         #: indices in ``_f{n}`` lists via :meth:`retain` instead of filtering.
         self.relaxed = relaxed
+        #: The inferred type of the logical row (the emitting operator's
+        #: input schema), which tells :meth:`path_value` the nested layouts
+        #: to read inline; None reads every nested step through a getter.
+        self.row_type: Optional[TupleType] = None
         self.flags: list[str] = []
         self.lines: list[str] = []
         self.indent = 2  # function body is one level, loop body two
@@ -208,18 +225,29 @@ class KernelBuilder:
     def path_value(self, path: "str | Path") -> str:
         """An expression string for the value at *path* in the current row.
 
-        The head step must be a live column; later steps navigate the value
-        through an interned rest-getter with ``get_chain`` semantics.
+        The head step must be a live column.  Each later step that
+        :attr:`row_type` says enters a nested tuple is read inline —
+        ``v._values[i]`` when ``v`` is a :class:`Tup` of the inferred layout
+        — and otherwise through an interned rest-getter with ``get_chain``
+        semantics (⊥, other layouts, bags, primitives and their errors), as
+        are the steps the type does not describe.
         """
         steps = parse_path(path)
-        first = self.col(steps[0])
-        if len(steps) == 1:
-            return first
-        rest = steps[1:]
-        getter = _REST_GETTERS.get(rest)
-        if getter is None:
-            getter = _REST_GETTERS[rest] = _rest_getter(rest)
-        return f"{self.bind(getter)}({first})"
+        value = self.col(steps[0])
+        typ: Any = self.row_type
+        typ = typ.field(steps[0]) if typ is not None and typ.has_field(steps[0]) else None
+        for k, step in enumerate(steps[1:], start=1):
+            if not isinstance(typ, TupleType) or not typ.has_field(step):
+                return f"{self.bind(_rest_getter_for(steps[k:]))}({value})"
+            layout = Layout.of(typ.names)
+            out = self.tmp()
+            self.emit(
+                f"{out} = {value}._values[{layout.index[step]}]"
+                f" if {value}.__class__ is _Tup and {value}._layout is {self.bind(layout)}"
+                f" else {self.bind(_rest_getter_for(steps[k:k + 1]))}({value})"
+            )
+            value, typ = out, typ.field(step)
+        return value
 
 
 class CompiledKernel:
@@ -276,6 +304,7 @@ def build_kernel(ops: "Sequence[Any]", layout: Layout, ctx) -> CompiledKernel:
     changer_idxs = [i for i, op in enumerate(ops) if op.kernel_changes_cardinality]
     counters: list[str] = []
     for i, op in enumerate(ops):
+        kb.row_type = ctx.schema_of(op.children[0])
         op.emit_kernel(kb, ctx)
         if op.kernel_changes_cardinality and i != changer_idxs[-1]:
             var = f"_k{len(counters)}"
@@ -364,27 +393,6 @@ def kernel_source(ops: "Sequence[Any]", layout: Layout, ctx) -> str:
     return build_kernel(ops, layout, ctx).source
 
 
-def _match_condition(kb: KernelBuilder, shape: tuple, first: int) -> Optional[str]:
-    """The per-row test of one NIP shape against the current logical row.
-
-    ``("any",)`` matches every row; ``("tup", names, constrained)`` matches
-    when the row's attribute set is *names* — settled here, at codegen time,
-    since the logical row's names are fixed — and every constrained
-    attribute passes its sub-matcher argument ``_m{first + j}``.  None: no
-    row can match.
-    """
-    if shape[0] == "any":
-        return "True"
-    _, names, constrained = shape
-    if frozenset(kb._cols) != names:
-        return None
-    if not constrained:
-        return "True"
-    return " and ".join(
-        f"_m{first + j}({kb.col(name)})" for j, name in enumerate(constrained)
-    )
-
-
 def build_trace_kernel(
     ops: "Sequence[Any]",
     layout: Layout,
@@ -395,23 +403,27 @@ def build_trace_kernel(
     """Generate and compile a relaxed trace kernel for one narrow run.
 
     *ops* are one SA group's operators (value-changing narrow operators and
-    selections, all 1:1), *shapes* the codegen shapes of the run's distinct
-    NIPs (see :func:`repro.whynot.matching.pattern_shape`) and ``checks[j]``
-    the ``(strict, relaxed)`` shape indices tested after ``ops[j]`` (relaxed
-    None: equal to strict).  The kernel is called as ``fn(rows, matchers)``
+    selections, all 1:1), *shapes* the shapes of the run's distinct NIPs
+    (``"?"`` or tuple shapes, see :func:`repro.whynot.matching.nip_shape`)
+    and ``checks[j]`` the ``(strict, relaxed)`` shape indices tested after
+    ``ops[j]`` (relaxed None: equal to strict).  The kernel is called as
+    ``fn(rows, args)`` with the NIPs' arguments concatenated in shape order
     and returns ``(last_rows, flags, hits)``: the run's output rows, one
     retained-index list per selection and, per operator, one hit-index list
     per check — the strict hits, or the relaxed ones when no row matched
-    strictly.  Checks repeated over an unchanged row (a selection
-    re-testing its child's NIP) share one scan.
+    strictly.  Each check is the generated Definition-4 test of
+    :func:`repro.whynot.matching.fields_test` over the column variables;
+    checks repeated over an unchanged row (a selection re-testing its
+    child's NIP) share one scan.
     """
+    from repro.whynot.matching import arg_names, fields_test, shape_arity
+
     kb = KernelBuilder(layout, relaxed=True)
     firsts: list[int] = []
-    n_matchers = 0
+    n_args = 0
     for shape in shapes:
-        firsts.append(n_matchers)
-        if shape[0] == "tup":
-            n_matchers += len(shape[2])
+        firsts.append(n_args)
+        n_args += shape_arity(shape)
     hit_lists: list[str] = []
     hits: list[list[str]] = []
     seen: "dict[tuple, str]" = {}
@@ -420,7 +432,11 @@ def build_trace_kernel(
         hit_lists.append(f"_h{len(hit_lists)}")
         return hit_lists[-1]
 
+    def condition(j: int) -> Optional[str]:
+        return fields_test(shapes[j], kb._cols, arg_names("_a", firsts[j], shapes[j]), kb)
+
     for op, op_checks in zip(ops, checks):
+        kb.row_type = ctx.schema_of(op.children[0])
         op.emit_kernel(kb, ctx)
         if kb.indent != 2:
             raise KernelUnsupported(f"{type(op).__name__} expands rows")
@@ -429,14 +445,14 @@ def build_trace_kernel(
         for strict, relaxed in op_checks:
             found = seen.get((row, strict, relaxed))
             if found is None:
-                s_cond = _match_condition(kb, shapes[strict], firsts[strict])
+                s_cond = condition(strict)
                 found = strict_hits = hit_list()
                 if s_cond is not None:
                     kb.emit(f"if {s_cond}:")
                     kb.emit(f"    {strict_hits}.append(_k)")
                 if relaxed is not None:
                     relaxed_hits = hit_list()
-                    r_cond = _match_condition(kb, shapes[relaxed], firsts[relaxed])
+                    r_cond = condition(relaxed)
                     if r_cond is not None:
                         guard = "" if s_cond is None else f"not {strict_hits} and "
                         kb.emit(f"if {guard}{r_cond}:")
@@ -445,14 +461,12 @@ def build_trace_kernel(
                 seen[(row, strict, relaxed)] = found
             hits[-1].append(found)
     prelude = []
-    if n_matchers:
-        prelude.append(
-            "    " + ", ".join(f"_m{j}" for j in range(n_matchers)) + ", = _m"
-        )
+    if n_args:
+        prelude.append("    " + ", ".join(f"_a{j}" for j in range(n_args)) + ", = _a")
     prelude += [f"    {var} = []" for var in kb.flags + hit_lists]
     per_op_hits = _tuple_source([_tuple_source(h) for h in hits])
     returns = f"_out, {_tuple_source(kb.flags)}, {per_op_hits}"
-    fn, source = _compile_kernel(kb, layout, "rows, _m", prelude, returns, indexed=True)
+    fn, source = _compile_kernel(kb, layout, "rows, _a", prelude, returns, indexed=True)
     return CompiledKernel(fn, source, (), -1)
 
 
@@ -504,6 +518,28 @@ def _cached_kernel(
     return kernel, time.perf_counter() - started
 
 
+def _nested_layouts(row_type: TupleType) -> tuple:
+    """The nested tuple layouts of a row of *row_type*, by field, at every
+    depth: all that :meth:`KernelBuilder.path_value` may bind along a chain
+    whose input rows have this type."""
+    return tuple(
+        (name, typ.names, _nested_layouts(typ))
+        for name, typ in row_type.fields
+        if isinstance(typ, TupleType)
+    )
+
+
+def _chain_key(ops: "Sequence[Any]", layout: Layout, ctx) -> tuple:
+    """The semantic cache key of a chain over input *layout*: the operators'
+    ``kernel_key`` values, the layout's names and the nested layouts its
+    inferred type holds."""
+    return (
+        tuple(op.kernel_key(ctx) for op in ops),
+        layout.names,
+        _nested_layouts(ctx.schema_of(ops[0].children[0])),
+    )
+
+
 def chain_kernel(
     ops: "Sequence[Any]", layout: Layout, ctx, info: dict
 ) -> Optional[CompiledKernel]:
@@ -516,7 +552,7 @@ def chain_kernel(
     unhashable (e.g. a constant holding an unhashable value).
     """
     kernel, codegen_seconds = _cached_kernel(
-        lambda: (tuple(op.kernel_key(ctx) for op in ops), layout.names),
+        lambda: _chain_key(ops, layout, ctx),
         lambda: build_kernel(ops, layout, ctx),
     )
     if codegen_seconds is None:
@@ -536,18 +572,18 @@ def trace_kernel(
 ) -> Optional[CompiledKernel]:
     """The cached relaxed trace kernel for one narrow run, or ``None``.
 
-    Keyed like :func:`chain_kernel` — the operators' ``kernel_key`` values
-    and the input layout — plus the NIP shapes and checks, never the NIP
-    constants (those reach the kernel as matcher arguments), so a fresh
-    question over the same query compiles nothing.  ``None`` means "trace
-    this run operator by operator".
+    Keyed like :func:`chain_kernel` — the operators' ``kernel_key`` values,
+    the input layout and its nested layouts — plus the NIP shapes (with the
+    layouts of their tuple patterns) and checks, never the NIP constants
+    (those reach the kernel as arguments), so a fresh question over the same
+    query compiles nothing.  ``None`` means "trace this run operator by
+    operator".
     """
 
     def key() -> tuple:
         return (
             "trace",
-            tuple(op.kernel_key(ctx) for op in ops),
-            layout.names,
+            _chain_key(ops, layout, ctx),
             tuple(shapes),
             tuple(tuple(c) for c in checks),
         )

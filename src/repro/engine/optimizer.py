@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from typing import Any, Callable, Optional
 
 from repro.algebra.expressions import And, Attr, Expr
@@ -196,13 +197,14 @@ def optimize_query(query: Query, db) -> OptimizationReport:
     *db* supplies table cardinalities (join reordering) and table schemas
     (column liveness); the input query is never mutated.  The resulting
     report is cached on the query instance keyed by database identity and
-    version (the same single-entry scheme as ``Query.infer_schemas``), so
-    re-executing the same query — the benchmark harness and ``explain`` both
-    do — pays the fixpoint rewrite once, not per run.
+    version (the same single-entry, weakly referenced scheme as
+    ``Query.infer_schemas``), so re-executing the same query — the
+    benchmark harness and ``explain`` both do — pays the fixpoint rewrite
+    once, not per run.
     """
     version = getattr(db, "version", None)
     entry = getattr(query, "_optimize_cache", None)
-    if entry is not None and entry[0] is db and entry[1] == version:
+    if entry is not None and entry[0]() is db and entry[1] == version:
         return entry[2]
     started = time.perf_counter()
     fires = {name: 0 for name in RULE_NAMES}
@@ -220,7 +222,7 @@ def optimize_query(query: Query, db) -> OptimizationReport:
     optimized = Query(root, name=query.name)
     report = OptimizationReport(query, optimized, fires)
     report.rewrite_seconds = time.perf_counter() - started
-    query._optimize_cache = (db, version, report)
+    query._optimize_cache = (weakref.ref(db), version, report)
     return report
 
 

@@ -83,6 +83,7 @@ class SweepResult:
     explain_configs_run: int = 0
     tracer_checks: int = 0  #: traces compared against the reference tracer
     stateful_checks: int = 0  #: explain-state service answers vs direct explain
+    matcher_checks: int = 0  #: result rows the NIP matchers were compared on
     failures: list = field(default_factory=list)  #: (FuzzCase, OracleReport) pairs
 
     @property
@@ -100,7 +101,8 @@ class SweepResult:
             f"{self.configs_run} executor configs, "
             f"{self.explain_configs_run} explain configs, "
             f"{self.tracer_checks} reference-tracer checks, "
-            f"{self.stateful_checks} stateful-service checks — {status}"
+            f"{self.stateful_checks} stateful-service checks, "
+            f"{self.matcher_checks} matcher checks — {status}"
         )
 
 
@@ -122,6 +124,7 @@ def run_sweep(
         result.explain_configs_run += report.explain_configs_run
         result.tracer_checks += report.tracer_checks
         result.stateful_checks += report.stateful_checks
+        result.matcher_checks += report.matcher_checks
         if case.nip is not None:
             result.with_question += 1
         if report.reference_error is not None:

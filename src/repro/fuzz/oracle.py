@@ -17,9 +17,10 @@ and checks
    produce the identical ranked explanation label sets for every requested
    backend/optimizer combination;
 4. **matcher agreement** — the reference NIP matcher
-   (:func:`repro.whynot.matching.matches`) and the compiled matcher
-   (:func:`repro.whynot.matching.compile_pattern`) must agree on every
-   result row;
+   (:func:`repro.whynot.matching.matches`), the compiled matcher
+   (:func:`repro.whynot.matching.compile_pattern`) and the generated column
+   scan the tracer runs (:func:`repro.whynot.matching.matching_rows`) must
+   agree on every result row;
 5. **service agreement** — :meth:`repro.api.ExplanationService.explain`
    must return the same explanation payload as direct ``explain`` both with
    the result cache off and on, the cached re-request must be flagged as a
@@ -56,7 +57,7 @@ from repro.algebra.operators import Query
 from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.nested.values import Bag
-from repro.whynot.matching import compile_pattern, matches
+from repro.whynot.matching import compile_pattern, matches, matching_rows
 from repro.whynot.question import WhyNotQuestion
 
 #: Default grid (the acceptance grid of the fuzz subsystem).
@@ -98,6 +99,8 @@ class OracleReport:
     #: Service answers derived from an explain state, compared with direct
     #: ``explain`` (summarize twins and sibling questions).
     stateful_checks: int = 0
+    #: Result rows the NIP matchers were compared on.
+    matcher_checks: int = 0
     #: Exception repr when the reference itself failed (case counted skipped).
     reference_error: Optional[str] = None
 
@@ -490,11 +493,13 @@ def _check_grammar(
 
 
 def _check_matcher(report: OracleReport, result: Bag, nip: Any) -> None:
-    """Reference vs compiled NIP matcher agreement over the result rows."""
+    """Reference vs compiled vs generated-scan NIP matcher agreement over
+    (up to 64 of) the result rows."""
     compiled = compile_pattern(nip)
-    for i, row in enumerate(result.distinct()):
-        if i >= 64:
-            break
+    rows = list(result.distinct())[:64]
+    report.matcher_checks += len(rows)
+    expected = []
+    for k, row in enumerate(rows):
         ref = matches(row, nip)
         got = compiled(row)
         if ref != got:
@@ -506,6 +511,17 @@ def _check_matcher(report: OracleReport, result: Bag, nip: Any) -> None:
                 )
             )
             return
+        if ref:
+            expected.append(k)
+    scanned = matching_rows(rows, nip)
+    if scanned != expected:
+        report.divergences.append(
+            Divergence(
+                "matcher",
+                "matching_rows",
+                f"generated scan hit rows {scanned}, matches hit {expected}",
+            )
+        )
 
 
 def _explanation_key(result) -> list:

@@ -229,8 +229,12 @@ class _SideEffectBounds:
     The bounds read the trace's values, validity, retained flags and
     parents and ``|Q(D)|``, never a consistency mask, so one instance serves
     every question annotated over the same relaxed evaluation.  Its folds
-    run on first use, and each is published by one assignment, so
-    concurrent readers at worst compute one twice.
+    and per-SA counts run on first use, and each is published by one
+    assignment, so concurrent readers at worst compute one twice.
+
+    Final tuples are compared by ``(layout, values)`` keys, which equal and
+    hash like the tuples themselves (layouts are interned) without hashing
+    each freshly built :class:`~repro.nested.values.Tup` in Python.
     """
 
     def __init__(self, question: WhyNotQuestion, trace: TraceResult):
@@ -241,11 +245,12 @@ class _SideEffectBounds:
         self._position = {op.op_id: p for p, op in enumerate(self.query.ops)}
         self._retained: "Optional[tuple[list[int], set]]" = None
         self._blocked: Optional[list[int]] = None
+        self._counts: "dict[int, tuple[list[int], int, int]]" = {}
 
     def _retained_folds(self) -> "tuple[list[int], set]":
         """Per final row, the bitmask of SAs under which the row's entire
-        ancestry carries no retained=False flag; and the tuples of the
-        original result derived with every flag retained under S1
+        ancestry carries no retained=False flag; and the keys of the tuples
+        of the original result derived with every flag retained under S1
         ("original tuples with only true valid/retained flags")."""
         if self._retained is None:
             fr_masks = _fold_ancestry(
@@ -257,12 +262,30 @@ class _SideEffectBounds:
             )
             column = self._final.column(0)
             fully_retained_s1 = {
-                column[k]
+                (column[k]._layout, column[k]._values)
                 for k, (valid, fr) in enumerate(zip(self._final.valid, fr_masks))
                 if valid & fr & 1
             }
             self._retained = (fr_masks, fully_retained_s1)
         return self._retained
+
+    def _sa_counts(self, i: int) -> "tuple[list[int], int, int]":
+        """SA *i*'s final rows, how many of them equal a fully retained S1
+        tuple, and how many are fully retained under *i* (``n_vr``)."""
+        counts = self._counts.get(i)
+        if counts is None:
+            bit = 1 << i
+            present = [k for k, valid in enumerate(self._final.valid) if valid & bit]
+            column = self._final.column(i)
+            fr_masks, fully_retained_s1 = self._retained_folds()
+            matched = sum(
+                1
+                for k in present
+                if (column[k]._layout, column[k]._values) in fully_retained_s1
+            )
+            n_vr = sum(1 for k in present if fr_masks[k] & bit)
+            counts = self._counts[i] = (present, matched, n_vr)
+        return counts
 
     def _blocked_ops(self) -> list[int]:
         """Per final row, the operators (bits by plan position) with an
@@ -279,12 +302,9 @@ class _SideEffectBounds:
         return self._blocked
 
     def compute(self, sr: frozenset[int], i: int) -> tuple[float, float]:
-        final = self._final
-        bit = 1 << i
-        present = [k for k, valid in enumerate(final.valid) if valid & bit]
-        column = final.column(i)
-        fr_masks, fully_retained_s1 = self._retained_folds()
-        matched = sum(1 for k in present if column[k] in fully_retained_s1)
+        """The ``(LB, UB)`` side-effect bounds of reparameterizing *sr*
+        under SA *i*."""
+        present, matched, n_vr = self._sa_counts(i)
         if i == 0:
             blocked = self._blocked_ops()
             sr_bits = 0
@@ -302,6 +322,5 @@ class _SideEffectBounds:
         if has_relaxable:
             lb = 0.0
         else:
-            n_vr = sum(1 for k in present if fr_masks[k] & bit)
             lb = float(max(n_vr - self.n_orig, 0) + max(self.n_orig - n_vr, 0))
         return lb, float(ub)

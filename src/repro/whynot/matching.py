@@ -23,14 +23,30 @@ closure: ``?`` fields are skipped entirely, tuple-attribute compatibility is
 checked per interned layout instead of per row, and bag patterns precompute
 their item lists.  ``matches`` delegates to the compiled form's semantics and
 stays the reference implementation; both must always agree.
+
+Generated tests
+---------------
+
+The tracer's hot loops go one step further and test NIPs in generated
+source.  :func:`nip_shape` splits a NIP into a *shape* — tuple layouts,
+constants and ``?`` — and the *arguments* its test reads: constants,
+:func:`compile_pattern` closures for predicates and bag patterns, and per
+tuple pattern a fallback closure for values of any other layout.
+:func:`value_test` and :func:`fields_test` turn a shape into a Python
+expression (a value of the pattern's layout is read by position; anything
+else goes to the fallback), :func:`compile_scan` compiles one column scan
+per shape, and the trace kernels (:func:`repro.engine.kernels.trace_kernel`)
+inline the same tests.  Constants reach the code as arguments, never as
+source, so NIPs that differ only in constants share every compiled scan and
+kernel.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
-from repro.nested.values import Bag, Tup
+from repro.nested.values import Bag, Layout, Tup
 from repro.whynot.placeholders import ANY, STAR, Predicate, _Any, _Star
 
 Matcher = Callable[[Any], bool]
@@ -107,26 +123,6 @@ def compile_pattern(pattern: Any) -> Matcher:
     return matcher
 
 
-def pattern_shape(pattern: Any) -> "Optional[tuple[tuple, tuple]]":
-    """Split a row-level NIP into a codegen shape and its sub-patterns.
-
-    Trace kernels (:func:`repro.engine.kernels.trace_kernel`) test NIPs
-    against column variables, so their source depends only on the shape:
-    ``("any",)`` for ``?``, or ``("tup", attribute set, constrained names)``
-    for a tuple pattern, whose constrained attributes' sub-patterns are
-    compiled with :func:`compile_pattern` and passed in as kernel arguments
-    (the same tests :func:`compile_pattern` runs on whole rows).  Returns
-    ``(shape, sub_patterns)``, or None for other top-level patterns.
-    """
-    if isinstance(pattern, _Any):
-        return ("any",), ()
-    if not isinstance(pattern, Tup):
-        return None
-    constrained = [(n, v) for n, v in pattern.items() if not isinstance(v, _Any)]
-    shape = ("tup", frozenset(pattern.attrs), tuple(n for n, _ in constrained))
-    return shape, tuple(v for _, v in constrained)
-
-
 def _compile_pattern(pattern: Any) -> Matcher:
     if isinstance(pattern, _Any):
         return lambda v: True
@@ -144,8 +140,12 @@ def _compile_pattern(pattern: Any) -> Matcher:
 
 
 def _compile_tuple_pattern(pattern: Tup) -> Matcher:
-    (_, expected, names), subs = pattern_shape(pattern)
-    constrained = tuple(zip(names, map(_compile_pattern, subs)))
+    expected = frozenset(pattern.attrs)
+    constrained = tuple(
+        (name, _compile_pattern(sub))
+        for name, sub in pattern.items()
+        if not isinstance(sub, _Any)
+    )
     # Attribute-set compatibility is a property of the instance *layout*;
     # layouts are interned, so remember the verdict per layout identity.
     layout_ok: dict[int, bool] = {}
@@ -316,6 +316,176 @@ def _max_flow_feasible(
             v = u
         flow += bottleneck
     return True
+
+
+def nip_shape(pattern: Any) -> "tuple[Any, tuple]":
+    """Split a NIP into its codegen shape and the arguments its test reads.
+
+    The shape is ``"?"``; ``"="`` for a constant (tested with ``==``, as
+    :func:`matches` does; the argument is the constant); ``"m"`` for a
+    predicate or bag pattern (the argument is its :func:`compile_pattern`
+    closure); or ``("tup", names, shapes)`` for a tuple pattern over *names*
+    in the pattern's order, whose arguments are its own closure — the
+    fallback for values of another layout — followed by its attributes'.
+    """
+    args: list = []
+    return _shape(pattern, args), tuple(args)
+
+
+def _shape(pattern: Any, args: list) -> Any:
+    if isinstance(pattern, _Any):
+        return "?"
+    if isinstance(pattern, Tup):
+        args.append(compile_pattern(pattern))
+        return ("tup", pattern.attrs, tuple(_shape(v, args) for v in pattern.values()))
+    if isinstance(pattern, (Predicate, Bag)):
+        args.append(compile_pattern(pattern))
+        return "m"
+    args.append(pattern)
+    return "="
+
+
+def shape_arity(shape: Any) -> int:
+    """The number of arguments a test of *shape* reads (see :func:`nip_shape`)."""
+    if shape == "?":
+        return 0
+    if shape[0] == "tup":
+        return 1 + sum(shape_arity(sub) for sub in shape[2])
+    return 1
+
+
+def value_test(shape: Any, value: str, args: Iterator[str], src: Any) -> str:
+    """Source of a boolean expression: the value of *value* ``≃`` the NIP.
+
+    *value* is an identifier or a ``var._values[i]`` read; *args* yields the
+    names holding the shape's arguments, in :func:`nip_shape` order; *src*
+    names temporaries (``tmp()``) and binds layouts into the generated
+    code's globals (``bind(obj)``), where ``_Tup`` must name
+    :class:`~repro.nested.values.Tup`.  A tuple of the pattern's layout is
+    read by position; any other value goes to the pattern's closure.
+    """
+    if shape == "?":
+        return "True"
+    if shape == "=":
+        return f"{value} == {next(args)}"
+    if shape == "m":
+        return f"{next(args)}({value})"
+    _, names, subs = shape
+    fallback = next(args)
+    var = value
+    if not value.isidentifier():
+        var = src.tmp()
+        value = f"({var} := {value})"
+    guard = (
+        f"{value}.__class__ is _Tup and {var}._layout is {src.bind(Layout.of(names))}"
+    )
+    tests = [
+        test
+        for i, sub in enumerate(subs)
+        if (test := value_test(sub, f"{var}._values[{i}]", args, src)) != "True"
+    ]
+    if not tests:
+        return f"({guard} or {fallback}({var}))"
+    return f"({' and '.join(tests)} if {guard} else {fallback}({var}))"
+
+
+def fields_test(
+    shape: Any, fields: "Mapping[str, str]", args: Iterator[str], src: Any
+) -> Optional[str]:
+    """Source of the test of a row held as variables (``fields`` maps its
+    attribute names to them) against a NIP of shape ``"?"`` or ``"tup"``.
+
+    The row's attribute set is known, so it is settled here: None when no
+    row can match.  Otherwise like :func:`value_test`.
+    """
+    if shape == "?":
+        return "True"
+    _, names, subs = shape
+    next(args)  # the fallback closure: this row's layout is settled here
+    if frozenset(fields) != frozenset(names):
+        return None
+    tests = [
+        test
+        for name, sub in zip(names, subs)
+        if (test := value_test(sub, fields[name], args, src)) != "True"
+    ]
+    return " and ".join(tests) or "True"
+
+
+def arg_names(prefix: str, first: int, shape: Any) -> Iterator[str]:
+    """The argument names of a test of *shape* whose arguments start at
+    ``{prefix}{first}``."""
+    return iter([f"{prefix}{first + k}" for k in range(shape_arity(shape))])
+
+
+class _ScanSource:
+    """Temporaries and globals of one generated column scan."""
+
+    def __init__(self) -> None:
+        self.globals: dict = {"_Tup": Tup}
+        self._tmp = 0
+
+    def tmp(self) -> str:
+        self._tmp += 1
+        return f"_t{self._tmp}_"
+
+    def bind(self, obj: Any) -> str:
+        name = f"_g{len(self.globals) - 1}"
+        self.globals[name] = obj
+        return name
+
+
+def build_scan(shape: Any) -> "tuple[Callable[[list, tuple], list], str]":
+    """Generate and compile the column scan for NIPs of *shape*.
+
+    The scan is called as ``scan(column, args)`` with the arguments of
+    :func:`nip_shape` and returns the indices of the present (not None)
+    values that match.  Returns ``(scan, source)``.
+    """
+    src = _ScanSource()
+    names = list(arg_names("_a", 0, shape))
+    test = value_test(shape, "_v", iter(names), src)
+    cond = "_v is not None" if test == "True" else f"_v is not None and {test}"
+    lines = ["def _scan(column, _a):"]
+    if names:
+        lines.append(f"    {', '.join(names)}, = _a")
+    lines += [
+        "    _hits = []",
+        "    _append = _hits.append",
+        "    for _k, _v in enumerate(column):",
+        f"        if {cond}:",
+        "            _append(_k)",
+        "    return _hits",
+    ]
+    source = "\n".join(lines) + "\n"
+    namespace = dict(src.globals)
+    exec(compile(source, "<repro-nip-scan>", "exec"), namespace)
+    return namespace["_scan"], source
+
+
+#: Compiled column scans by shape.  Shapes hold every layout a scan binds
+#: and no constant, so the cache is semantic; it is cleared once it holds
+#: ``_SCAN_CACHE_CAP`` scans (recompiling is cheap).
+_SCAN_CACHE: "dict[Any, Callable[[list, tuple], list]]" = {}
+_SCAN_CACHE_CAP = 1024
+
+
+def compile_scan(shape: Any) -> "Callable[[list, tuple], list]":
+    """The cached column scan for NIPs of *shape* (see :func:`build_scan`)."""
+    scan = _SCAN_CACHE.get(shape)
+    if scan is None:
+        if len(_SCAN_CACHE) >= _SCAN_CACHE_CAP:
+            _SCAN_CACHE.clear()
+        scan = _SCAN_CACHE[shape] = build_scan(shape)[0]
+    return scan
+
+
+def matching_rows(column: list, pattern: Any) -> "list[int]":
+    """Indices of the present (not None) values of *column* that match
+    *pattern*, by one generated scan (equal to testing each with
+    :func:`matches`)."""
+    shape, args = nip_shape(pattern)
+    return compile_scan(shape)(column, args)
 
 
 def any_match(relation: Bag, pattern: Any) -> bool:

@@ -124,7 +124,7 @@ from repro.engine.backends import (
 from repro.engine.database import Database
 from repro.nested.values import Bag, Tup
 from repro.whynot.alternatives import SchemaAlternative
-from repro.whynot.matching import compile_pattern
+from repro.whynot.matching import matching_rows
 
 
 class UnsupportedOperator(ValueError):
@@ -482,6 +482,14 @@ class TraceResult:
                 for g in range(len(snap.cols)):
                     snap.cols[g]
 
+    def rebind(self, db: Database) -> None:
+        """Point the lazy value columns at *db*, a later version of the
+        traced database that changed no relation the query reads: they
+        evaluate to the same columns, and the traced version can be freed."""
+        for snap in self.traces.values():
+            if isinstance(snap.cols, LazyColumns):
+                snap.cols._state.rebind(db)
+
     def total_rows(self) -> int:
         """Total number of traced rows across all operators."""
         return sum(snap.count for snap in self.traces.values())
@@ -664,15 +672,16 @@ class Tracer:
 
         Within an SA subgroup validity is uniform (column sharing) and a row
         is valid exactly where its value is present, so one scan serves the
-        whole subgroup.  Pass-through operators share their child's columns
-        and usually its NIP, so scans are memoised per column and pattern.
+        whole subgroup.  Each scan is one generated loop per NIP shape
+        (:func:`~repro.whynot.matching.matching_rows`).  Pass-through
+        operators share their child's columns and usually its NIP, so scans
+        are memoised per column and pattern.
         """
         scans = self._scans.setdefault(id(column), (column, []))[1]
         for seen, hits in scans:
             if seen == pattern:
                 return hits
-        match = compile_pattern(pattern)
-        hits = [k for k, v in enumerate(column) if v is not None and match(v)]
+        hits = matching_rows(column, pattern)
         scans.append((pattern, hits))
         return hits
 

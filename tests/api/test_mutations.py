@@ -28,6 +28,8 @@ from repro.algebra.expressions import Attr, Cmp, Const
 from repro.algebra.operators import Projection, Query, Selection, TableAccess
 from repro.engine.database import Database, Mutation
 from repro.nested.values import Bag, Tup
+from repro.whynot.tracing import LazyColumns
+from repro.wire import result_to_json
 
 
 def _db_a():
@@ -110,6 +112,52 @@ class TestServiceMutations:
         gc.collect()
         assert registered() is None
         assert service.database("a").version_id == 3
+
+    def test_surviving_answers_do_not_keep_the_previous_version_alive(self):
+        """A write leaves a cached result and an explain state over ``U``
+        warm; they are rebound to the new version — the question's
+        database and the state's lazily evaluated columns — so the old
+        version is freed, and both still answer like fresh explains."""
+        rows = [Tup(a=i, b=f"r{i}") for i in range(2000)]
+        service = ExplanationService(cache_size=8)
+        service.register_database(
+            "a", Database({"T": rows, "U": [Tup(c=c, d=c % 4) for c in range(40)]})
+        )
+        registered = weakref.ref(service.database("a"))
+        # π→π→σ is one fused run: the first projection's column is lazy.
+        query = Query(
+            Selection(
+                Projection(Projection(TableAccess("U"), [("e", Attr("c")), "d"]), ["e", "d"]),
+                Cmp(">=", Attr("e"), Const(100)),
+            )
+        )
+
+        def request(e):
+            return ExplainRequest(query=query, nip=Tup(e=e, d=3), database="a")
+
+        def wire(response):
+            document = result_to_json(response.result)
+            document["timings"] = {}
+            return document
+
+        first = service.explain(request(7))
+        assert not first.cached
+        assert any(
+            isinstance(snap.cols, LazyColumns) for snap in first.result.trace.traces.values()
+        )
+        del first
+        for row in rows[:3]:
+            service.mutate_database("a", deletes={"T": [row]})
+        gc.collect()
+        assert registered() is None
+        again = service.explain(request(7))
+        assert again.cached
+        assert wire(again) == wire(service.explain(request(7), use_cache=False))
+        reuses = service.state_stats()["reuses"]
+        variant = service.explain(request(11))
+        assert not variant.cached
+        assert service.state_stats()["reuses"] == reuses + 1
+        assert wire(variant) == wire(service.explain(request(11), use_cache=False))
 
     def test_evicted_answers_do_not_keep_the_previous_version_alive(self):
         service = ExplanationService(cache_size=8)

@@ -72,9 +72,10 @@ def test_kernel_source_golden():
     """Pin the generated source for a σ→π chain (the codegen contract).
 
     Deliberate golden snapshot: column lists are extracted only for used
-    columns, ⊥/None and the TypeError→False comparison semantics are inlined,
-    and the final projection rebuilds tuples through the interned layout.
-    Update alongside intentional codegen changes — the shape is documented in
+    columns, ⊥/None and the TypeError→False comparison semantics are inlined
+    — the constant operand's ⊥ test settled at codegen — and the final
+    projection rebuilds tuples through the interned layout.  Update
+    alongside intentional codegen changes — the shape is documented in
     ``docs/KERNELS.md``.
     """
     db = make_db()
@@ -90,15 +91,14 @@ def test_kernel_source_golden():
             _l0 = [_r._values[0] for _r in rows]
             _l1 = [_r._values[1] for _r in rows]
             for _c0_, _c1_ in zip(_l0, _l1):
-                _t1_ = 2
-                if _c1_ is _NULL or _c1_ is None or _t1_ is _NULL or _t1_ is None:
-                    _t2_ = False
+                if _c1_ is _NULL or _c1_ is None:
+                    _t1_ = False
                 else:
                     try:
-                        _t2_ = _c1_ >= _t1_
+                        _t1_ = _c1_ >= 2
                     except TypeError:
-                        _t2_ = False
-                if not (_t2_):
+                        _t1_ = False
+                if not (_t1_):
                     continue
                 _append(_mk(_g0, (_c0_, _c1_,)))
             return _out, ()
@@ -125,26 +125,24 @@ def test_selection_chain_source_golden_passes_rows_through():
             _l0 = [_r._values[0] for _r in rows]
             _l1 = [_r._values[1] for _r in rows]
             for _r, _c0_, _c1_ in zip(rows, _l0, _l1):
-                _t1_ = 2
-                if _c1_ is _NULL or _c1_ is None or _t1_ is _NULL or _t1_ is None:
+                if _c1_ is _NULL or _c1_ is None:
+                    _t1_ = False
+                else:
+                    try:
+                        _t1_ = _c1_ >= 2
+                    except TypeError:
+                        _t1_ = False
+                if not (_t1_):
+                    continue
+                _k0 += 1
+                if _c0_ is _NULL or _c0_ is None:
                     _t2_ = False
                 else:
                     try:
-                        _t2_ = _c1_ >= _t1_
+                        _t2_ = _c0_ == 1
                     except TypeError:
                         _t2_ = False
                 if not (_t2_):
-                    continue
-                _k0 += 1
-                _t3_ = 1
-                if _c0_ is _NULL or _c0_ is None or _t3_ is _NULL or _t3_ is None:
-                    _t4_ = False
-                else:
-                    try:
-                        _t4_ = _c0_ == _t3_
-                    except TypeError:
-                        _t4_ = False
-                if not (_t4_):
                     continue
                 _append(_r)
             return _out, (_k0,)
@@ -392,15 +390,20 @@ def test_trace_kernel_source_golden(monkeypatch):
     """Pin the relaxed kernel of GenSocial's F60→Fᵀ3→π4→σ61→σ62 run (SA 0).
 
     Deliberate golden snapshot: selections append retained row indices
-    (``_f0``/``_f1``) instead of ``continue``; after each operator its NIP
-    is tested against the column variables through sub-matcher arguments
-    (``_m0`` the F60 row's ``user``, ``_m1``/``_m2`` the ``uName`` of Fᵀ3's
-    and π4's rows), the selections reuse π4's scan (``_h2``), and only π4's
-    row is built.  Update alongside intentional codegen changes — the shape
-    is documented in ``docs/KERNELS.md``.
+    (``_f0``/``_f1``) instead of ``continue``; the nested path reads
+    ``place.country`` and ``user.name`` are inline positional reads guarded
+    by the inferred layouts (``_g0``/``_g2``), with the rest-getters
+    (``_g1``/``_g3``) as fallback; after each operator its NIP is tested
+    inline against the column variables — F60's ``user`` sub-pattern by
+    position when the value has the pattern's layout (else its closure
+    ``_a1``), the ``uName`` constant of Fᵀ3's and π4's rows by ``==`` on the
+    argument (``_a4``/``_a6``); the selections reuse π4's scan (``_h2``),
+    their constants are folded with the ⊥ tests settled, and only π4's row
+    is built.  Update alongside intentional codegen changes — the shape is
+    documented in ``docs/KERNELS.md``.
     """
     from repro.engine.kernels import build_trace_kernel
-    from repro.whynot.matching import pattern_shape
+    from repro.whynot.matching import nip_shape
 
     question, sas, tasks = _social_trace_tasks(monkeypatch)
     _, rep, op_ids, parent_vals, nips, checks = tasks[0]
@@ -408,13 +411,13 @@ def test_trace_kernel_source_golden(monkeypatch):
     assert [sa_query.op(i).label for i in op_ids] == ["F60", "Fᵀ3", "π4", "σ61", "σ62"]
     ops = [sa_query.op(i) for i in op_ids]
     ctx = EvalContext(question.db, sa_query.infer_schemas(question.db))
-    shapes = [pattern_shape(nip)[0] for nip in nips]
+    shapes = [nip_shape(nip)[0] for nip in nips]
     expected = textwrap.dedent(
         """\
-        def _kernel(rows, _m):
+        def _kernel(rows, _a):
             _out = []
             _append = _out.append
-            _m0, _m1, _m2, = _m
+            _a0, _a1, _a2, _a3, _a4, _a5, _a6, = _a
             _f0 = []
             _f1 = []
             _h0 = []
@@ -424,37 +427,35 @@ def test_trace_kernel_source_golden(monkeypatch):
             _l2 = [_r._values[2] for _r in rows]
             _l3 = [_r._values[3] for _r in rows]
             for _k, (_c1_, _c2_, _c3_) in enumerate(zip(_l1, _l2, _l3)):
-                _t1_ = _g0(_c3_)
-                if _m0(_c2_):
+                _t1_ = _c3_._values[0] if _c3_.__class__ is _Tup and _c3_._layout is _g0 else _g1(_c3_)
+                if (_c2_._values[0] == _a2 if _c2_.__class__ is _Tup and _c2_._layout is _g2 else _a1(_c2_)):
                     _h0.append(_k)
-                _t2_ = _g1(_c2_)
-                if _m1(_t2_):
+                _t2_ = _c2_._values[0] if _c2_.__class__ is _Tup and _c2_._layout is _g2 else _g3(_c2_)
+                if _t2_ == _a4:
                     _h1.append(_k)
-                if _m2(_t2_):
+                if _t2_ == _a6:
                     _h2.append(_k)
-                _t3_ = 'concert'
-                if _c1_ is _NULL or _c1_ is None or _t3_ is _NULL or _t3_ is None:
-                    _t4_ = False
+                if _c1_ is _NULL or _c1_ is None:
+                    _t3_ = False
                 elif isinstance(_c1_, str):
-                    _t4_ = str(_t3_) in _c1_
+                    _t3_ = 'concert' in _c1_
                 elif isinstance(_c1_, _Bag):
-                    _t4_ = _t3_ in _c1_
+                    _t3_ = 'concert' in _c1_
+                else:
+                    _t3_ = False
+                if _t3_:
+                    _f0.append(_k)
+                if _t1_ is _NULL or _t1_ is None:
+                    _t4_ = False
+                elif isinstance(_t1_, str):
+                    _t4_ = 'United States' in _t1_
+                elif isinstance(_t1_, _Bag):
+                    _t4_ = 'United States' in _t1_
                 else:
                     _t4_ = False
                 if _t4_:
-                    _f0.append(_k)
-                _t5_ = 'United States'
-                if _t1_ is _NULL or _t1_ is None or _t5_ is _NULL or _t5_ is None:
-                    _t6_ = False
-                elif isinstance(_t1_, str):
-                    _t6_ = str(_t5_) in _t1_
-                elif isinstance(_t1_, _Bag):
-                    _t6_ = _t5_ in _t1_
-                else:
-                    _t6_ = False
-                if _t6_:
                     _f1.append(_k)
-                _append(_mk(_g2, (_c1_, _t1_, _t2_,)))
+                _append(_mk(_g4, (_c1_, _t1_, _t2_,)))
             return _out, (_f0, _f1,), ((_h0,), (_h1,), (_h2,), (_h2,), (_h2,),)
         """
     )
@@ -464,10 +465,13 @@ def test_trace_kernel_source_golden(monkeypatch):
 
 def test_fresh_question_compiles_no_trace_kernel(monkeypatch):
     """A second explain of a fresh question over the same query hits the
-    semantic cache: NIP constants reach kernels as arguments, not source."""
+    semantic cache: NIP constants reach kernels and scans as arguments, not
+    source, so a NIP-constant variant compiles nothing either."""
     import repro.engine.kernels as kernels_module
     from repro.scenarios import get_scenario
+    from repro.whynot import matching
     from repro.whynot.explain import explain
+    from repro.whynot.placeholders import ANY
     from repro.whynot.question import WhyNotQuestion
     from repro.whynot.tracing import LazyColumns
 
@@ -475,24 +479,37 @@ def test_fresh_question_compiles_no_trace_kernel(monkeypatch):
     db = scenario.question(1).db
     builds = []
     build = kernels_module.build_trace_kernel
+    scans = []
+    build_scan = matching.build_scan
 
     def counting_build(*args):
         builds.append(args)
         return build(*args)
 
+    def counting_scan(shape):
+        scans.append(shape)
+        return build_scan(shape)
+
     monkeypatch.setattr(kernels_module, "build_trace_kernel", counting_build)
+    monkeypatch.setattr(matching, "build_scan", counting_scan)
+    monkeypatch.setattr(matching, "_SCAN_CACHE", {})
     kernel_cache_clear()
 
-    def explain_fresh():
-        question = WhyNotQuestion(scenario.make_query(), db, scenario.make_nip())
+    def explain_fresh(nip=None):
+        question = WhyNotQuestion(scenario.make_query(), db, nip or scenario.make_nip())
         return explain(question, alternatives=scenario.alternatives)
 
     first = explain_fresh()
     assert len(builds) == 2  # one kernel per SA group of the narrow run
     assert isinstance(first.trace.traces[2].cols, LazyColumns)
+    assert scans  # the table access and the selections' groups scan
+    compiled_scans = len(scans)
     second = explain_fresh()
     assert len(builds) == 2
     assert second.explanation_labels() == first.explanation_labels()
+    variant = explain_fresh(Tup(text=ANY, country=ANY, uName="someone_else"))
+    assert len(builds) == 2 and len(scans) == compiled_scans
+    assert variant.rows_traced() == first.rows_traced()
 
 
 def _reference_parity(question, alternatives=()):

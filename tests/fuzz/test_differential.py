@@ -79,6 +79,9 @@ class TestMiniSweep:
         assert result.ok, f"divergent cases:\n{details}"
         assert result.cases == 40
         assert result.with_question > 20  # the explain differential really ran
+        # The matcher axis compared rows, and the summary line counts them.
+        assert result.matcher_checks > 0
+        assert f"{result.matcher_checks} matcher checks" in result.summary()
 
     def test_different_seed_stays_clean_without_questions(self):
         result = run_sweep(77, 15, FuzzConfig(depth=3, ops=8), questions=False)
