@@ -57,10 +57,11 @@ versioned wire-format endpoints ``POST /v1/explain``, ``POST /v1/query``,
 ``GET /v1/scenarios``, ``GET /v1/health`` and ``GET /v1/stats`` backed by an
 :class:`~repro.api.ExplanationService` with an LRU result cache — see
 ``docs/API.md`` for the endpoint reference and ``repro.api.Client`` for the
-Python client.  ``serve --processes N`` swaps in the sharded multi-process
-front end (:mod:`repro.api.sharded`): N pre-forked workers, consistent-hash
-request routing, in-flight coalescing, queue-depth 503 backpressure and
-automatic crash respawn (``docs/SERVING.md``).
+Python client.  ``serve --processes N`` puts the same front end over the
+sharded dispatcher (:mod:`repro.api.sharded`): N pre-forked workers,
+consistent-hash request routing, in-flight coalescing, queue-depth 503
+backpressure and automatic crash respawn (``docs/SERVING.md``).  Both modes
+shut down cleanly on Ctrl-C or SIGTERM.
 
 Count-like flags (``--workers``, ``--partitions``, ``--cases``, ``--depth``,
 ``--rows``, ``--ops``, ``--cache-size``) validate their values up front:
@@ -413,34 +414,29 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.api.http import make_server, serve
+
+    options = dict(backend=args.backend, workers=args.workers, optimize=args.optimize)
     if args.processes is not None:
-        from repro.api.sharded import ShardedConfig, serve_sharded
+        from repro.api.sharded import ShardedConfig, make_sharded_server
 
         config = ShardedConfig(
             processes=args.processes,
             queue_depth=args.queue_depth,
             cache_size=args.cache_size,
-            options=dict(
-                backend=args.backend,
-                workers=args.workers,
-                optimize=args.optimize,
-            ),
+            options=options,
         )
-        return serve_sharded(
-            host=args.host, port=args.port, config=config, quiet=args.quiet
+        server = make_sharded_server(config, args.host, args.port, quiet=args.quiet)
+        return serve(
+            server,
+            f" [{config.processes} worker processes, queue depth {config.queue_depth}]",
         )
     from repro.api import ExplainOptions, ExplanationService
-    from repro.api.http import serve
 
     service = ExplanationService(
-        cache_size=args.cache_size,
-        options=ExplainOptions(
-            backend=args.backend,
-            workers=args.workers,
-            optimize=args.optimize,
-        ),
+        cache_size=args.cache_size, options=ExplainOptions(**options)
     )
-    return serve(host=args.host, port=args.port, service=service, quiet=args.quiet)
+    return serve(make_server(service, args.host, args.port, quiet=args.quiet))
 
 
 def main(argv=None) -> int:

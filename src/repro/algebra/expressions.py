@@ -25,6 +25,7 @@ always agree with it.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterator, Optional
 
 from repro.nested.paths import Path, compile_path, parse_path, path_str
@@ -264,13 +265,29 @@ class Const(Expr):
         return self
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Const) and self.value == other.value
+        return isinstance(other, Const) and _typed(self.value) == _typed(other.value)
 
     def __hash__(self) -> int:
-        return hash(("const", self.value))
+        return hash(("const", _typed(self.value)))
 
     def __repr__(self) -> str:
         return repr(self.value)
+
+
+def _typed(value: Any) -> Any:
+    """A key of *value* that is equal only for values of the same type
+    throughout: ``1``, ``True`` and ``1.0`` differ, as do ``0.0`` and
+    ``-0.0`` and tuples or bags holding them.  Kernels embed their
+    constants, so ``Const`` equality — and with it every kernel cache key —
+    must be this strict."""
+    kind = type(value)
+    if kind is float:
+        return (kind, value, math.copysign(1.0, value))
+    if kind is Tup:
+        return (kind, value.attrs, tuple(_typed(v) for v in value.values()))
+    if kind is Bag:
+        return (kind, frozenset((_typed(e), n) for e, n in value.items()))
+    return (kind, value)
 
 
 class Cmp(Expr):

@@ -6,14 +6,15 @@ Three pieces turn the in-process library into a serveable system:
   registry, request validation, a ``stable_hash``-keyed LRU result cache
   (hit/miss counters surfaced in every response) and concurrent dispatch
   (:mod:`repro.api.service`);
-* the HTTP front ends — ``python -m repro serve`` exposes
+* the HTTP front end — ``python -m repro serve`` exposes
   ``POST /v1/explain``, ``POST /v1/query``, ``GET /v1/scenarios``,
-  ``GET /v1/health`` and ``GET /v1/stats`` over the versioned wire format
-  of :mod:`repro.wire` (:mod:`repro.api.http`, stdlib
-  ``ThreadingHTTPServer``), and ``--processes N`` swaps in the sharded
-  multi-process front end (:mod:`repro.api.sharded`: consistent-hash
-  routing, request coalescing, 503 backpressure, crash respawn — see
-  ``docs/SERVING.md``);
+  ``GET /v1/health``, ``GET /v1/stats`` and the ``/v1/databases`` registry
+  over the versioned wire format of :mod:`repro.wire`
+  (:mod:`repro.api.http`, stdlib ``ThreadingHTTPServer``): one handler
+  and one route table over a dispatcher, in-process by default, while
+  ``--processes N`` swaps in the sharded multi-process dispatcher
+  (:mod:`repro.api.sharded`: consistent-hash routing, request coalescing,
+  503 backpressure, crash respawn — see ``docs/SERVING.md``);
 * :class:`Client` — a small ``urllib`` client (with 503-aware retries) so
   Python callers on other machines get the same typed objects back
   (:mod:`repro.api.client`).
@@ -34,13 +35,7 @@ from repro.api.service import (
     ExplanationService,
     UnknownDatabase,
 )
-from repro.api.sharded import (
-    Overloaded,
-    ShardDispatcher,
-    ShardedConfig,
-    WorkerCrashed,
-    routing_key,
-)
+from repro.api.sharded import ShardDispatcher, ShardedConfig, routing_key
 
 __all__ = [
     "API_VERSION",
@@ -51,11 +46,9 @@ __all__ = [
     "ExplainRequest",
     "ExplainResponse",
     "ExplanationService",
-    "Overloaded",
     "RemoteExplainResponse",
     "ShardDispatcher",
     "ShardedConfig",
     "UnknownDatabase",
-    "WorkerCrashed",
     "routing_key",
 ]

@@ -1,9 +1,8 @@
 """HTTP serving front end over the wire format (stdlib only).
 
 ``python -m repro serve --port 8080`` boots a
-:class:`http.server.ThreadingHTTPServer` around one
-:class:`~repro.api.service.ExplanationService`, so any HTTP client — not
-just Python — can submit why-not questions end-to-end:
+:class:`http.server.ThreadingHTTPServer` so any HTTP client — not just
+Python — can submit why-not questions end-to-end:
 
 * ``POST /v1/explain`` — an ``explain-request`` wire document (explicit
   query+nip+database or the ``{"scenario": "Q1"}`` shorthand) →
@@ -30,19 +29,29 @@ program's query pipeline (a trailing ``whynot`` block is ignored there, so
 checked-in scenario files run unmodified); ``/v1/explain`` requires the
 ``whynot`` block and answers it.
 
+One handler serves both serving modes.  It resolves each request against
+:data:`ROUTES` and hands the request's *kind* and document to the server's
+dispatcher: a :class:`LocalDispatcher` answers in this process on one
+:class:`~repro.api.service.ExplanationService`; the
+:class:`~repro.api.sharded.ShardDispatcher` (``serve --processes N``)
+relays to worker processes.  Both answer through :func:`answer`.
+
 Errors come back as JSON ``{"error": {"type", "message"}}`` with 400 for
-malformed/ill-posed requests, 404 for unknown routes, 405 for wrong
-methods, and 500 for unexpected failures; parse/validation errors from
-textual payloads additionally carry ``"position": {"line", "column"}``.
-The multi-process variant of this front end (``--processes N``) lives in
-:mod:`repro.api.sharded` and reuses :class:`JsonHandler` and
-:func:`error_document`.  See ``docs/API.md`` for the endpoint reference
-and ``docs/SERVING.md`` for the process model.
+malformed/ill-posed requests, 404 for unknown routes and databases, 405
+(with ``Allow``) for a method a known path does not take, 501 for methods
+no path takes, 503 (with ``Retry-After``) when a sharded server sheds or
+loses a request, and 500 for unexpected failures; parse/validation errors
+from textual payloads additionally carry ``"position": {"line",
+"column"}``.  See ``docs/API.md`` for the endpoint reference and
+``docs/SERVING.md`` for the process model.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import signal
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 from typing import Optional
@@ -51,6 +60,7 @@ from repro import __version__
 from repro.api.service import (
     API_VERSION,
     CLIENT_ERRORS,
+    BadRequest,
     ExplainOptions,
     ExplainRequest,
     ExplanationService,
@@ -73,255 +83,106 @@ from repro.wire import (
 #: oversized-body 400 path is testable without building a 64 MiB payload.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: The one route table: per path, the request kind each method asks for.
+#: ``{name}`` is one path segment, a database name.
+ROUTES = {
+    f"/{API_VERSION}/explain": {"POST": "explain"},
+    f"/{API_VERSION}/query": {"POST": "query"},
+    f"/{API_VERSION}/health": {"GET": "health"},
+    f"/{API_VERSION}/stats": {"GET": "stats"},
+    f"/{API_VERSION}/scenarios": {"GET": "scenarios"},
+    f"/{API_VERSION}/databases": {"GET": "databases"},
+    f"/{API_VERSION}/databases/{{name}}": {"GET": "database-info", "PUT": "register"},
+    f"/{API_VERSION}/databases/{{name}}/mutate": {"POST": "mutate"},
+}
 
-def databases_route(path: str) -> "Optional[tuple[str, Optional[str]]]":
-    """Parse a ``/v1/databases...`` path into ``(action, name)``.
+_ROUTE_PATTERNS = [
+    (re.compile(path.replace("{name}", "(?P<name>[^/]+)")), methods)
+    for path, methods in ROUTES.items()
+]
 
-    Returns ``("list", None)``, ``("info", name)`` or ``("mutate", name)``
-    — or ``None`` when the path is not a databases route.  Shared by both
-    front ends so the single-process and sharded servers expose identical
-    URLs.
-    """
-    prefix = f"/{API_VERSION}/databases"
-    if path == prefix:
-        return ("list", None)
-    if path.startswith(prefix + "/"):
-        rest = path[len(prefix) + 1 :]
-        if rest.endswith("/mutate"):
-            name = rest[: -len("/mutate")]
-            if name and "/" not in name:
-                return ("mutate", name)
-        elif rest and "/" not in rest:
-            return ("info", rest)
-    return None
+#: Kinds that read a request body, and the field of the dispatched
+#: document that holds it (None: the body is the document).
+_BODY_FIELD = {"explain": None, "query": None, "register": "database", "mutate": "mutation"}
+
+#: Kinds ``/v1/stats`` counts as requests, whatever their status.
+COUNTED_KINDS = frozenset({"explain", "query", "mutate"})
 
 
-def counted_post(path: str, route: "Optional[tuple[str, Optional[str]]]") -> bool:
-    """Whether ``/v1/stats`` counts a POST to *path*: explain, query and
-    mutate requests, whatever their status (shared by both front ends)."""
-    return path in (f"/{API_VERSION}/explain", f"/{API_VERSION}/query") or (
-        route is not None and route[0] == "mutate"
-    )
+def error_body(error_type: str, message: str) -> dict:
+    """The JSON error document ``{"error": {"type", "message"}}``."""
+    return {"error": {"type": error_type, "message": message}}
 
 
 def error_document(exc: BaseException) -> dict:
-    """The JSON error body for one exception (shared by both front ends).
+    """The JSON error body for one exception.
 
     Language errors (:class:`~repro.lang.errors.LangError`) carry a source
     position; it is surfaced as ``{"line", "column"}`` so HTTP clients get
     the same diagnostics the CLI and REPL render as carets.
     """
-    error = {"type": type(exc).__name__, "message": str(exc)}
+    document = error_body(type(exc).__name__, str(exc))
     position = getattr(exc, "position", None)
     if callable(position):
-        error["position"] = position()
-    return {"error": error}
+        document["error"]["position"] = position()
+    return document
 
 
-class JsonHandler(BaseHTTPRequestHandler):
-    """Shared JSON-over-HTTP plumbing for both serving front ends.
+def health_document(status: str, cache: dict, databases: "list[str]", **extra) -> dict:
+    """The ``/v1/health`` body; *extra* holds a dispatcher's own fields."""
+    return {
+        "format": WIRE_VERSION,
+        "kind": "health",
+        "status": status,
+        "version": __version__,
+        "api_version": API_VERSION,
+        "wire_format": WIRE_VERSION,
+        **extra,
+        "cache": cache,
+        "databases": databases,
+    }
 
-    Subclasses implement the routing (``do_GET``/``do_POST``) on top of the
-    send/read helpers here; the bound server provides ``quiet`` (access-log
-    suppression) and ``max_body_bytes`` (request-body cap) attributes.
+
+def answer(service: ExplanationService, kind: str, document: dict) -> "tuple[int, dict]":
+    """Answer one request on *service*: ``(http status, response document)``.
+
+    *kind* is a route's request kind other than ``health``, ``stats`` and
+    ``scenarios``.  Explain and query take the request body as *document*;
+    the database kinds take ``{"name"}`` plus the body under ``database``
+    (register) or ``mutation`` (mutate).  Never raises: client errors map
+    to 400, unknown database names to 404, anything else to 500.  Both
+    dispatchers answer through here, so both serving modes map errors
+    alike.
     """
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress per-request stderr noise unless the server is verbose."""
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
-
-    def _send_json(
-        self, status: int, document: dict, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(document, ensure_ascii=True).encode("ascii")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(
-        self, status: int, exc: BaseException, headers: Optional[dict] = None
-    ) -> None:
-        self._send_json(status, error_document(exc), headers)
-
-    def _read_body(self) -> dict:
-        limit = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ValueError("request body required")
-        if length > limit:
-            raise ValueError(f"request body exceeds {limit} bytes")
-        raw = self.rfile.read(length)
+    try:
+        if kind == "explain":
+            return 200, service.explain(ExplainRequest.from_json(document)).to_json()
+        if kind == "query":
+            return 200, _run_query(service, document)
+        if kind == "databases":
+            return 200, service.database_listing()
+        name = document["name"]
         try:
-            document = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(document, dict):
-            raise ValueError("request body must be a JSON object")
-        return document
+            if kind == "register":
+                service.register_database(name, database_from_json(document["database"]))
+            elif kind == "mutate":
+                service.mutate_database(name, mutation_from_json(document["mutation"]))
+            elif kind != "database-info":
+                raise ValueError(f"unknown request kind {kind!r}")
+            return 200, service.database_info(name)
+        except UnknownDatabase as exc:
+            return 404, error_document(exc)
+    except CLIENT_ERRORS as exc:
+        return 400, error_document(exc)
+    except Exception as exc:  # noqa: BLE001 - every request gets an answer
+        return 500, error_document(exc)
 
 
-class ApiServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`ExplanationService`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address,
-        service: ExplanationService,
-        quiet: bool = True,
-        max_body_bytes: int = MAX_BODY_BYTES,
-    ):
-        self.service = service
-        self.quiet = quiet
-        self.max_body_bytes = max_body_bytes
-        self.counters = ServingCounters()
-        super().__init__(address, _Handler)
-
-
-class _Handler(JsonHandler):
-    """Routes ``/v1/...`` requests onto the bound service."""
-
-    server: ApiServer  # narrowed type for the attribute lookups below
-
-    # -- routes ---------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """Dispatch ``GET /v1/health``, ``/v1/scenarios``, ``/v1/stats`` and
-        the ``/v1/databases`` listing/info routes."""
-        route = databases_route(self.path)
-        try:
-            if self.path == f"/{API_VERSION}/health":
-                self._send_json(200, self._health())
-            elif self.path == f"/{API_VERSION}/stats":
-                self._send_json(200, self._stats())
-            elif self.path == f"/{API_VERSION}/scenarios":
-                self._send_json(
-                    200,
-                    {
-                        "format": WIRE_VERSION,
-                        "kind": "scenarios",
-                        "scenarios": scenarios_listing(),
-                    },
-                )
-            elif route is not None and route[0] == "list":
-                self._send_json(200, self.server.service.database_listing())
-            elif route is not None and route[0] == "info":
-                try:
-                    self._send_json(200, self.server.service.database_info(route[1]))
-                except UnknownDatabase as exc:
-                    self._send_error_json(404, exc)
-            elif route is not None:  # GET on .../mutate
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use POST"}})
-            elif self.path in (f"/{API_VERSION}/explain", f"/{API_VERSION}/query"):
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use POST"}})
-            else:
-                self._send_json(404, {"error": {"type": "NotFound",
-                                                "message": f"no route {self.path}"}})
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error_json(500, exc)
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        """Dispatch ``PUT /v1/databases/{name}`` (register a database)."""
-        route = databases_route(self.path)
-        try:
-            if route is not None and route[0] == "info":
-                db = database_from_json(self._read_body())
-                self.server.service.register_database(route[1], db)
-                self._send_json(200, self.server.service.database_info(route[1]))
-            else:
-                self._send_json(404, {"error": {"type": "NotFound",
-                                                "message": f"no route {self.path}"}})
-        except CLIENT_ERRORS as exc:
-            self._send_error_json(400, exc)
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error_json(500, exc)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """Dispatch ``POST /v1/explain``, ``/v1/query`` and
-        ``/v1/databases/{name}/mutate``, counting each of them in
-        ``/v1/stats`` before its response goes out."""
-        started = perf_counter()
-        route = databases_route(self.path)
-        status, document = self._post(route)
-        if counted_post(self.path, route):
-            self.server.counters.record_outcome(status, perf_counter() - started)
-        self._send_json(status, document)
-
-    def _post(self, route) -> "tuple[int, dict]":
-        """Answer one POST: ``(status, JSON body)``."""
-        try:
-            if self.path == f"/{API_VERSION}/explain":
-                request = ExplainRequest.from_json(self._read_body())
-                return 200, self.server.service.explain(request).to_json()
-            if self.path == f"/{API_VERSION}/query":
-                return 200, self._run_query(self._read_body())
-            if route is not None and route[0] == "mutate":
-                mutation = mutation_from_json(self._read_body())
-                try:
-                    self.server.service.mutate_database(route[1], mutation)
-                except UnknownDatabase as exc:
-                    return 404, error_document(exc)
-                return 200, self.server.service.database_info(route[1])
-            if route is not None:  # POST on /v1/databases[/{name}]
-                return 405, {"error": {"type": "MethodNotAllowed",
-                                       "message": "use GET or PUT"}}
-            if self.path in (f"/{API_VERSION}/health", f"/{API_VERSION}/scenarios",
-                             f"/{API_VERSION}/stats"):
-                return 405, {"error": {"type": "MethodNotAllowed", "message": "use GET"}}
-            return 404, {"error": {"type": "NotFound", "message": f"no route {self.path}"}}
-        except CLIENT_ERRORS as exc:
-            return 400, error_document(exc)
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            return 500, error_document(exc)
-
-    def _health(self) -> dict:
-        service = self.server.service
-        return {
-            "format": WIRE_VERSION,
-            "kind": "health",
-            "status": "ok",
-            "version": __version__,
-            "api_version": API_VERSION,
-            "wire_format": WIRE_VERSION,
-            "cache": service.cache_stats(),
-            "databases": service.databases(),
-        }
-
-    def _stats(self) -> dict:
-        cache = self.server.service.cache_stats()
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / lookups if lookups else None
-        serving = {
-            "mode": "inprocess",
-            "cache": cache,
-            "state": self.server.service.state_stats(),
-        }
-        serving.update(self.server.counters.snapshot())
-        return serving_stats_to_json(serving)
-
-    def _run_query(self, document: dict) -> dict:
-        return run_query_document(self.server.service, document)
-
-
-def run_query_document(service: ExplanationService, document: dict) -> dict:
-    """Evaluate a ``query-request`` wire document into a ``query-response``.
-
-    Shared by the in-process handler and the sharded workers
-    (:mod:`repro.api.sharded`) so both front ends answer ``POST /v1/query``
-    identically.
-    """
+def _run_query(service: ExplanationService, document: dict) -> dict:
+    """Evaluate a ``query-request`` wire document into a ``query-response``."""
     check_envelope(document, "query-request")
     options = ExplainOptions.from_json(document.get("options"))
     if "text" in document:
-        from repro.api.service import BadRequest
         from repro.lang import compile_program
 
         if not isinstance(document["text"], str):
@@ -352,6 +213,185 @@ def run_query_document(service: ExplanationService, document: dict) -> dict:
     }
 
 
+class LocalDispatcher:
+    """Answers every request in this process, on one :class:`ExplanationService`.
+
+    Offers the dispatcher surface :class:`_Handler` calls —
+    :meth:`handle`, :meth:`health`, :meth:`stats`, :meth:`close` and
+    ``counters`` — like :class:`~repro.api.sharded.ShardDispatcher`.
+    """
+
+    def __init__(self, service: ExplanationService):
+        self.service = service
+        self.counters = ServingCounters()
+
+    def handle(self, kind: str, document: dict) -> "tuple[int, dict, Optional[dict]]":
+        """Answer one request: ``(status, body, headers)``; counts the
+        :data:`COUNTED_KINDS` in ``/v1/stats`` before returning."""
+        started = perf_counter()
+        status, body = answer(self.service, kind, document)
+        if kind in COUNTED_KINDS:
+            self.counters.record_outcome(status, perf_counter() - started)
+        return status, body, None
+
+    def health(self) -> dict:
+        """The ``/v1/health`` document."""
+        return health_document(
+            "ok", self.service.cache_stats(), self.service.databases()
+        )
+
+    def stats(self) -> dict:
+        """The ``/v1/stats`` document (see :func:`serving_stats_to_json`)."""
+        cache = self.service.cache_stats()
+        lookups = cache["hits"] + cache["misses"]
+        cache["hit_rate"] = cache["hits"] / lookups if lookups else None
+        serving = {"mode": "inprocess", "cache": cache, "state": self.service.state_stats()}
+        serving.update(self.counters.snapshot())
+        return serving_stats_to_json(serving)
+
+    def close(self) -> None:
+        """Shut the service down."""
+        self.service.close()
+
+
+class ApiServer(ThreadingHTTPServer):
+    """A threading HTTP server bound to one dispatcher (either mode)."""
+
+    daemon_threads = True
+
+    def __init__(
+        self,
+        address,
+        dispatcher,
+        quiet: bool = True,
+        max_body_bytes: int = MAX_BODY_BYTES,
+    ):
+        self.dispatcher = dispatcher
+        self.quiet = quiet
+        self.max_body_bytes = max_body_bytes
+        super().__init__(address, _Handler)
+
+    @property
+    def service(self) -> ExplanationService:
+        """The in-process dispatcher's service (in-process servers only)."""
+        return self.dispatcher.service
+
+
+def _route(path: str) -> "tuple[Optional[dict], Optional[str]]":
+    """The :data:`ROUTES` entry matching *path* and the database name in
+    it, or ``(None, None)``."""
+    for pattern, methods in _ROUTE_PATTERNS:
+        match = pattern.fullmatch(path)
+        if match is not None:
+            return methods, match.groupdict().get("name")
+    return None, None
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Answers ``/v1/...`` requests through :data:`ROUTES` and the server's
+    dispatcher."""
+
+    server: ApiServer  # narrowed type for the attribute lookups below
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        """Answer one GET."""
+        self._serve()
+
+    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
+        """Answer one PUT."""
+        self._serve()
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        """Answer one POST."""
+        self._serve()
+
+    def _serve(self) -> None:
+        try:
+            status, body, headers = self._answer()
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            status, body, headers = 500, error_document(exc), None
+        self._send_json(status, body, headers)
+
+    def _answer(self) -> "tuple[int, dict, Optional[dict]]":
+        started = perf_counter()
+        methods, name = _route(self.path)
+        if methods is None:
+            return 404, error_body("NotFound", f"no route {self.path}"), None
+        kind = methods.get(self.command)
+        if kind is None:
+            return (
+                405,
+                error_body("MethodNotAllowed", "use " + " or ".join(methods)),
+                {"Allow": ", ".join(methods)},
+            )
+        dispatcher = self.server.dispatcher
+        if kind == "health":
+            return 200, dispatcher.health(), None
+        if kind == "stats":
+            return 200, dispatcher.stats(), None
+        if kind == "scenarios":
+            listing = {"format": WIRE_VERSION, "kind": "scenarios",
+                       "scenarios": scenarios_listing()}
+            return 200, listing, None
+        document = {} if name is None else {"name": name}
+        if kind in _BODY_FIELD:
+            try:
+                body = self._read_body()
+            except ValueError as exc:
+                if kind in COUNTED_KINDS:
+                    dispatcher.counters.record_outcome(400, perf_counter() - started)
+                return 400, error_document(exc), None
+            field = _BODY_FIELD[kind]
+            document = body if field is None else dict(document, **{field: body})
+        return dispatcher.handle(kind, document)
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer the errors the stdlib raises itself (an unsupported
+        method, a malformed request line) with the JSON error document."""
+        phrase = HTTPStatus(code).phrase
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json(
+            code,
+            error_body(phrase.replace(" ", ""), message or phrase),
+            {"Connection": "close"},
+        )
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        """Suppress per-request stderr noise unless the server is verbose."""
+        if not self.server.quiet:
+            super().log_message(format, *args)
+
+    def _send_json(
+        self, status: int, document: dict, headers: Optional[dict] = None
+    ) -> None:
+        body = json.dumps(document, ensure_ascii=True).encode("ascii")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, str(value))
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def _read_body(self) -> dict:
+        limit = self.server.max_body_bytes
+        length = int(self.headers.get("Content-Length") or 0)
+        if length <= 0:
+            raise ValueError("request body required")
+        if length > limit:
+            raise ValueError(f"request body exceeds {limit} bytes")
+        raw = self.rfile.read(length)
+        try:
+            document = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"request body is not valid JSON: {exc}") from None
+        if not isinstance(document, dict):
+            raise ValueError("request body must be a JSON object")
+        return document
+
+
 def make_server(
     service: Optional[ExplanationService] = None,
     host: str = "127.0.0.1",
@@ -359,7 +399,7 @@ def make_server(
     quiet: bool = True,
     max_body_bytes: int = MAX_BODY_BYTES,
 ) -> ApiServer:
-    """Build a bound (but not yet serving) API server.
+    """Build a bound (but not yet serving) in-process API server.
 
     ``port=0`` binds an ephemeral free port — read it back from
     ``server.server_address`` (the pattern the tests and the CI smoke
@@ -367,33 +407,42 @@ def make_server(
     """
     return ApiServer(
         (host, port),
-        service or ExplanationService(),
+        LocalDispatcher(service or ExplanationService()),
         quiet=quiet,
         max_body_bytes=max_body_bytes,
     )
 
 
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    service: Optional[ExplanationService] = None,
-    quiet: bool = False,
-) -> int:
-    """Run the serving front end until interrupted (the CLI entry point)."""
-    server = make_server(service, host, port, quiet=quiet)
-    bound_host, bound_port = server.server_address[:2]
+def serve(server: ApiServer, detail: str = "") -> int:
+    """Run *server* until Ctrl-C or SIGTERM, then close it and its
+    dispatcher (the CLI entry point of both modes).
+
+    *detail* follows the address on the banner line (the sharded mode's
+    worker count and queue depth).
+    """
+    host, port = server.server_address[:2]
     print(f"repro api {API_VERSION} (wire format {WIRE_VERSION}) "
-          f"listening on http://{bound_host}:{bound_port}")
+          f"listening on http://{host}:{port}{detail}")
     print(f"  POST /{API_VERSION}/explain   POST /{API_VERSION}/query   "
           f"GET /{API_VERSION}/scenarios   GET /{API_VERSION}/health   "
           f"GET /{API_VERSION}/stats")
     print(f"  GET/PUT /{API_VERSION}/databases[/{{name}}]   "
           f"POST /{API_VERSION}/databases/{{name}}/mutate")
+
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt
+
+    try:
+        # SIGTERM (process managers, CI teardown) shuts down like Ctrl-C:
+        # the service closes and no worker process is stranded.
+        signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:
+        pass  # not the main thread (embedded use) — skip the handler
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
-        server.service.close()
+        server.dispatcher.close()
     return 0

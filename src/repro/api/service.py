@@ -111,9 +111,8 @@ class UnknownDatabase(KeyError):
 def scenarios_listing() -> "list[dict]":
     """Metadata of every registered paper scenario (the ``/v1/scenarios`` body).
 
-    Module-level so front ends that own no :class:`ExplanationService`
-    instance (the sharded dispatcher answers this route without a worker
-    round-trip) serve the identical listing.
+    Module-level so the HTTP handler answers this route in both serving
+    modes without asking a service (or a worker) for it.
     """
     from repro.scenarios import SCENARIOS
 

@@ -1,14 +1,17 @@
-"""Sharded multi-process serving front end (``python -m repro serve --processes N``).
+"""Sharded multi-process dispatcher (``python -m repro serve --processes N``).
 
-The single-process server (:mod:`repro.api.http`) is GIL-capped at roughly
-one core of explain throughput.  This module scales it out while keeping
+The in-process dispatcher (:class:`repro.api.http.LocalDispatcher`) is
+GIL-capped at roughly one core of explain throughput.  This module's
+:class:`ShardDispatcher` scales it out behind the same HTTP front end —
+the one handler and route table of :mod:`repro.api.http` — while keeping
 the stdlib-only contract:
 
-* **Pre-forked workers** — the front end spawns ``processes`` worker
+* **Pre-forked workers** — the dispatcher spawns ``processes`` worker
   processes up front; each owns a private
   :class:`~repro.api.service.ExplanationService` (registry, validation,
-  LRU result cache) and exchanges length-delimited pickled messages with
-  the front end over a :func:`multiprocessing.Pipe`.
+  LRU result cache), answers jobs through :func:`repro.api.http.answer`
+  and exchanges length-delimited pickled messages with the front end over
+  a :func:`multiprocessing.Pipe`.
 * **Consistent-hash routing** — every ``POST /v1/explain`` / ``/v1/query``
   document is reduced to a :func:`routing_key` (a
   :func:`~repro.engine.hashing.stable_hash` of the canonical document with
@@ -21,8 +24,8 @@ the stdlib-only contract:
   pending slot and receive the leader's byte-identical response, counted
   in the ``coalesced`` stat.
 * **Backpressure** — each worker accepts at most ``queue_depth`` in-flight
-  leaders; beyond that the front end sheds load immediately with
-  ``503`` + ``Retry-After`` instead of queueing without bound.
+  leaders; beyond that the dispatcher sheds load immediately with a
+  ``503`` + ``Retry-After`` answer instead of queueing without bound.
 * **Fault tolerance** — a crashed worker is respawned automatically; its
   in-flight requests fail with a clean ``503`` (never a hang, never
   partial JSON) and subsequent requests hit the fresh worker.
@@ -50,61 +53,36 @@ import json
 import multiprocessing
 import os
 import queue
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Optional
 
-from repro import __version__
 from repro.api.http import (
+    COUNTED_KINDS,
     MAX_BODY_BYTES,
-    JsonHandler,
-    counted_post,
-    databases_route,
-    error_document,
-    run_query_document,
+    ApiServer,
+    answer,
+    error_body,
+    health_document,
 )
-from repro.api.service import (
-    API_VERSION,
-    CLIENT_ERRORS,
-    ExplainOptions,
-    ExplainRequest,
-    ExplanationService,
-    UnknownDatabase,
-    scenarios_listing,
-)
+from repro.api.service import ExplainOptions, ExplanationService
 from repro.api.stats import LatencyWindow, ServingCounters
 from repro.engine.hashing import stable_hash
-from repro.wire import (
-    WIRE_VERSION,
-    database_from_json,
-    mutation_from_json,
-    serving_stats_to_json,
-)
+from repro.wire import serving_stats_to_json
 
 #: Option fields that change explanation *content*; everything else
 #: (backend/workers/partitions/optimize) is execution-only and is
 #: stripped from explain routing keys so equivalent requests co-locate.
 SEMANTIC_OPTION_FIELDS = ("use_schema_alternatives", "revalidate", "max_sas", "summarize")
 
-
-class Overloaded(RuntimeError):
-    """Raised when the target worker's queue is full (HTTP 503 + Retry-After)."""
-
-    def __init__(self, message: str, retry_after: int = 1):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class WorkerCrashed(RuntimeError):
-    """Raised into pending requests whose worker process died mid-flight."""
+#: The answer to a request that reaches a closed dispatcher.
+_SHUTTING_DOWN = (503, error_body("Overloaded", "server is shutting down"))
 
 
 @dataclass
 class ShardedConfig:
-    """Knobs of the sharded front end (all validated up front).
+    """Knobs of the sharded dispatcher (all validated up front).
 
     ``processes`` is the worker count, ``queue_depth`` the per-worker
     in-flight leader bound before 503 backpressure fires, ``cache_size``
@@ -161,39 +139,6 @@ def routing_key(document: dict) -> int:
 # -- worker process -----------------------------------------------------------
 
 
-def _handle_job(service: ExplanationService, kind: str, document: dict) -> "tuple[int, dict]":
-    """Answer one job inside a worker: ``(http status, response document)``.
-
-    Mirrors the in-process handler's error mapping exactly, so a sharded
-    server is byte-compatible with the single-process one on every path.
-    """
-    try:
-        if kind == "explain":
-            request = ExplainRequest.from_json(document)
-            return 200, service.explain(request).to_json()
-        if kind == "query":
-            return 200, run_query_document(service, document)
-        if kind == "register":
-            db = database_from_json(document["database"])
-            service.register_database(document["name"], db)
-            return 200, service.database_info(document["name"])
-        if kind in ("mutate", "database-info"):
-            try:
-                if kind == "mutate":
-                    mutation = mutation_from_json(document["mutation"])
-                    service.mutate_database(document["name"], mutation)
-                return 200, service.database_info(document["name"])
-            except UnknownDatabase as exc:
-                return 404, error_document(exc)
-        if kind == "databases":
-            return 200, service.database_listing()
-        raise ValueError(f"unknown job kind {kind!r}")
-    except CLIENT_ERRORS as exc:
-        return 400, error_document(exc)
-    except Exception as exc:  # noqa: BLE001 - workers must always answer
-        return 500, error_document(exc)
-
-
 def _worker_main(
     conn, index: int, cache_size: int, options: dict, close_fds: tuple = ()
 ) -> None:
@@ -242,7 +187,7 @@ def _worker_main(
             if item is None:
                 return
             request_id, kind, document = item
-            status, payload = _handle_job(service, kind, document)
+            status, payload = answer(service, kind, document)
             if status == 200:
                 served[kind] = served.get(kind, 0) + 1
             else:
@@ -292,19 +237,17 @@ def _worker_main(
 class _Pending:
     """One in-flight request slot: leader computes, followers wait on it."""
 
-    __slots__ = ("event", "status", "document", "headers")
+    __slots__ = ("event", "status", "document")
 
     def __init__(self):
         self.event = threading.Event()
         self.status: Optional[int] = None
         self.document: Optional[dict] = None
-        self.headers: Optional[dict] = None
 
-    def resolve(self, status: int, document: dict, headers: Optional[dict] = None) -> None:
+    def resolve(self, status: int, document: dict) -> None:
         """Publish the outcome and wake every waiter."""
         self.status = status
         self.document = document
-        self.headers = headers
         self.event.set()
 
 
@@ -374,9 +317,11 @@ class _WorkerHandle:
 class ShardDispatcher:
     """Routes, coalesces and supervises requests across the worker pool.
 
-    One instance backs one :class:`ShardedApiServer`; its public surface is
-    :meth:`dispatch` (used by the HTTP handler), :meth:`health` /
-    :meth:`stats` (the observability payloads) and :meth:`close`.
+    One instance backs one sharded :class:`~repro.api.http.ApiServer`; its
+    public surface is the dispatcher surface the HTTP handler calls, like
+    :class:`~repro.api.http.LocalDispatcher`'s: :meth:`handle`,
+    :meth:`health` / :meth:`stats` (the observability payloads),
+    :meth:`close` and ``counters``.
     """
 
     def __init__(self, config: Optional[ShardedConfig] = None):
@@ -453,8 +398,7 @@ class ShardDispatcher:
             elapsed = time.perf_counter() - started
             worker.latency.record(elapsed)
             self.counters.record_outcome(status, elapsed)
-        headers = {"Retry-After": self.config.retry_after} if status == 503 else None
-        pending.resolve(status, payload, headers)
+        pending.resolve(status, payload)
 
     def _on_worker_exit(self, worker: _WorkerHandle, generation: int) -> None:
         """Reader saw EOF: fail its in-flight work and respawn (unless closing)."""
@@ -472,34 +416,49 @@ class ShardDispatcher:
             worker.spawn()
             self._replay_registry(worker)
             self._start_reader(worker)
-        error = {
-            "error": {
-                "type": "WorkerCrashed",
-                "message": f"worker {worker.index} died; request was not completed",
-            }
-        }
-        headers = {"Retry-After": self.config.retry_after}
+        error = error_body(
+            "WorkerCrashed", f"worker {worker.index} died; request was not completed"
+        )
         for pending, key, started, is_stats in failures:
             if not is_stats:
                 self.counters.record_outcome(503, time.perf_counter() - started)
-            pending.resolve(503, error, headers)
+            pending.resolve(503, error)
 
     # -- request path ---------------------------------------------------------
 
-    def dispatch(self, kind: str, document: dict) -> "tuple[int, dict, Optional[dict]]":
-        """Route one request document; returns ``(status, body, headers)``.
+    def handle(self, kind: str, document: dict) -> "tuple[int, dict, Optional[dict]]":
+        """Answer one request: ``(status, body, headers)``; never raises.
 
-        Raises :class:`Overloaded` when the target worker is saturated.  A
-        worker crash or a request-timeout produce a ``503`` return (with
-        ``Retry-After``), never an exception or a hang.
+        Explain and query documents route to one worker; the database
+        kinds broadcast to every worker.  Backpressure, shutdown, a worker
+        crash and a request timeout all come back as 503 answers with
+        ``Retry-After``, never as an exception or a hang.  Counts the
+        :data:`~repro.api.http.COUNTED_KINDS` in ``/v1/stats``.
         """
+        if kind in ("explain", "query"):
+            status, body = self._dispatch(kind, document)
+        else:
+            started = time.perf_counter()
+            replies = self._broadcast_registry(kind, document)
+            if replies is None:
+                status, body = _SHUTTING_DOWN
+            else:
+                status, body = self._registry_response(replies)
+                if kind in COUNTED_KINDS:
+                    self.counters.record_outcome(status, time.perf_counter() - started)
+        headers = {"Retry-After": self.config.retry_after} if status == 503 else None
+        return status, body, headers
+
+    def _dispatch(self, kind: str, document: dict) -> "tuple[int, dict]":
+        """Route one explain or query document to its worker, coalescing it
+        with an identical in-flight one; ``(status, body)``."""
         key = routing_key(document)
         leader = False
         worker = None
         request_id = None
         with self._lock:
             if self._closed:
-                raise Overloaded("server is shutting down", self.config.retry_after)
+                return _SHUTTING_DOWN
             pending = self._inflight.get(key)
             if pending is not None:
                 self.counters.record_coalesced()
@@ -507,10 +466,10 @@ class ShardDispatcher:
                 worker = self.workers[key % len(self.workers)]
                 if worker.inflight >= self.config.queue_depth:
                     self.counters.record_rejected()
-                    raise Overloaded(
+                    return 503, error_body(
+                        "Overloaded",
                         f"worker {worker.index} is at its queue depth "
                         f"({self.config.queue_depth}); retry shortly",
-                        self.config.retry_after,
                     )
                 pending = _Pending()
                 request_id = worker.next_id
@@ -529,20 +488,11 @@ class ShardDispatcher:
             with self._lock:
                 if self._inflight.get(key) is pending:
                     del self._inflight[key]
-            return (
-                503,
-                {
-                    "error": {
-                        "type": "Timeout",
-                        "message": (
-                            f"request did not complete within "
-                            f"{self.config.request_timeout}s"
-                        ),
-                    }
-                },
-                {"Retry-After": self.config.retry_after},
+            return 503, error_body(
+                "Timeout",
+                f"request did not complete within {self.config.request_timeout}s",
             )
-        return pending.status, pending.document, pending.headers
+        return pending.status, pending.document
 
     # -- database registry -----------------------------------------------------
 
@@ -566,13 +516,14 @@ class ShardDispatcher:
                 break  # died again already; the next exit replays afresh
 
     def _broadcast_registry(
-        self, kind: str, document: dict, record: bool = False
-    ) -> "list[Optional[tuple[int, dict]]]":
-        """Send one registry job to EVERY worker; per-worker ``(status, body)``.
+        self, kind: str, document: dict
+    ) -> "Optional[list[Optional[tuple[int, dict]]]]":
+        """Send one registry job to EVERY worker; per-worker ``(status, body)``,
+        or None when the dispatcher is closed.
 
         Holds the dispatcher lock across recording the document in the
-        replay log (for ``record=True``, i.e. register/mutate) and writing
-        it to every worker pipe.  Log order and pipe order therefore agree:
+        replay log (register and mutate jobs) and writing it to every worker
+        pipe.  Log order and pipe order therefore agree:
         a worker that crashes either never saw the job (its respawn replays
         the recorded document) or saw it before dying (its respawn rebuilds
         from the full history) — either way each worker applies the
@@ -582,8 +533,8 @@ class ShardDispatcher:
         probes: "list[Optional[_Pending]]" = []
         with self._lock:
             if self._closed:
-                raise Overloaded("server is shutting down", self.config.retry_after)
-            if record:
+                return None
+            if kind in ("register", "mutate"):
                 self._replay.append((kind, document))
             for worker in self.workers:
                 pending = _Pending()
@@ -611,29 +562,20 @@ class ShardDispatcher:
 
     def _registry_response(
         self, replies: "list[Optional[tuple[int, dict]]]"
-    ) -> "tuple[int, dict, Optional[dict]]":
-        """Fold per-worker replies into one HTTP answer ``(status, body, headers)``.
+    ) -> "tuple[int, dict]":
+        """Fold per-worker replies into one answer ``(status, body)``.
 
         Deterministic worker errors win (404 unknown name, 400 bad
         document — every worker answers them identically); a missing reply
-        is a 503 with ``Retry-After``.  On success the body is worker 0's
-        document plus per-shard version ids and a ``converged`` flag — the
-        cross-worker proof the sharded serving tests assert on.
+        is a 503.  On success the body is worker 0's document plus
+        per-shard version ids and a ``converged`` flag — the cross-worker
+        proof the sharded serving tests assert on.
         """
         for reply in replies:
             if reply is not None and reply[0] != 200:
-                status, payload = reply
-                headers = (
-                    {"Retry-After": self.config.retry_after} if status == 503 else None
-                )
-                return status, payload, headers
+                return reply
         if any(reply is None for reply in replies):
-            return (
-                503,
-                {"error": {"type": "WorkerCrashed",
-                           "message": "a worker did not answer; retry shortly"}},
-                {"Retry-After": self.config.retry_after},
-            )
+            return 503, error_body("WorkerCrashed", "a worker did not answer; retry shortly")
         body = dict(replies[0][1])
         if "version_id" in body:
             shards = [
@@ -648,35 +590,7 @@ class ShardDispatcher:
                 for reply in replies
             ]
             body["converged"] = all(view == views[0] for view in views[1:])
-        return 200, body, None
-
-    def register_database_doc(
-        self, name: str, database_doc: dict
-    ) -> "tuple[int, dict, Optional[dict]]":
-        """``PUT /v1/databases/{name}``: register *database_doc* on every worker."""
-        replies = self._broadcast_registry(
-            "register", {"name": name, "database": database_doc}, record=True
-        )
-        return self._registry_response(replies)
-
-    def mutate_database_doc(
-        self, name: str, mutation_doc: dict
-    ) -> "tuple[int, dict, Optional[dict]]":
-        """``POST .../mutate``: apply one mutation document on every worker."""
-        replies = self._broadcast_registry(
-            "mutate", {"name": name, "mutation": mutation_doc}, record=True
-        )
-        return self._registry_response(replies)
-
-    def database_info(self, name: str) -> "tuple[int, dict, Optional[dict]]":
-        """Convergence-checked ``database-info`` for *name* (asks every worker)."""
-        replies = self._broadcast_registry("database-info", {"name": name})
-        return self._registry_response(replies)
-
-    def database_listing(self) -> "tuple[int, dict, Optional[dict]]":
-        """The ``/v1/databases`` body with a cross-shard ``converged`` flag."""
-        replies = self._broadcast_registry("databases", {})
-        return self._registry_response(replies)
+        return 200, body
 
     # -- observability --------------------------------------------------------
 
@@ -729,18 +643,13 @@ class ShardDispatcher:
                         databases.append(name)
             workers.append(info)
             all_up = all_up and info["alive"]
-        return {
-            "format": WIRE_VERSION,
-            "kind": "health",
-            "status": "ok" if all_up else "degraded",
-            "version": __version__,
-            "api_version": API_VERSION,
-            "wire_format": WIRE_VERSION,
-            "processes": len(self.workers),
-            "cache": cache,
-            "workers": workers,
-            "databases": databases,
-        }
+        return health_document(
+            "ok" if all_up else "degraded",
+            cache,
+            databases,
+            processes=len(self.workers),
+            workers=workers,
+        )
 
     def stats(self, timeout: float = 2.0) -> dict:
         """The ``/v1/stats`` document (see :func:`serving_stats_to_json`)."""
@@ -792,11 +701,7 @@ class ShardDispatcher:
                 worker.inflight = 0
             self._inflight.clear()
         for pending, _key, _started, _is_stats in failures:
-            pending.resolve(
-                503,
-                {"error": {"type": "ShuttingDown", "message": "server is closing"}},
-                {"Retry-After": self.config.retry_after},
-            )
+            pending.resolve(503, error_body("ShuttingDown", "server is closing"))
         for worker in self.workers:
             try:
                 worker.send(("shutdown",))
@@ -814,196 +719,25 @@ class ShardDispatcher:
             worker.conn.close()
 
 
-class ShardedApiServer(ThreadingHTTPServer):
-    """A threading HTTP front end bound to one :class:`ShardDispatcher`.
-
-    HTTP threads only parse/relay; every computation happens in a worker
-    process, so the front end stays responsive even at saturation.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address,
-        dispatcher: ShardDispatcher,
-        quiet: bool = True,
-        max_body_bytes: int = MAX_BODY_BYTES,
-    ):
-        self.dispatcher = dispatcher
-        self.quiet = quiet
-        self.max_body_bytes = max_body_bytes
-        super().__init__(address, _ShardedHandler)
-
-
-class _ShardedHandler(JsonHandler):
-    """Routes ``/v1/...`` requests onto the bound dispatcher."""
-
-    server: ShardedApiServer  # narrowed type for the attribute lookups below
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """Dispatch ``GET /v1/health``, ``/v1/scenarios``, ``/v1/stats`` and
-        the convergence-checked ``/v1/databases`` listing/info routes."""
-        route = databases_route(self.path)
-        try:
-            if self.path == f"/{API_VERSION}/health":
-                self._send_json(200, self.server.dispatcher.health())
-            elif self.path == f"/{API_VERSION}/stats":
-                self._send_json(200, self.server.dispatcher.stats())
-            elif self.path == f"/{API_VERSION}/scenarios":
-                self._send_json(
-                    200,
-                    {
-                        "format": WIRE_VERSION,
-                        "kind": "scenarios",
-                        "scenarios": scenarios_listing(),
-                    },
-                )
-            elif route is not None and route[0] == "list":
-                status, body, headers = self.server.dispatcher.database_listing()
-                self._send_json(status, body, headers)
-            elif route is not None and route[0] == "info":
-                status, body, headers = self.server.dispatcher.database_info(route[1])
-                self._send_json(status, body, headers)
-            elif route is not None:  # GET on .../mutate
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use POST"}})
-            elif self.path in (f"/{API_VERSION}/explain", f"/{API_VERSION}/query"):
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use POST"}})
-            else:
-                self._send_json(404, {"error": {"type": "NotFound",
-                                                "message": f"no route {self.path}"}})
-        except Overloaded as exc:
-            self._send_error_json(503, exc, {"Retry-After": exc.retry_after})
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error_json(500, exc)
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        """Broadcast ``PUT /v1/databases/{name}`` to every worker."""
-        route = databases_route(self.path)
-        try:
-            if route is not None and route[0] == "info":
-                try:
-                    document = self._read_body()
-                except ValueError as exc:
-                    self._send_error_json(400, exc)
-                    return
-                status, body, headers = self.server.dispatcher.register_database_doc(
-                    route[1], document
-                )
-                self._send_json(status, body, headers)
-            else:
-                self._send_json(404, {"error": {"type": "NotFound",
-                                                "message": f"no route {self.path}"}})
-        except Overloaded as exc:
-            self._send_error_json(503, exc, {"Retry-After": exc.retry_after})
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error_json(500, exc)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """Relay ``POST /v1/explain`` / ``/v1/query`` to one worker and
-        broadcast ``POST /v1/databases/{name}/mutate`` to all of them.
-
-        ``/v1/stats`` counts the same POSTs as the in-process server, each
-        before its response goes out: explain and query answers when their
-        worker replies, mutates and unparseable bodies here."""
-        started = time.perf_counter()
-        route = databases_route(self.path)
-        try:
-            if route is not None and route[0] != "mutate":  # /v1/databases[/{name}]
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use GET or PUT"}})
-                return
-            if self.path in (f"/{API_VERSION}/health", f"/{API_VERSION}/scenarios",
-                             f"/{API_VERSION}/stats"):
-                self._send_json(405, {"error": {"type": "MethodNotAllowed",
-                                                "message": "use GET"}})
-                return
-            if not counted_post(self.path, route):
-                self._send_json(404, {"error": {"type": "NotFound",
-                                                "message": f"no route {self.path}"}})
-                return
-            dispatcher = self.server.dispatcher
-            try:
-                document = self._read_body()
-            except ValueError as exc:
-                self._send_counted(started, 400, error_document(exc))
-                return
-            if route is not None:
-                self._send_counted(started, *dispatcher.mutate_database_doc(route[1], document))
-                return
-            kind = "explain" if self.path == f"/{API_VERSION}/explain" else "query"
-            status, body, headers = dispatcher.dispatch(kind, document)
-            self._send_json(status, body, headers)
-        except Overloaded as exc:
-            self._send_error_json(503, exc, {"Retry-After": exc.retry_after})
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error_json(500, exc)
-
-    def _send_counted(
-        self, started: float, status: int, body: dict, headers: Optional[dict] = None
-    ) -> None:
-        """Count one answer the front end gives itself, then send it."""
-        self.server.dispatcher.counters.record_outcome(
-            status, time.perf_counter() - started
-        )
-        self._send_json(status, body, headers)
-
-
 def make_sharded_server(
     config: Optional[ShardedConfig] = None,
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
     max_body_bytes: int = MAX_BODY_BYTES,
-) -> ShardedApiServer:
+) -> ApiServer:
     """Build a bound sharded server (workers started, HTTP not yet serving).
 
     ``port=0`` binds an ephemeral free port — read it back from
     ``server.server_address``, as the tests and the load harness do.
     """
     dispatcher = ShardDispatcher(config or ShardedConfig())
-    return ShardedApiServer(
-        (host, port), dispatcher, quiet=quiet, max_body_bytes=max_body_bytes
-    )
-
-
-def serve_sharded(
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    config: Optional[ShardedConfig] = None,
-    quiet: bool = False,
-) -> int:
-    """Run the sharded front end until interrupted (the CLI entry point)."""
-    config = config or ShardedConfig()
-    server = make_sharded_server(config, host, port, quiet=quiet)
-    bound_host, bound_port = server.server_address[:2]
-    print(
-        f"repro api {API_VERSION} (wire format {WIRE_VERSION}) "
-        f"listening on http://{bound_host}:{bound_port} "
-        f"[{config.processes} worker processes, queue depth {config.queue_depth}]"
-    )
-    print(f"  POST /{API_VERSION}/explain   POST /{API_VERSION}/query   "
-          f"GET /{API_VERSION}/scenarios   GET /{API_VERSION}/health   "
-          f"GET /{API_VERSION}/stats")
-    print(f"  GET/PUT /{API_VERSION}/databases[/{{name}}]   "
-          f"POST /{API_VERSION}/databases/{{name}}/mutate")
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
     try:
-        # SIGTERM (process managers, CI teardown) must shut the worker pool
-        # down like Ctrl-C does, not strand orphan worker processes.
-        signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:
-        pass  # not the main thread (embedded use) — skip the handler
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        server.dispatcher.close()
-    return 0
+        return ApiServer(
+            (host, port), dispatcher, quiet=quiet, max_body_bytes=max_body_bytes
+        )
+    except BaseException:
+        # A failed bind must not strand the workers: the process would
+        # hang at exit waiting for them.
+        dispatcher.close()
+        raise

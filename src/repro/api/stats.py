@@ -1,6 +1,6 @@
 """Serving-side metrics primitives: latency windows and request counters.
 
-Both HTTP front ends (the single-process :mod:`repro.api.http` server and
+Both serving modes (the in-process dispatcher of :mod:`repro.api.http` and
 the sharded multi-process one in :mod:`repro.api.sharded`) surface the same
 observability payload through ``GET /v1/stats``: how many requests were
 served, rejected or coalesced, the recent latency percentiles, and the
@@ -84,7 +84,7 @@ class LatencyWindow:
 
 
 class ServingCounters:
-    """Monotonic serving counters shared by the HTTP front ends.
+    """Monotonic serving counters, one set per dispatcher.
 
     Tracks request outcomes (``completed`` 2xx, ``errors`` 4xx/5xx computed
     by a worker, ``rejected`` backpressure 503s, ``timeouts``, ``coalesced``

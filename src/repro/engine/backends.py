@@ -273,7 +273,7 @@ def _task_trace_run(
     layout = present[0]._layout
     if any(v._layout is not layout for v in present):
         return None
-    parts = [nip_shape(nip) for nip in nips]
+    parts = [nip_shape(nip, row=True) for nip in nips]
     if any(shape != "?" and shape[0] != "tup" for shape, _ in parts):
         return None
     try:

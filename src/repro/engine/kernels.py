@@ -407,10 +407,11 @@ def build_trace_kernel(
     (``"?"`` or tuple shapes, see :func:`repro.whynot.matching.nip_shape`)
     and ``checks[j]`` the ``(strict, relaxed)`` shape indices tested after
     ``ops[j]`` (relaxed None: equal to strict).  The kernel is called as
-    ``fn(rows, args)`` with the NIPs' arguments concatenated in shape order
-    and returns ``(last_rows, flags, hits)``: the run's output rows, one
-    retained-index list per selection and, per operator, one hit-index list
-    per check — the strict hits, or the relaxed ones when no row matched
+    ``fn(rows, args)`` with the NIPs' ``nip_shape(nip, row=True)`` arguments
+    concatenated in shape order and returns ``(last_rows, flags, hits)``:
+    the run's output rows, one retained-index list per selection and, per
+    operator, one hit-index list per check — the strict hits, or the
+    relaxed ones when no row matched
     strictly.  Each check is the generated Definition-4 test of
     :func:`repro.whynot.matching.fields_test` over the column variables;
     checks repeated over an unchanged row (a selection re-testing its

@@ -31,7 +31,9 @@ The tracer's hot loops go one step further and test NIPs in generated
 source.  :func:`nip_shape` splits a NIP into a *shape* — tuple layouts,
 constants and ``?`` — and the *arguments* its test reads: constants,
 :func:`compile_pattern` closures for predicates and bag patterns, and per
-tuple pattern a fallback closure for values of any other layout.
+tuple pattern a fallback closure for values of any other layout (None for
+the top pattern of a NIP that tests whole rows, whose layout is settled at
+codegen).
 :func:`value_test` and :func:`fields_test` turn a shape into a Python
 expression (a value of the pattern's layout is read by position; anything
 else goes to the fallback), :func:`compile_scan` compiles one column scan
@@ -318,7 +320,7 @@ def _max_flow_feasible(
     return True
 
 
-def nip_shape(pattern: Any) -> "tuple[Any, tuple]":
+def nip_shape(pattern: Any, row: bool = False) -> "tuple[Any, tuple]":
     """Split a NIP into its codegen shape and the arguments its test reads.
 
     The shape is ``"?"``; ``"="`` for a constant (tested with ``==``, as
@@ -327,8 +329,15 @@ def nip_shape(pattern: Any) -> "tuple[Any, tuple]":
     closure); or ``("tup", names, shapes)`` for a tuple pattern over *names*
     in the pattern's order, whose arguments are its own closure — the
     fallback for values of another layout — followed by its attributes'.
+    With *row* the NIP tests whole rows (:func:`fields_test`), whose layout
+    is settled at codegen: no test calls the top pattern's fallback, so its
+    place holds None instead of a compiled closure.
     """
     args: list = []
+    if row and isinstance(pattern, Tup):
+        args.append(None)
+        subs = tuple(_shape(v, args) for v in pattern.values())
+        return ("tup", pattern.attrs, subs), tuple(args)
     return _shape(pattern, args), tuple(args)
 
 
@@ -396,12 +405,13 @@ def fields_test(
     attribute names to them) against a NIP of shape ``"?"`` or ``"tup"``.
 
     The row's attribute set is known, so it is settled here: None when no
-    row can match.  Otherwise like :func:`value_test`.
+    row can match.  Otherwise like :func:`value_test`; the top pattern's
+    fallback is never called (``nip_shape(pattern, row=True)`` builds none).
     """
     if shape == "?":
         return "True"
     _, names, subs = shape
-    next(args)  # the fallback closure: this row's layout is settled here
+    next(args)  # the fallback: this row's layout is settled here
     if frozenset(fields) != frozenset(names):
         return None
     tests = [

@@ -275,7 +275,7 @@ class TestHttpMutations:
         assert status_of("GET", "/v1/databases/x/mutate") == 405
         assert status_of("POST", "/v1/databases", {}) == 405
         assert status_of("POST", "/v1/databases/x", {}) == 405
-        assert status_of("PUT", "/v1/databases", {}) == 404
+        assert status_of("PUT", "/v1/databases", {}) == 405
         assert status_of("GET", "/v1/databases/a/b/c") == 404
 
     def test_cache_warmth_across_databases_over_http(self, client):

@@ -153,7 +153,7 @@ class TestReplicatedRegistry:
 
         assert status_of("GET", "/v1/databases/x/mutate") == 405
         assert status_of("POST", "/v1/databases/x", {}) == 405
-        assert status_of("PUT", "/v1/databases", {}) == 404
+        assert status_of("PUT", "/v1/databases", {}) == 405
 
 
 class TestCrashReplay:

@@ -463,6 +463,27 @@ def test_trace_kernel_source_golden(monkeypatch):
     assert source == expected
 
 
+def test_row_level_nips_compile_no_fallback(monkeypatch):
+    """A trace kernel tests whole rows, whose layout is settled at codegen,
+    so a traced run compiles no fallback closure for a row-level NIP; only
+    its nested tuple patterns, whose values may have another layout, get
+    one."""
+    from repro.whynot import matching
+
+    compiled = []
+    compile_pattern = matching.compile_pattern
+
+    def spy(pattern):
+        compiled.append(pattern)
+        return compile_pattern(pattern)
+
+    monkeypatch.setattr(matching, "compile_pattern", spy)
+    _, _, tasks = _social_trace_tasks(monkeypatch)
+    row_nips = {id(nip) for task in tasks for nip in task[4]}
+    assert tasks and compiled
+    assert not [p for p in compiled if id(p) in row_nips]
+
+
 def test_fresh_question_compiles_no_trace_kernel(monkeypatch):
     """A second explain of a fresh question over the same query hits the
     semantic cache: NIP constants reach kernels and scans as arguments, not

@@ -18,10 +18,13 @@ drives it through :class:`repro.api.Client`:
    planted question, a NIP-constant variant and the ``summarize`` twin
    answer like in-process ``explain()``, and ``GET /v1/stats`` reports a
    state entry and its reuses;
-8. the same checks against ``serve --processes 2`` (the sharded front end:
+8. the same checks against ``serve --processes 2`` (the sharded dispatcher:
    two real worker processes), plus ``GET /v1/stats`` decoding, the
    routing-locality cache hit, and the replicated registry: a mutation
-   broadcast through the front end converges on every worker.
+   broadcast through the front end converges on every worker;
+9. on both servers, the shared HTTP contract: ``PUT /v1/explain`` is a 405
+   with ``Allow: POST``, ``DELETE /v1/health`` a 501 with a JSON error
+   body, and SIGTERM shuts the server down with exit code 0.
 
 Exits non-zero on any failure; the surrounding CI step adds the timeout.
 
@@ -32,6 +35,8 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import socket
 import subprocess
@@ -100,8 +105,9 @@ def boot_serve(extra_args: "list[str]") -> "tuple[subprocess.Popen, Client, int]
     return process, Client(f"http://127.0.0.1:{port}"), port
 
 
-def drain(process: subprocess.Popen) -> None:
-    """Terminate the server subprocess and echo its captured log."""
+def drain(process: subprocess.Popen) -> int:
+    """SIGTERM the server subprocess, echo its captured log and return its
+    exit code."""
     process.terminate()
     try:
         output, _ = process.communicate(timeout=10)
@@ -111,6 +117,38 @@ def drain(process: subprocess.Popen) -> None:
     if output:
         print("--- server log ---")
         print(output.rstrip())
+    return process.returncode
+
+
+def contract_smoke(port: int) -> None:
+    """The HTTP contract both serving modes share: a method a known path
+    does not take is a 405 naming the allowed ones, and a method no path
+    takes is a 501 — both with JSON error bodies."""
+
+    def call(method: str, path: str) -> "tuple[int, str, str, dict]":
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request(method, path)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        allow = response.getheader("Allow")
+        return response.status, allow, response.getheader("Content-Type"), body
+
+    status, allow, content_type, body = call("PUT", "/v1/explain")
+    assert (status, allow) == (405, "POST"), (status, allow, body)
+    assert content_type == "application/json" and body["error"]["type"], body
+    status, allow, content_type, body = call("DELETE", "/v1/health")
+    assert status == 501 and content_type == "application/json", (status, body)
+    assert body["error"]["type"] == "NotImplemented", body
+    print("contract ok: 405 with Allow, JSON 501")
+
+
+def check_exit(code: int) -> None:
+    """A SIGTERMed server must close its service and exit 0."""
+    assert code == 0, f"serve exited with {code} after SIGTERM"
+    print("shutdown ok: exit code 0 after SIGTERM")
 
 
 def registry_smoke(client: Client) -> None:
@@ -213,7 +251,7 @@ def sharded_registry_smoke(client: Client) -> None:
 
 def sharded_smoke(expected: "list[frozenset[str]]") -> None:
     """Boot the sharded front end and re-verify the contract across it."""
-    process, client, _ = boot_serve(["--processes", "2"])
+    process, client, port = boot_serve(["--processes", "2"])
     try:
         health = wait_for_health(client, time.monotonic() + BOOT_TIMEOUT_S)
         workers = health.get("workers", [])
@@ -241,12 +279,14 @@ def sharded_smoke(expected: "list[frozenset[str]]") -> None:
               f"hit_rate={serving['cache']['hit_rate']}")
 
         sharded_registry_smoke(client)
+        contract_smoke(port)
     finally:
-        drain(process)
+        code = drain(process)
+    check_exit(code)
 
 
 def main() -> int:
-    process, client, _ = boot_serve([])
+    process, client, port = boot_serve([])
     try:
         health = wait_for_health(client, time.monotonic() + BOOT_TIMEOUT_S)
         print(f"health ok: version={health['version']} wire={health['wire_format']}")
@@ -289,8 +329,10 @@ def main() -> int:
 
         registry_smoke(client)
         state_smoke(client)
+        contract_smoke(port)
     finally:
-        drain(process)
+        code = drain(process)
+    check_exit(code)
 
     sharded_smoke(expected)
     print("api smoke: OK")
