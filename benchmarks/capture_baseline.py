@@ -8,11 +8,10 @@ Usage::
 Writes ``benchmarks/results/baseline_fig10.json`` and
 ``benchmarks/results/baseline_fig11.json``.
 
-Baselines are normally captured with the serial backend (the default) and
-the logical optimizer off, so a subsequent ``REPRO_BENCH_BACKEND=process``
-and/or ``REPRO_BENCH_OPTIMIZE=1`` benchmark run measures the multi-core or
-optimizer speedup against them; the backend and optimizer flags used are
-recorded in the file's ``backend`` block.
+Baselines are normally captured with the logical optimizer off, so a
+subsequent ``REPRO_BENCH_OPTIMIZE=1`` benchmark run measures the optimizer
+speedup against them; the optimizer flag used is recorded in the file's
+``backend`` block.
 """
 
 from __future__ import annotations

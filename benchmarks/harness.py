@@ -14,20 +14,10 @@ series plus — when a ``baseline_<figure>.json`` exists (captured with
 baseline timings and derived speedups.  This keeps the perf trajectory of
 the evaluation core observable across PRs; see ROADMAP.md §Performance.
 
-Backend knobs
--------------
+Optimizer knob
+--------------
 
-``REPRO_BENCH_BACKEND`` / ``REPRO_BENCH_WORKERS`` select the execution
-backend that the timed runs use (default: serial).  The chosen backend is
-recorded in every ``BENCH_*.json`` payload, so a parallel run against a
-serial-captured baseline yields the multi-core speedup directly in
-``rp_speedups`` / ``rp_speedup_aggregate``::
-
-    PYTHONPATH=src python benchmarks/capture_baseline.py          # serial
-    REPRO_BENCH_BACKEND=process REPRO_BENCH_WORKERS=4 \
-        PYTHONPATH=src python -m pytest benchmarks/test_fig10_tpch_runtime.py -q
-
-``REPRO_BENCH_OPTIMIZE=1`` additionally runs the logical plan optimizer
+``REPRO_BENCH_OPTIMIZE=1`` runs the logical plan optimizer
 (:mod:`repro.engine.optimizer`) on the timed answer path; the flag is
 recorded in the payloads, and the Figure-10 series always measures the plain
 query both optimizer-off and optimizer-on (``query_s`` vs ``query_opt_s``)
@@ -48,7 +38,7 @@ from typing import Any, Optional
 
 from repro.baselines.common import build_s1_trace
 from repro.baselines.wnpp import wnpp_explain
-from repro.engine.backends import get_backend
+from repro.engine.backends import default_backend_name
 from repro.engine.columnar import default_engine
 from repro.engine.executor import Executor
 from repro.scenarios import get_scenario
@@ -57,14 +47,6 @@ from repro.whynot.explain import explain
 SCALE_STEPS = [20, 40, 60, 80, 100]
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def bench_backend():
-    """The backend the timed runs use (``REPRO_BENCH_BACKEND``, default serial)."""
-    name = os.environ.get("REPRO_BENCH_BACKEND") or "serial"
-    workers_env = os.environ.get("REPRO_BENCH_WORKERS")
-    workers = int(workers_env) if workers_env else None
-    return get_backend(name, workers)
 
 
 def bench_optimize() -> bool:
@@ -78,11 +60,11 @@ def bench_optimize() -> bool:
 
 
 def backend_info() -> dict:
-    """Backend/optimizer/engine metadata embedded into the BENCH payloads."""
-    backend = bench_backend()
+    """Backend/optimizer/engine metadata embedded into the BENCH payloads
+    (every run is serial, in one process)."""
     return {
-        "name": backend.name,
-        "workers": backend.workers,
+        "name": default_backend_name(),
+        "workers": 1,
         "optimize": bench_optimize(),
         "engine": default_engine(),
     }
@@ -241,13 +223,12 @@ def _gc_paused():
             gc.enable()
 
 
-def time_query(scenario_name: str, scale: int, backend=None, optimize=None) -> float:
+def time_query(scenario_name: str, scale: int, optimize=None) -> float:
     """Wall time of the plain (partitioned) execution of the scenario query."""
     scenario = get_scenario(scenario_name)
     question = scenario.question(scale)
     executor = Executor(
         num_partitions=4,
-        backend=backend if backend is not None else bench_backend(),
         optimize=optimize if optimize is not None else bench_optimize(),
     )
     with _gc_paused():
@@ -261,7 +242,6 @@ def time_explain(
     scale: int,
     with_sas: bool = True,
     alternatives=None,
-    backend=None,
     optimize=None,
 ) -> tuple[float, int]:
     """Wall time of the full why-not pipeline; returns (seconds, #SAs)."""
@@ -274,7 +254,6 @@ def time_explain(
         alternatives=groups,
         use_schema_alternatives=with_sas,
         validate=False,
-        backend=backend if backend is not None else bench_backend(),
         optimize=optimize if optimize is not None else bench_optimize(),
     )
     return time.perf_counter() - started, result.n_sas

@@ -18,8 +18,11 @@ Usage::
 
     PYTHONPATH=src python benchmarks/serve_load.py            # full sweep
     PYTHONPATH=src python benchmarks/serve_load.py --smoke    # CI gate
+    PYTHONPATH=src python benchmarks/serve_load.py --results-dir benchmarks/results
 
-``--smoke`` runs a short fixed-request-count pass against both front ends
+The payload goes to a fresh temporary directory unless ``--results-dir
+DIR`` is given, so a run leaves the tracked ``benchmarks/results/`` copy
+alone; the script prints the path it wrote.  ``--smoke`` runs a short fixed-request-count pass against both front ends
 and asserts zero errors and a warm cache (hit-rate > 0) — the regression
 gate the CI ``serve-load`` job runs on every push.  The full sweep's
 multi-vs-single-process speedup is only meaningful on a multi-core host;
@@ -35,6 +38,7 @@ import random
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -45,8 +49,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.api import ApiError, Client  # noqa: E402
 from repro.api.stats import percentile  # noqa: E402
 from repro.wire import serving_stats_from_json  # noqa: E402
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Seeded request mix: repeats make cache hits possible, the scale spread
 #: keeps per-request cost heterogeneous (weights roughly match a serving
@@ -266,6 +268,9 @@ def main() -> int:
                         help="seconds per sweep step (ignored with --smoke)")
     parser.add_argument("--smoke", action="store_true",
                         help="short fixed-count regression gate (CI)")
+    parser.add_argument("--results-dir", metavar="DIR", default=None,
+                        help="write BENCH_serving.json into DIR "
+                        "(default: a fresh temporary directory)")
     args = parser.parse_args()
 
     client_counts = [int(c) for c in args.clients.split(",") if c]
@@ -293,8 +298,12 @@ def main() -> int:
             if single["saturation_qps"] else None
         ),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_serving.json"
+    if args.results_dir is None:
+        results_dir = Path(tempfile.mkdtemp(prefix="serve-load-"))
+    else:
+        results_dir = Path(args.results_dir)
+        results_dir.mkdir(parents=True, exist_ok=True)
+    out = results_dir / "BENCH_serving.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
     print(f"saturation: single={single['saturation_qps']} qps, "

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro list                     # all registered scenarios
     python -m repro run Q10 [--scale 60]     # one scenario, all approaches
-    python -m repro run Q10 --backend process --workers 4   # multi-core
     python -m repro run Q10 --optimize       # optimized answer path
     python -m repro run Q10 --show-plan      # original vs optimized plan
     python -m repro run --query-file f.rq    # run a textual .rq program
@@ -24,10 +23,6 @@ explanations up into ontology-aware summary groups
 (:mod:`repro.whynot.summarize`); ``--hierarchy FILE`` supplies a concept
 hierarchy document and ``--max-summaries N`` bounds the group count.
 
-``--backend serial`` (default) evaluates in-process; ``--backend process``
-fans the partitioned execution and SA-group tracing out across worker
-processes (see ``docs/ARCHITECTURE.md``).  Results are identical on both.
-
 ``Q(D)`` always runs through the logical plan optimizer on the kernel
 executor.  ``--optimize`` / ``--no-optimize`` toggle whether explanations
 report the optimizer's rewrite and whether ``serve`` optimizes plain
@@ -38,7 +33,7 @@ per-rule provenance annotations before running it.
 
 ``fuzz`` runs the seeded differential-testing sweep of :mod:`repro.fuzz`
 (see ``docs/FUZZING.md``): random nested databases and plans are checked
-across ``Query.evaluate`` × backends × optimizer on/off × partition counts;
+across ``Query.evaluate`` × optimizer on/off × partition counts;
 any divergence is shrunk to a minimal repro and (with ``--corpus-dir``)
 written as a corpus JSON file ready to pin as a regression test.  Exit code
 1 signals at least one divergence.
@@ -63,8 +58,8 @@ consistent-hash request routing, in-flight coalescing, queue-depth 503
 backpressure and automatic crash respawn (``docs/SERVING.md``).  Both modes
 shut down cleanly on Ctrl-C or SIGTERM.
 
-Count-like flags (``--workers``, ``--partitions``, ``--cases``, ``--depth``,
-``--rows``, ``--ops``, ``--cache-size``) validate their values up front:
+Count-like flags (``--partitions``, ``--cases``, ``--depth``, ``--rows``,
+``--ops``, ``--cache-size``) validate their values up front:
 zero or negative counts fail with a usage error instead of a traceback from
 deep inside the executor.
 """
@@ -151,15 +146,7 @@ def _run_query_file(args: argparse.Namespace) -> int:
         return 2
     print(f"{args.query_file}: database {db_name} (scale {scale})")
     if lowered.has_question:
-        print_explanation(
-            lowered,
-            db,
-            dict(
-                backend=args.backend,
-                workers=args.workers,
-                optimize=args.optimize,
-            ),
-        )
+        print_explanation(lowered, db, dict(optimize=args.optimize))
     else:
         print_result(lowered, db)
     return 0
@@ -190,13 +177,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         question = scenario.question(args.scale)
         print(optimize_query(question.query, question.db).describe())
         print()
-    run = run_scenario(
-        scenario,
-        scale=args.scale,
-        backend=args.backend,
-        workers=args.workers,
-        optimize=args.optimize,
-    )
+    run = run_scenario(scenario, scale=args.scale, optimize=args.optimize)
     print(f"  WN++    : {_fmt(run.wnpp)}")
     print(f"  Conseil : {_fmt(run.conseil)}")
     print(f"  RPnoSA  : {_fmt(run.rp_nosa)}")
@@ -277,13 +258,7 @@ def _cmd_table7(args: argparse.Namespace) -> int:
     ]
     print(f"{'scen.':>6} {'WN++':>6} {'RPnoSA':>7} {'RP':>6}  gold-rank")
     for name in names:
-        run = run_scenario(
-            name,
-            scale=args.scale,
-            backend=args.backend,
-            workers=args.workers,
-            optimize=args.optimize,
-        )
+        run = run_scenario(name, scale=args.scale, optimize=args.optimize)
         wn, nosa, rp = run.counts()
         gold = run.gold_position()
         print(f"{name:>6} {wn:>6} {nosa:>7} {rp:>6}  {f'({gold})' if gold else '-'}")
@@ -297,16 +272,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.serialize import dump_case
 
     config = FuzzConfig(depth=args.depth, rows=args.rows, ops=args.ops)
-    backends = ("serial", "process") if args.backend == "both" else (args.backend,)
-    explain_grid = [(b, opt) for b in backends for opt in (False, True)]
     if args.mutations:
         from repro.fuzz.mutations import run_mutation_sweep
 
         print(
             f"mutation fuzzing: seed={args.seed} cases={args.cases} "
             f"steps={args.steps} depth={args.depth} rows={args.rows} "
-            f"ops={args.ops} partitions={args.partitions[-1]} "
-            f"backends={'+'.join(backends)}"
+            f"ops={args.ops} partitions={args.partitions[-1]}"
         )
         result = run_mutation_sweep(
             args.seed,
@@ -314,8 +286,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             config,
             steps=args.steps,
             questions=not args.no_questions,
-            backends=backends,
-            workers=args.workers,
             num_partitions=args.partitions[-1],
         )
         for case, report in result.failures:
@@ -325,17 +295,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print()
         print(result.summary())
         return 0 if result.ok else 1
-    oracle_options = dict(
-        partitions=args.partitions,
-        backends=backends,
-        workers=args.workers,
-        explain_grid=explain_grid,
-        grammar=args.text,
-    )
+    oracle_options = dict(partitions=args.partitions, grammar=args.text)
     print(
         f"fuzzing: seed={args.seed} cases={args.cases} depth={args.depth} "
-        f"rows={args.rows} ops={args.ops} partitions={','.join(map(str, args.partitions))} "
-        f"backends={'+'.join(backends)}"
+        f"rows={args.rows} ops={args.ops} partitions={','.join(map(str, args.partitions))}"
         f"{' grammar=on' if args.text else ''}"
     )
     result = run_sweep(
@@ -363,8 +326,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             found_by = (
                 f"python -m repro fuzz --seed {args.seed} --cases {args.cases} "
                 f"--depth {args.depth} --rows {args.rows} --ops {args.ops} "
-                f"--partitions {','.join(map(str, args.partitions))} "
-                f"--backend {args.backend}"
+                f"--partitions {','.join(map(str, args.partitions))}"
                 + (" --text" if args.text else "")
             )
             dump_case(
@@ -403,20 +365,14 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     from repro.lang.repl import run_repl
 
     return run_repl(
-        scenario=args.scenario,
-        scale=args.scale,
-        options=dict(
-            backend=args.backend,
-            workers=args.workers,
-            optimize=args.optimize,
-        ),
+        scenario=args.scenario, scale=args.scale, options=dict(optimize=args.optimize)
     )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api.http import make_server, serve
 
-    options = dict(backend=args.backend, workers=args.workers, optimize=args.optimize)
+    options = dict(optimize=args.optimize)
     if args.processes is not None:
         from repro.api.sharded import ShardedConfig, make_sharded_server
 
@@ -447,19 +403,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list all registered scenarios")
 
-    def add_backend_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("serial", "process"),
-            default=None,
-            help="execution backend (default: REPRO_BACKEND or serial)",
-        )
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=None,
-            help="worker processes for --backend process (default: all cores)",
-        )
+    def add_optimize_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--optimize",
             action=argparse.BooleanOptionalAction,
@@ -507,7 +451,7 @@ def main(argv=None) -> int:
         default=8,
         help="summary group budget for --summarize (default 8)",
     )
-    add_backend_flags(run_parser)
+    add_optimize_flag(run_parser)
 
     gen_parser = sub.add_parser(
         "generate",
@@ -539,11 +483,11 @@ def main(argv=None) -> int:
     repl_parser.add_argument(
         "--scale", type=_positive_int, default=None, help="database scale for --scenario"
     )
-    add_backend_flags(repl_parser)
+    add_optimize_flag(repl_parser)
 
     t7 = sub.add_parser("table7", help="regenerate the Table-7 summary")
     t7.add_argument("--scale", type=int, default=40)
-    add_backend_flags(t7)
+    add_optimize_flag(t7)
 
     fuzz = sub.add_parser(
         "fuzz", help="run the seeded differential fuzz sweep (docs/FUZZING.md)"
@@ -566,18 +510,6 @@ def main(argv=None) -> int:
         type=_partition_list,
         default=(1, 3, 7),
         help="comma-separated partition counts to cross-check (default 1,3,7)",
-    )
-    fuzz.add_argument(
-        "--backend",
-        choices=("serial", "process", "both"),
-        default="both",
-        help="executor backends to cross-check (default both)",
-    )
-    fuzz.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="worker processes for the process backend (default 2)",
     )
     fuzz.add_argument(
         "--no-questions",
@@ -650,7 +582,7 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request access logs"
     )
-    add_backend_flags(serve_parser)
+    add_optimize_flag(serve_parser)
 
     args = parser.parse_args(argv)
     if args.command == "list":

@@ -102,22 +102,6 @@ class Expr:
         """
         raise KernelUnsupported(type(self).__name__)
 
-    def __getstate__(self):
-        """Pickle without the compiled closure (workers re-compile lazily).
-
-        Subclasses keep their parameters in ``__slots__`` while the compiled
-        cache lives in the instance ``__dict__`` (inherited from this
-        slot-less base), so the state is the standard ``(dict, slots)`` pair
-        with ``_compiled`` filtered out of the dict part.
-        """
-        d = {k: v for k, v in self.__dict__.items() if k != "_compiled"}
-        slots = {}
-        for cls in type(self).__mro__:
-            for name in getattr(cls, "__slots__", ()):
-                if hasattr(self, name):
-                    slots[name] = getattr(self, name)
-        return (d or None, slots)
-
     def attr_paths(self) -> list[Path]:
         """All attribute paths referenced by this expression (with duplicates,
         one entry per reference — Table 2 treats repeated references to the
@@ -380,8 +364,8 @@ class Arith(Expr):
     A NaN result is returned as the canonical
     :data:`~repro.nested.values.NAN` object, so computed columns feeding
     group/join keys obey the engine-wide single-NaN invariant (NaN produced
-    per row in a worker process must equal NaN produced by the reference
-    evaluation in the driver).
+    per row by a compiled kernel must equal NaN produced by the reference
+    evaluation).
     """
 
     __slots__ = ("op", "left", "right")

@@ -18,12 +18,11 @@ north star asks for.  It owns
   request's canonical wire encoding, with hit/miss counters surfaced in
   every response.  The key covers everything that determines the
   *explanations* (query, NIP, database content, alternatives, SA
-  toggles); execution-only knobs
-  (backend, workers, partitions, optimize) are excluded because the engine's
-  equivalence guarantees make results independent of them — the same cached
-  entry serves all of them, and the differential fuzz oracle cross-checks
-  the service against direct :func:`~repro.whynot.explain.explain` to keep
-  that assumption honest;
+  toggles); execution-only knobs (partitions, optimize) are excluded
+  because the engine's equivalence guarantees make results independent of
+  them — the same cached entry serves all of them, and the differential
+  fuzz oracle cross-checks the service against direct
+  :func:`~repro.whynot.explain.explain` to keep that assumption honest;
 * **per-query explain states** — an LRU keyed like the result cache but
   without the NIP and ``summarize``.  A state holds ``Q(D)``, the first
   question's relaxed trace with its SA signature and §5.4 bounds
@@ -35,8 +34,7 @@ north star asks for.  It owns
   evicted with the result entries of a mutated relation, and skipped by
   ``use_cache=False`` and ``cache_size=0``;
 * **concurrent dispatch** — :meth:`ExplanationService.submit` fans requests
-  out over a thread pool; each request still uses the configured execution
-  backend (:mod:`repro.engine.backends`) underneath.
+  out over a thread pool.
 
 :func:`~repro.whynot.explain.explain` remains the in-process computational
 core; the service wraps it (and the scenario registry) with the request
@@ -135,17 +133,29 @@ class BadRequest(ValueError):
 
 #: ``engine`` values older format-2 clients may send (accepted, ignored).
 _RETIRED_ENGINES = (None, "row", "columnar")
+#: ``backend`` values older format-2 clients may send (accepted, ignored).
+_RETIRED_BACKENDS = (None, "serial", "process")
+
+#: Largest ``partitions`` a request may ask for.  A plain query splits its
+#: input into that many partitions, so the count bounds the work and memory
+#: one request can claim (the most any shipped client or test sends is 7).
+MAX_PARTITIONS = 64
+
+
+def _is_count(value: Any, high: Optional[int] = None) -> bool:
+    """Is *value* an int (a bool is not) of at least 1, and at most *high*?"""
+    return type(value) is int and value >= 1 and (high is None or value <= high)
 
 
 @dataclass(frozen=True)
 class ExplainOptions:
     """Execution and algorithm knobs of one explain request.
 
-    ``backend``/``workers``/``optimize`` select *how* the engine runs (and
-    default to the ``REPRO_BACKEND``/``REPRO_OPTIMIZE`` environment, like
-    the CLI); ``partitions`` applies to plain query evaluation only
-    (:meth:`ExplanationService.query` / ``POST /v1/query`` — the explain
-    pipeline's tracing step manages its own partitioning);
+    ``optimize`` selects *how* the engine runs (default: the
+    ``REPRO_OPTIMIZE`` environment, like the CLI); ``partitions`` applies to
+    plain query evaluation only (:meth:`ExplanationService.query` /
+    ``POST /v1/query`` — the explain pipeline's tracing step manages its
+    own partitioning);
     ``use_schema_alternatives``/``revalidate``/``max_sas`` select *what* is
     computed (the paper's RP vs RPnoSA vs no-revalidation ablation) and
     therefore participate in the cache key.
@@ -159,8 +169,6 @@ class ExplainOptions:
     changes response content, so it participates in the cache key.
     """
 
-    backend: Optional[str] = None
-    workers: Optional[int] = None
     partitions: Optional[int] = None
     optimize: Optional[bool] = None
     use_schema_alternatives: bool = True
@@ -189,8 +197,6 @@ class ExplainOptions:
     def to_json(self) -> dict:
         """Encode as a plain JSON object (all fields, defaults included)."""
         return {
-            "backend": self.backend,
-            "workers": self.workers,
             "partitions": self.partitions,
             "optimize": self.optimize,
             "use_schema_alternatives": self.use_schema_alternatives,
@@ -201,11 +207,19 @@ class ExplainOptions:
 
     @classmethod
     def from_json(cls, data: Optional[dict]) -> "ExplainOptions":
-        """Decode :meth:`to_json` output; unknown fields are rejected.
+        """Decode :meth:`to_json` output, checking every field's value.
 
-        Format-2 clients written while a row engine existed may still send
-        ``engine`` (``null``, ``"row"`` or ``"columnar"``); it is accepted
-        and ignored, since the kernel executor is the only engine.
+        Unknown fields and ill-typed or out-of-range values raise
+        :class:`BadRequest`: ``optimize`` is a boolean or null,
+        ``revalidate`` and ``use_schema_alternatives`` booleans,
+        ``max_sas`` an integer of at least 1, and ``partitions`` null or an
+        integer from 1 to :data:`MAX_PARTITIONS` (a boolean is not an
+        integer).  Format-2 clients written while a row engine and a process
+        backend existed may still send ``engine`` (``null``, ``"row"`` or
+        ``"columnar"``), ``backend`` (``null``, ``"serial"`` or
+        ``"process"``) and ``workers`` (``null`` or an integer of at least
+        1); they are checked, then ignored, since every run is serial on
+        the kernel executor.
         """
         if data is None:
             return cls()
@@ -217,9 +231,31 @@ class ExplainOptions:
             raise BadRequest(
                 f"unknown engine {engine!r}; expected one of {_RETIRED_ENGINES}"
             )
+        backend = data.pop("backend", None)
+        if backend not in _RETIRED_BACKENDS:
+            raise BadRequest(
+                f"unknown backend {backend!r}; expected one of {_RETIRED_BACKENDS}"
+            )
+        workers = data.pop("workers", None)
+        if workers is not None and not _is_count(workers):
+            raise BadRequest(f"workers must be null or an integer >= 1, got {workers!r}")
         extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise BadRequest(f"unknown option fields: {sorted(extra)}")
+        for name in ("use_schema_alternatives", "revalidate"):
+            if name in data and not isinstance(data[name], bool):
+                raise BadRequest(f"{name} must be true or false, got {data[name]!r}")
+        optimize = data.get("optimize")
+        if optimize is not None and not isinstance(optimize, bool):
+            raise BadRequest(f"optimize must be true, false or null, got {optimize!r}")
+        if "max_sas" in data and not _is_count(data["max_sas"]):
+            raise BadRequest(f"max_sas must be an integer >= 1, got {data['max_sas']!r}")
+        partitions = data.get("partitions")
+        if partitions is not None and not _is_count(partitions, MAX_PARTITIONS):
+            raise BadRequest(
+                f"partitions must be null or an integer from 1 to {MAX_PARTITIONS}, "
+                f"got {partitions!r}"
+            )
         return cls(**data)
 
 
@@ -754,8 +790,6 @@ class ExplanationService:
                 use_schema_alternatives=options.use_schema_alternatives,
                 revalidate=options.revalidate,
                 max_sas=options.max_sas,
-                backend=options.backend or self.default_options.backend,
-                workers=options.workers or self.default_options.workers,
                 optimize=(
                     options.optimize
                     if options.optimize is not None
@@ -841,14 +875,12 @@ class ExplanationService:
         """Evaluate a plain query through the partitioned executor.
 
         Returns ``(result bag, execution metrics)``; ``options`` selects
-        backend/workers/partitions/optimize for this run.
+        partitions/optimize for this run.
         """
         options = options or self.default_options
         db = self.database(database) if isinstance(database, str) else database
         executor = Executor(
             num_partitions=options.partitions or 4,
-            backend=options.backend or self.default_options.backend,
-            workers=options.workers or self.default_options.workers,
             optimize=(
                 options.optimize
                 if options.optimize is not None

@@ -72,8 +72,9 @@ from repro.engine.hashing import stable_hash
 from repro.wire import serving_stats_to_json
 
 #: Option fields that change explanation *content*; everything else
-#: (backend/workers/partitions/optimize) is execution-only and is
-#: stripped from explain routing keys so equivalent requests co-locate.
+#: (partitions/optimize, and the retired engine/backend/workers) is
+#: execution-only and is stripped from explain routing keys so equivalent
+#: requests co-locate.
 SEMANTIC_OPTION_FIELDS = ("use_schema_alternatives", "revalidate", "max_sas", "summarize")
 
 #: The answer to a request that reaches a closed dispatcher.
@@ -89,8 +90,7 @@ class ShardedConfig:
     each worker's LRU capacity, ``request_timeout`` the front-end wait
     bound per request (a stuck worker yields a 503, never a hang), and
     ``retry_after`` the hint sent with every 503.  ``options`` holds the
-    default execution knobs each worker's service runs with
-    (``backend``/``workers``/``optimize``).
+    default execution knobs each worker's service runs with (``optimize``).
     """
 
     processes: int = 2
@@ -160,16 +160,6 @@ def _worker_main(
             os.close(fd)
         except OSError:
             pass
-    options = dict(options)
-    if options.get("backend") is None:
-        # The sharded front end parallelises across workers; inside one
-        # worker the default is serial evaluation regardless of
-        # REPRO_BACKEND.  A backend left unset would resolve from the
-        # environment and nest a process pool inside a forked, threaded
-        # worker — deadlock-prone and never faster than adding workers.
-        # An explicitly configured backend (CLI flag or per-request
-        # options) is still honoured.
-        options["backend"] = "serial"
     service = ExplanationService(
         cache_size=cache_size, options=ExplainOptions(**options)
     )
@@ -227,7 +217,7 @@ def _worker_main(
             break
     jobs.put(None)
     executor.join(timeout=5.0)
-    service.close()  # shut down backend pools so the process can exit
+    service.close()  # shut down the dispatch pool so the process can exit
     conn.close()
 
 
@@ -277,10 +267,8 @@ class _WorkerHandle:
             # child the fd numbers to close so EOF-on-parent-death works
             # (a spawn child inherits nothing, so nothing to close there).
             close_fds = tuple([parent_conn.fileno()] + list(self._leaked_fds()))
-        # Not a daemon: a worker's service may itself use the process
-        # backend (REPRO_BACKEND=process), and daemonic processes cannot
-        # have children.  Lifetime is managed explicitly instead — EOF on
-        # the pipe (front end gone) makes the worker exit, and
+        # Not a daemon: lifetime is managed explicitly — EOF on the pipe
+        # (front end gone) makes the worker exit, and
         # ``ShardDispatcher.close`` escalates shutdown → terminate → kill.
         self.process = self._ctx.Process(
             target=_worker_main,

@@ -1,11 +1,12 @@
 """Columnar batch evaluation: kernel chain tasks and key scatters.
 
-This module is the glue between the executor's backend seam and the kernel
-code generator (:mod:`repro.engine.kernels`):
+This module is the glue between the executor's per-partition tasks and the
+kernel code generator (:mod:`repro.engine.kernels`):
 
-* **Kernel chain task.**  ``("chain", op_ids, rows)``: the partition is
-  checked for a uniform row layout, lowered to (or fetched from the cache
-  as) one compiled kernel, and executed in a single call; any
+* **Kernel chain task.**  :func:`task_kernel_chain` runs one fused chain
+  over one partition: the partition is checked for a uniform row layout,
+  lowered to (or fetched from the cache as) one compiled kernel, and
+  executed in a single call; any
   :class:`~repro.engine.kernels.KernelBailout`, unsupported operator or
   heterogeneous layout falls back to the row-at-a-time operators *for that
   partition*, which also reproduces their exact error behaviour.  Results
@@ -66,7 +67,7 @@ def _row_chain(ops: list, rows: list, ctx) -> "tuple[list, list]":
     return rows, stats
 
 
-def task_kernel_chain(state, op_ids: "tuple[int, ...]", rows: list) -> Any:
+def task_kernel_chain(ops: list, rows: list, ctx, memo: dict) -> Any:
     """Evaluate a fused narrow chain over one partition, kernels first.
 
     Returns ``(rows, stats, info)`` — the row path's ``(rows, stats)`` plus
@@ -75,21 +76,17 @@ def task_kernel_chain(state, op_ids: "tuple[int, ...]", rows: list) -> Any:
     not mask them); populated partitions take it when the layout is not
     uniform, the chain cannot be lowered, or the kernel bails out on a value
     shape it cannot reproduce bit-identically.
+
+    *memo* is the execution's kernel memo: partitions of one execution
+    share the plan, so the (semantic) global cache key is built once per
+    chain and layout, and every further partition resolves by identity.
+    Memo hits still count as cache hits — the compiled kernel was reused.
     """
     info = new_kernel_info()
-    ops = [state.op(op_id) for op_id in op_ids]
-    ctx = state.ctx()
     if rows:
         layout = rows[0]._layout
         if all(t._layout is layout for t in rows):
-            # Per-state memo: partitions of one execution share the plan, so
-            # the (semantic) global cache key is built once per chain+layout
-            # and every further partition resolves by identity.  Memo hits
-            # still count as cache hits — the compiled kernel was reused.
-            memo = getattr(state, "_kernel_memo", None)
-            if memo is None:
-                memo = state._kernel_memo = {}
-            mkey = (op_ids, layout)
+            mkey = (tuple(op.op_id for op in ops), layout)
             if mkey in memo:
                 kernel = memo[mkey]
                 info["hits"] += 1

@@ -4,31 +4,29 @@ The executor evaluates a :class:`~repro.algebra.operators.Query` with
 distributed-style execution: relations are hash-partitioned, *narrow*
 operators (selection, projection, flatten, ...) are fused into per-partition
 task chains, and *wide* operators (joins, grouping, deduplication) shuffle
-rows by key first, exactly like Spark's stages.  Tasks are dispatched through
-a pluggable :mod:`~repro.engine.backends` backend — ``serial`` runs them
-inline, ``process`` fans them out across CPU cores — and per-operator metrics
-(rows in/out, shuffled rows, wall/cpu time) are merged back from whichever
-workers ran them; they feed the runtime benchmarks of Figures 8–11.
+rows by key first, exactly like Spark's stages.  Every per-partition task
+runs in the calling process, and per-operator metrics (rows in/out,
+shuffled rows, wall/cpu time) are merged from the tasks; they feed the
+runtime benchmarks of Figures 8–11.  Multi-core serving runs whole
+requests in parallel instead (``serve --processes N``).
 
 Shuffles use :func:`repro.engine.hashing.stable_hash`, so partition
 assignment (and every metric derived from it) is identical across processes
 regardless of ``PYTHONHASHSEED``.  Keys are computed once by the operator's
 compiled key function during the shuffle and handed to the per-partition
-``eval_keyed`` evaluation — never recomputed inside the partition.  Shuffles
-always happen in the driver; only the per-partition evaluation moves to
-workers.
+``eval_keyed`` evaluation — never recomputed inside the partition.
 
-Correctness does not depend on partitioning *or* on the backend: for every
-plan, every partition count and every worker count the executor's result
-equals ``Query.evaluate`` (tested property-style, over all registered
-scenario queries, and cross-backend in ``tests/engine/test_executor.py`` and
-``tests/engine/test_backends.py``).
+Correctness does not depend on partitioning: for every plan and every
+partition count the executor's result equals ``Query.evaluate`` (tested
+property-style, over all registered scenario queries, in
+``tests/engine/test_executor.py`` and ``tests/engine/test_backends.py``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.algebra.operators import (
@@ -53,12 +51,12 @@ from repro.algebra.operators import (
     TupleNesting,
     Union,
 )
-from repro.engine.backends import ExecutionBackend, TaskContext, get_backend
 from repro.engine.columnar import (
     group_key_scatter,
     join_key_scatter,
     merge_kernel_info,
     new_kernel_info,
+    task_kernel_chain,
 )
 from repro.engine.database import Database
 from repro.engine.hashing import stable_hash
@@ -135,7 +133,7 @@ def build_segments(query: Query) -> list[_Segment]:
 
 
 class Executor:
-    """Evaluates query plans with partitioned, backend-pluggable execution.
+    """Evaluates query plans with partitioned execution.
 
     ``optimize`` runs the logical plan optimizer
     (:mod:`repro.engine.optimizer`) before execution; ``None`` defers to the
@@ -152,14 +150,11 @@ class Executor:
     def __init__(
         self,
         num_partitions: int = 4,
-        backend: "str | ExecutionBackend | None" = None,
-        workers: Optional[int] = None,
         optimize: Optional[bool] = None,
     ):
         if num_partitions < 1:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions
-        self.backend = get_backend(backend, workers)
         self.optimize = resolve_optimize(optimize)
         self.last_metrics: Optional[ExecutionMetrics] = None
         self.last_report: Optional[OptimizationReport] = None
@@ -173,15 +168,11 @@ class Executor:
             query = report.optimized
         self.last_report = report
         ctx = EvalContext(db, query.infer_schemas(db))
-        context = TaskContext(query, db)
-        metrics = ExecutionMetrics(
-            backend=self.backend.name,
-            workers=self.backend.workers,
-            kernels=new_kernel_info(),
-        )
+        metrics = ExecutionMetrics(kernels=new_kernel_info())
         cache: dict[int, Partitions] = {}
+        memo: dict = {}  # this execution's kernels by (chain op ids, layout)
         for segment in build_segments(query):
-            self._run_segment(segment, cache, ctx, context, metrics)
+            self._run_segment(segment, cache, ctx, memo, metrics)
         metrics.wall_seconds = time.perf_counter() - started
         if report is not None:
             metrics.optimizer = report.summary()
@@ -251,7 +242,7 @@ class Executor:
         segment: _Segment,
         cache: dict[int, Partitions],
         ctx: EvalContext,
-        context: TaskContext,
+        memo: dict,
         metrics: ExecutionMetrics,
     ) -> None:
         started = time.perf_counter()
@@ -265,7 +256,7 @@ class Executor:
             m.cpu_seconds = m.wall_seconds
             return
         if segment.kind == "chain":
-            self._run_chain(segment, cache, context, metrics, started)
+            self._run_chain(segment, cache, ctx, memo, metrics, started)
             return
         if segment.kind == "union":
             op = segment.ops[0]
@@ -278,7 +269,7 @@ class Executor:
             m.cpu_seconds = m.wall_seconds
             return
         if segment.kind == "wide":
-            self._run_wide(segment.ops[0], cache, context, metrics, started)
+            self._run_wide(segment.ops[0], cache, ctx, metrics, started)
             return
         # "driver": gather everything and evaluate globally (cartesian
         # product and any future operator without a partitioning rule).
@@ -297,34 +288,32 @@ class Executor:
         self,
         segment: _Segment,
         cache: dict[int, Partitions],
-        context: TaskContext,
+        ctx: EvalContext,
+        memo: dict,
         metrics: ExecutionMetrics,
         started: float,
     ) -> None:
         ops = segment.ops
         child_parts = cache[ops[0].children[0].op_id]
-        op_ids = tuple(op.op_id for op in ops)
         # Register metrics in plan order before merging task stats.
         per_op = {op.op_id: self._op_metrics(metrics, op) for op in ops}
-        results = self.backend.run(
-            context, [("chain", op_ids, part) for part in child_parts]
-        )
-        cache[op_ids[-1]] = [rows for rows, _, _ in results]
+        results = [task_kernel_chain(ops, part, ctx, memo) for part in child_parts]
+        cache[ops[-1].op_id] = [rows for rows, _, _ in results]
         for _, stats, info in results:
             for op_id, n_in, n_out, seconds in stats:
                 per_op[op_id].absorb_task(n_in, n_out, seconds)
             merge_kernel_info(metrics.kernels, info)
         elapsed = time.perf_counter() - started
         for op in ops:
-            # Driver-observed elapsed time is attributed to the whole fused
-            # stage; per-operator compute lives in ``cpu_seconds``.
+            # Elapsed time is attributed to the whole fused stage;
+            # per-operator compute lives in ``cpu_seconds``.
             per_op[op.op_id].wall_seconds += elapsed
 
     def _run_wide(
         self,
         op: Operator,
         cache: dict[int, Partitions],
-        context: TaskContext,
+        ctx: EvalContext,
         metrics: ExecutionMetrics,
         started: float,
     ) -> None:
@@ -341,32 +330,30 @@ class Executor:
             right = self._shuffle_keyed(
                 child_parts[1], join_key_scatter(tuple(r for _, r in op.on), right_key), m
             )
-            tasks = [
-                ("join_keyed", op.op_id, left[i], right[i]) for i in range(nparts)
-            ]
+            tasks = [partial(op.eval_keyed, left[i], right[i], ctx) for i in range(nparts)]
         elif isinstance(op, GroupAggregation) and not op.key_specs:
             gathered = self._gather(child_parts[0], m)
-            tasks = [("rows", op.op_id, [gathered])]
+            tasks = [partial(op.eval_rows, [gathered], ctx)]
             pad_empty = True
         elif isinstance(op, (GroupAggregation, RelationNesting)):
             shuffled = self._shuffle_keyed(child_parts[0], group_key_scatter(op), m)
-            tasks = [("group_keyed", op.op_id, part) for part in shuffled]
+            tasks = [partial(op.eval_keyed, part, ctx) for part in shuffled]
         else:  # Deduplication, Difference: shuffle whole rows by value
             shuffled = [
                 self._shuffle_by_key(parts, lambda t: t, m) for parts in child_parts
             ]
             tasks = [
-                ("rows", op.op_id, [child[i] for child in shuffled])
+                partial(op.eval_rows, [child[i] for child in shuffled], ctx)
                 for i in range(nparts)
             ]
-        results = self.backend.run(context, tasks)
-        parts = [rows for rows, _ in results]
+        parts = []
+        for task in tasks:
+            task_started = time.perf_counter()
+            parts.append(task())
+            m.cpu_seconds += time.perf_counter() - task_started
+        m.tasks += len(tasks)
         if pad_empty:
             parts = parts + [[] for _ in range(nparts - 1)]
         cache[op.op_id] = parts
         m.rows_out = sum(len(p) for p in parts)
-        for _, stats in results:
-            for _, _, _, seconds in stats:
-                m.cpu_seconds += seconds
-                m.tasks += 1
         m.wall_seconds += time.perf_counter() - started

@@ -1,21 +1,16 @@
 """Per-operator execution metrics (the reproduction's mini Spark UI).
 
-Metrics are collected by the partitioned executor and merged across whatever
-backend ran the tasks: with the serial backend every counter comes from the
-driver; with the process backend the per-task counters (rows in/out, compute
-seconds) are measured inside the workers, shipped back with each task result
-and merged here.  Row and shuffle counts are backend-invariant — the
-cross-backend regression tests assert they match the serial execution
-exactly; only the timing fields differ.
+Metrics are collected by the partitioned executor and merged from its
+per-partition tasks: each task's counters (rows in/out, compute seconds)
+are added to its operator's totals here.
 
 Timing semantics:
 
-* ``OperatorMetrics.wall_seconds`` — driver-observed elapsed time for the
-  operator's stage (shuffle + dispatch + collect).
+* ``OperatorMetrics.wall_seconds`` — elapsed time of the operator's stage
+  (shuffle + every partition's task).
 * ``OperatorMetrics.cpu_seconds`` — summed task compute time across all
-  workers (equals elapsed time for the serial backend, can exceed
-  ``wall_seconds`` under real parallelism).
-* ``ExecutionMetrics.wall_seconds`` — end-to-end driver wall time.
+  partitions.
+* ``ExecutionMetrics.wall_seconds`` — end-to-end wall time.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ class OperatorMetrics:
     origins: "tuple[int, ...]" = ()
 
     def absorb_task(self, rows_in: int, rows_out: int, seconds: float) -> None:
-        """Merge one worker task's counters into this operator's totals."""
+        """Merge one partition task's counters into this operator's totals."""
         self.rows_in += rows_in
         self.rows_out += rows_out
         self.cpu_seconds += seconds
@@ -70,8 +65,6 @@ class ExecutionMetrics:
 
     operators: dict[int, OperatorMetrics] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    backend: str = "serial"
-    workers: int = 1
     optimizer: "dict | None" = None
     engine: str = "columnar"
     kernels: "dict | None" = None
@@ -85,15 +78,14 @@ class ExecutionMetrics:
         return sum(m.shuffled_rows for m in self.operators.values())
 
     def total_cpu_seconds(self) -> float:
-        """Summed per-task compute time across all operators and workers."""
+        """Summed per-task compute time across all operators and partitions."""
         return sum(m.cpu_seconds for m in self.operators.values())
 
     def report(self) -> str:
         """Human-readable per-operator execution summary (mini Spark UI)."""
         lines = [
             f"total wall time: {self.wall_seconds:.4f}s "
-            f"(backend={self.backend}, workers={self.workers}, "
-            f"engine={self.engine}, cpu={self.total_cpu_seconds():.4f}s)"
+            f"(engine={self.engine}, cpu={self.total_cpu_seconds():.4f}s)"
         ]
         if self.kernels is not None:
             k = self.kernels

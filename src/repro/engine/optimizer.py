@@ -12,8 +12,8 @@ produces a *separate, provenance-linked* plan for the answer path:
 * every rewritten operator carries ``origins`` — the ids of the user-plan
   operators it derives from (synthesized operators carry ``()``);
 * optimized and unoptimized evaluation produce **equal result bags** for every
-  plan (enforced for every registered scenario, both backends, 1/3/7
-  partitions in ``tests/engine/test_optimizer.py``);
+  plan (enforced for every registered scenario at 1/3/7 partitions in
+  ``tests/engine/test_optimizer.py``);
 * ``explain``/tracing/reparameterization always run against the original
   query, so explanation sets, SA enumerations and side-effect bounds are
   byte-for-byte independent of the optimizer flag.

@@ -18,8 +18,8 @@ gate:
   of such mutations through ``mutate_database`` and cross-checks, at
   **every** version,
 
-  1. ``query`` (per requested backend, asked twice: the first call plans
-     the query for the new version, the second reuses that plan) against
+  1. ``query`` (asked twice: the first call plans the query for the new
+     version, the second reuses that plan) against
      the reference ``Query.evaluate`` bag of the version, and
   2. ``explain`` of the case's question and of its sibling
      (:func:`~repro.fuzz.plans.gen_sibling`: the same attribute constrained
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.engine.database import Database, Mutation
 from repro.fuzz.data import FuzzConfig, _gen_row
@@ -159,8 +159,6 @@ def check_mutation_case(
     case: FuzzCase,
     rng: random.Random,
     steps: int = 3,
-    backends: Sequence[str] = ("serial",),
-    workers: int = 2,
     num_partitions: int = 3,
     config: Optional[FuzzConfig] = None,
 ) -> OracleReport:
@@ -204,11 +202,8 @@ def check_mutation_case(
         expected = (
             reference if db_v is base else _outcome(lambda: case.query.evaluate(db_v))
         )
-        for backend in backends:
-            if not _check_query(
-                report, service, case, expected, backend, workers, num_partitions, label
-            ):
-                return report
+        if not _check_query(report, service, case, expected, num_partitions, label):
+            return report
         if expected[0] == "error":
             nips.clear()  # the query itself errors: no question to explain
         for kind in list(nips):
@@ -243,8 +238,6 @@ def _check_query(
     service,
     case: FuzzCase,
     expected,
-    backend: str,
-    workers: int,
     num_partitions: int,
     label: str,
 ) -> bool:
@@ -252,13 +245,11 @@ def _check_query(
     the call that plans the version and the one that reuses the plan."""
     from repro.api import ExplainOptions
 
-    options = ExplainOptions(
-        backend=backend, workers=workers, partitions=num_partitions, optimize=True
-    )
+    options = ExplainOptions(partitions=num_partitions, optimize=True)
     for attempt in ("miss", "hit"):
         got = _outcome(lambda: service.query(case.query, DB_NAME, options)[0])
         report.configs_run += 1
-        config = f"query backend={backend} {attempt} {label}"
+        config = f"query {attempt} {label}"
         if got[0] != expected[0] or (got[0] == "error" and got[1] != expected[1]):
             report.divergences.append(
                 Divergence(
@@ -297,7 +288,7 @@ def _check_explain(
 
     nip = nips[kind]
     fresh = WhyNotQuestion(case.query, db_v, nip, name=case.name)
-    expected = _outcome(lambda: explain(fresh, backend="serial", validate=True))
+    expected = _outcome(lambda: explain(fresh, validate=True))
     request = ExplainRequest(query=case.query, nip=nip, database=DB_NAME, name=case.name)
     got = _outcome(lambda: service.explain(request).result)
     report.explain_configs_run += 1
@@ -407,8 +398,6 @@ def run_mutation_sweep(
     config: Optional[FuzzConfig] = None,
     steps: int = 3,
     questions: bool = True,
-    backends: Sequence[str] = ("serial",),
-    workers: int = 2,
     num_partitions: int = 3,
 ) -> MutationSweepResult:
     """Fuzz *cases* mutation chains for one seed (CLI: ``fuzz --mutations``).
@@ -426,8 +415,6 @@ def run_mutation_sweep(
             case,
             rng,
             steps=steps,
-            backends=backends,
-            workers=workers,
             num_partitions=num_partitions,
             config=config,
         )

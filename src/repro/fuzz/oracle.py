@@ -4,18 +4,17 @@ For a generated ``(database, query[, why-not question])`` case the oracle
 runs:
 
 * the reference semantics ``Query.evaluate``,
-* the partitioned executor for every ``backend × optimize × partitions``
-  combination requested (defaults: serial/process × on/off × 1/3/7),
+* the partitioned executor for every ``optimize × partitions``
+  combination requested (defaults: on/off × 1/3/7),
 
 and checks
 
 1. **result bags** — every configuration must equal the reference bag;
 2. **metrics invariants** — the root operator's ``rows_out`` equals the
-   result size, and total shuffled rows agree across backends for the same
-   (partitions, optimize) point;
+   result size;
 3. **explanation sets** — ``explain`` (validated why-not question) must
-   produce the identical ranked explanation label sets for every requested
-   backend/optimizer combination;
+   produce the identical ranked explanation label sets with the optimizer
+   off and on;
 4. **matcher agreement** — the reference NIP matcher
    (:func:`repro.whynot.matching.matches`), the compiled matcher
    (:func:`repro.whynot.matching.compile_pattern`) and the generated column
@@ -62,16 +61,9 @@ from repro.whynot.question import WhyNotQuestion
 
 #: Default grid (the acceptance grid of the fuzz subsystem).
 PARTITIONS = (1, 3, 7)
-BACKENDS = ("serial", "process")
 OPTIMIZE = (False, True)
-#: Backend/optimizer pairs explanation sets are compared across.  Tracing
-#: is the expensive path, so the default exercises the optimizer toggle on
-#: the serial backend and one process-backend point.
-EXPLAIN_GRID = (
-    ("serial", False),
-    ("serial", True),
-    ("process", False),
-)
+#: Optimizer settings explanation sets are compared across.
+EXPLAIN_GRID = (False, True)
 
 
 @dataclass
@@ -143,89 +135,63 @@ def check_case(
     query: Query,
     question: Optional[WhyNotQuestion] = None,
     partitions: Sequence[int] = PARTITIONS,
-    backends: Sequence[str] = BACKENDS,
     optimize: Sequence[bool] = OPTIMIZE,
-    workers: int = 2,
-    explain_grid: Optional[Sequence] = None,
+    explain_grid: Optional[Sequence[bool]] = None,
     grammar: bool = False,
 ) -> OracleReport:
     """Differentially test one case across the full configuration grid."""
     report = OracleReport()
     reference = _outcome(lambda: query.evaluate(db))
 
-    shuffled_totals: dict = {}
-    for backend in backends:
-        for opt in optimize:
-            for nparts in partitions:
-                config = f"backend={backend} optimize={opt} partitions={nparts}"
-                executor = Executor(
-                    num_partitions=nparts,
-                    backend=backend,
-                    workers=workers,
-                    optimize=opt,
+    for opt in optimize:
+        for nparts in partitions:
+            config = f"optimize={opt} partitions={nparts}"
+            executor = Executor(num_partitions=nparts, optimize=opt)
+            got = _outcome(lambda: executor.execute(query, db))
+            report.configs_run += 1
+            if got[0] != reference[0]:
+                report.divergences.append(
+                    Divergence(
+                        "error",
+                        config,
+                        f"reference={reference[1] if reference[0] == 'error' else 'ok'}"
+                        f" vs executor={got[1] if got[0] == 'error' else 'ok'}",
+                    )
                 )
-                got = _outcome(lambda: executor.execute(query, db))
-                report.configs_run += 1
-                if got[0] != reference[0]:
+                continue
+            if reference[0] == "error":
+                if got[1] != reference[1]:
                     report.divergences.append(
                         Divergence(
                             "error",
                             config,
-                            f"reference={reference[1] if reference[0] == 'error' else 'ok'}"
-                            f" vs executor={got[1] if got[0] == 'error' else 'ok'}",
+                            f"exception {got[1]} vs reference {reference[1]}",
                         )
                     )
-                    continue
-                if reference[0] == "error":
-                    if got[1] != reference[1]:
-                        report.divergences.append(
-                            Divergence(
-                                "error",
-                                config,
-                                f"exception {got[1]} vs reference {reference[1]}",
-                            )
-                        )
-                    continue
-                if got[1] != reference[1]:
-                    report.divergences.append(
-                        Divergence("result", config, _bag_diff(reference[1], got[1]))
-                    )
-                    continue
-                metrics = executor.last_metrics
-                root_id = (
-                    executor.last_report.optimized.root.op_id
-                    if executor.last_report is not None
-                    else query.root.op_id
+                continue
+            if got[1] != reference[1]:
+                report.divergences.append(
+                    Divergence("result", config, _bag_diff(reference[1], got[1]))
                 )
-                root_metrics = metrics.operators.get(root_id)
-                if root_metrics is not None and root_metrics.rows_out != len(reference[1]):
-                    report.divergences.append(
-                        Divergence(
-                            "metrics",
-                            config,
-                            f"root rows_out={root_metrics.rows_out} "
-                            f"!= |result|={len(reference[1])}",
-                        )
+                continue
+            root_id = (
+                executor.last_report.optimized.root.op_id
+                if executor.last_report is not None
+                else query.root.op_id
+            )
+            root_metrics = executor.last_metrics.operators.get(root_id)
+            if root_metrics is not None and root_metrics.rows_out != len(reference[1]):
+                report.divergences.append(
+                    Divergence(
+                        "metrics",
+                        config,
+                        f"root rows_out={root_metrics.rows_out} "
+                        f"!= |result|={len(reference[1])}",
                     )
-                total_shuffled = sum(
-                    m.shuffled_rows for m in metrics.operators.values()
                 )
-                key = (opt, nparts)
-                previous = shuffled_totals.get(key)
-                if previous is None:
-                    shuffled_totals[key] = (backend, total_shuffled)
-                elif previous[1] != total_shuffled:
-                    report.divergences.append(
-                        Divergence(
-                            "metrics",
-                            config,
-                            f"shuffled_rows={total_shuffled} vs "
-                            f"{previous[1]} on backend={previous[0]}",
-                        )
-                    )
 
     if grammar:
-        _check_grammar(report, db, query, question, reference, workers)
+        _check_grammar(report, db, query, question, reference)
 
     if reference[0] == "error":
         report.reference_error = reference[1]
@@ -239,7 +205,6 @@ def check_case(
             db,
             question,
             explain_grid if explain_grid is not None else EXPLAIN_GRID,
-            workers,
         )
     return report
 
@@ -389,7 +354,6 @@ def _check_grammar(
     query: Query,
     question: Optional[WhyNotQuestion],
     reference,
-    workers: int,
 ) -> None:
     """Grammar round-trip: pretty → reparse → relower must be the identity.
 
@@ -462,9 +426,7 @@ def _check_grammar(
 
     def run(program_query, program_nip):
         fresh = WhyNotQuestion(program_query, db, program_nip, name=query.name)
-        return explain(
-            fresh, backend="serial", workers=workers, validate=True
-        )
+        return explain(fresh, validate=True)
 
     original = _outcome(lambda: run(query, nip))
     reparsed = _outcome(lambda: run(lowered.query, lowered.nip))
@@ -573,29 +535,20 @@ def _check_explanations(
     query: Query,
     db: Database,
     question: WhyNotQuestion,
-    grid: Sequence,
-    workers: int,
+    grid: Sequence[bool],
 ) -> None:
     from repro.whynot.explain import explain
 
     if not grid:
         return
     outcomes = []
-    for backend, opt in grid:
+    for opt in grid:
         # A fresh question per configuration: ``explain`` seeds the result
         # cache, and sharing it across configurations could mask divergence.
         fresh = WhyNotQuestion(query, db, question.nip, name=question.name)
-        outcome = _outcome(
-            lambda: explain(
-                fresh,
-                backend=backend,
-                workers=workers,
-                optimize=opt,
-                validate=True,
-            )
-        )
+        outcome = _outcome(lambda: explain(fresh, optimize=opt, validate=True))
         report.explain_configs_run += 1
-        outcomes.append(((backend, opt), outcome))
+        outcomes.append((opt, outcome))
     kinds = {o[0] for _, o in outcomes}
     if kinds == {"error"}:
         _check_tracer(report, query, db, question, outcomes[0][1])
@@ -614,15 +567,14 @@ def _check_explanations(
     baseline_config, baseline = outcomes[0]
     _check_tracer(report, query, db, question, baseline)
     for config, outcome in outcomes[1:]:
-        label = f"backend={config[0]} optimize={config[1]}"
+        label = f"optimize={config}"
         if outcome[0] != baseline[0]:
             report.divergences.append(
                 Divergence(
                     "explanation",
                     label,
                     f"outcome {outcome[0]}/{outcome[1] if outcome[0] == 'error' else ''}"
-                    f" vs {baseline[0]} on backend={baseline_config[0]} "
-                    f"optimize={baseline_config[1]}",
+                    f" vs {baseline[0]} on optimize={baseline_config}",
                 )
             )
             continue

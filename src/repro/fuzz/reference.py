@@ -4,7 +4,7 @@ This is the data-tracing step as it stood before snapshots became columnar:
 every traced row is a :class:`~repro.whynot.tracing.TRow` carrying a value
 tuple, a parent tuple and its bitmasks, each SA group's relaxed evaluation
 calls ``eval_rows`` once per row, and Algorithm 4 plus the §5.4 bounds walk
-per-row ancestor sets.  It has no production caller.  The backend
+per-row ancestor sets.  It has no production caller.  The tracer
 equivalence tests and the differential fuzz oracle (:mod:`repro.fuzz.oracle`,
 :mod:`repro.fuzz.mutations`) compare the production tracer against it: the
 row views (ids, parents, values, valid/consistent/retained masks) and the
@@ -44,12 +44,6 @@ from repro.algebra.operators import (
     TupleNesting,
     Union,
 )
-from repro.engine.backends import (
-    TaskContext,
-    WorkerState,
-    _task_trace_group,
-    _task_trace_join,
-)
 from repro.engine.database import Database
 from repro.nested.values import Bag, Tup
 from repro.whynot.alternatives import SchemaAlternative, enumerate_schema_alternatives
@@ -58,12 +52,15 @@ from repro.whynot.backtrace import backtrace
 from repro.whynot.matching import compile_pattern
 from repro.whynot.question import WhyNotQuestion
 from repro.whynot.tracing import (
+    SAContexts,
     SAGroups,
     TraceResult,
     TRow,
     UnsupportedOperator,
     _group_equal,
     _meet,
+    trace_group,
+    trace_join,
 )
 
 
@@ -131,14 +128,11 @@ class RowTracer:
         self._schemas = [sa.query.infer_schemas(db) for sa in sas]
         self._ctxs = [EvalContext(db, schemas) for schemas in self._schemas]
         self._op_group_cache: dict[int, tuple[int, ...]] = {}
-        self._task_context = TaskContext(
-            query, db, tuple(sa.query for sa in sas)
-        )
+        self._sa_contexts = SAContexts(db, tuple(sa.query for sa in sas))
 
     def _run_group_tasks(self, tasks: list[tuple]) -> list:
-        """Evaluate one task per SA group inline (the reference is serial)."""
-        state = self._task_context.local_state()
-        return [_TASKS[task[0]](state, *task[1:]) for task in tasks]
+        """Evaluate one task per SA group."""
+        return [_TASKS[task[0]](self._sa_contexts, *task[1:]) for task in tasks]
 
     # -- public entry --------------------------------------------------------
 
@@ -338,7 +332,7 @@ class RowTracer:
                 )
             return rows, groups
         # Multiple distinguishable groups: each group's relaxed evaluation is
-        # an independent task (parallel under the process backend).
+        # an independent task.
         group_outs = self._run_group_tasks(
             [
                 ("trace_narrow", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
@@ -456,9 +450,9 @@ class RowTracer:
         full = self._full_mask
         n_groups = len(reps)
 
-        # Each group's full-outer match set is an independent task: workers
-        # return {(left_idx, right_idx): combined} plus the matched index
-        # sets; pads (cheap, schema-derived) stay in the driver.
+        # Each group's full-outer match set is an independent task returning
+        # {(left_idx, right_idx): combined} plus the matched index sets; pads
+        # (cheap, schema-derived) are built below.
         results = self._run_group_tasks(
             [
                 (
@@ -770,7 +764,7 @@ def trace(
     return RowTracer(query, db, sas, revalidate=revalidate).run()
 
 
-def _task_trace_narrow(state: WorkerState, sa: int, op_id: int, parent_vals: list) -> Any:
+def _task_trace_narrow(state: SAContexts, sa: int, op_id: int, parent_vals: list) -> Any:
     """One SA group's outputs for a non-filtering unary operator.
 
     Mirrors the per-row relaxed evaluation of ``Tracer._trace_narrow``: each
@@ -789,7 +783,7 @@ def _task_trace_narrow(state: WorkerState, sa: int, op_id: int, parent_vals: lis
     return outs
 
 
-def _task_trace_flatten(state: WorkerState, sa: int, op_id: int, parent_vals: list) -> Any:
+def _task_trace_flatten(state: SAContexts, sa: int, op_id: int, parent_vals: list) -> Any:
     """One SA group's outer-flatten expansions, one list per parent row.
 
     Each expansion entry is ``(tuple, retained)``; a padded expansion is
@@ -997,8 +991,8 @@ class _SideEffectBounds:
 _TASKS = {
     "trace_narrow": _task_trace_narrow,
     "trace_flatten": _task_trace_flatten,
-    "trace_join": _task_trace_join,
-    "trace_group": _task_trace_group,
+    "trace_join": trace_join,
+    "trace_group": trace_group,
 }
 
 

@@ -99,7 +99,7 @@ def is_null(value: Any) -> bool:
 #: (:func:`repro.algebra.aggregates.apply_aggregate`) and unpickling
 #: (:meth:`Tup._unpickle` / :meth:`Bag._unpickle`) all canonicalize.  NaN
 #: thus behaves as one value — SQL's reading for GROUP BY / DISTINCT — and
-#: every backend/partitioning produces identical results.
+#: every partitioning produces identical results.
 NAN = float("nan")
 
 
@@ -171,9 +171,9 @@ class Layout:
         return f"Layout{self.names!r}"
 
     def __reduce__(self):
-        # Layouts are interned per process: unpickling re-interns by name
-        # tuple so identity comparisons keep working across process
-        # boundaries (the parallel execution backends ship rows to workers).
+        # Layouts are interned per process: unpickling (and ``copy``)
+        # re-interns by name tuple, so identity comparisons keep working on
+        # the copy.
         return (Layout.of, (self.names,))
 
     # -- derived-shape caches (keyed by identity of interned inputs) ---------
@@ -404,9 +404,10 @@ class Tup:
     @classmethod
     def _unpickle(cls, names: tuple, values: tuple) -> "Tup":
         # ``pickle`` does not memoize floats, so NaNs must be re-canonicalized
-        # on arrival or grouping/joining in worker processes would depend on
-        # object identity (see :data:`NAN`).  Nested Tup/Bag values arrive
-        # through their own ``_unpickle`` and are already canonical.
+        # on arrival or grouping/joining in the receiving process would
+        # depend on object identity (see :data:`NAN`).  Nested Tup/Bag
+        # values arrive through their own ``_unpickle`` and are already
+        # canonical.
         for v in values:
             if type(v) is float and v != v and v is not NAN:
                 values = tuple(

@@ -92,23 +92,16 @@ def run_scenario(
     scenario: "Scenario | str",
     scale: Optional[int] = None,
     with_baselines: bool = True,
-    backend=None,
-    workers=None,
     optimize: Optional[bool] = None,
 ) -> ScenarioRun:
     """Run all approaches on *scenario* and collect their explanations.
 
-    ``backend``/``workers`` select the execution backend for the RP variants
-    (see :mod:`repro.engine.backends`); the explanations do not depend on it.
     ``optimize`` attaches the answer-path optimizer's rewrite summary
     (:mod:`repro.engine.optimizer`) to the RP results; explanations do not
     depend on it, because the optimizer is explanation-preserving.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    from repro.engine.backends import get_backend
-
-    backend = get_backend(backend, workers)
     question = scenario.question(scale)
     question.validate()
     timings: dict[str, float] = {}
@@ -127,7 +120,6 @@ def run_scenario(
         question,
         use_schema_alternatives=False,
         validate=False,
-        backend=backend,
         optimize=optimize,
     )
     timings["rp_nosa"] = time.perf_counter() - started
@@ -137,7 +129,6 @@ def run_scenario(
         question,
         alternatives=scenario.alternatives,
         validate=False,
-        backend=backend,
         optimize=optimize,
     )
     timings["rp"] = time.perf_counter() - started

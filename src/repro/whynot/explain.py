@@ -102,8 +102,6 @@ def explain(
     revalidate: bool = True,
     max_sas: int = 64,
     validate: bool = True,
-    backend=None,
-    workers=None,
     optimize: Optional[bool] = None,
 ) -> WhyNotResult:
     """Compute query-based explanations for *question* (Algorithm 1).
@@ -111,10 +109,6 @@ def explain(
     ``alternatives`` is a sequence of groups of interchangeable source
     attributes, e.g. ``[["person.address2", "person.address1"]]`` — see
     paper §5.2 (attribute alternatives are an input to the algorithm).
-
-    ``backend``/``workers`` select the execution backend for the data-tracing
-    step (``"serial"`` or ``"process"``, see :mod:`repro.engine.backends`);
-    explanations are identical on every backend.
 
     ``timings`` records each step's seconds; with ``validate`` it includes
     ``"validate"``: computing ``Q(D)`` plus the Definition 5 check.  ``Q(D)``
@@ -134,7 +128,7 @@ def explain(
     """
     return _explain(
         question, alternatives, use_schema_alternatives, revalidate, max_sas,
-        validate, backend, workers, optimize,
+        validate, optimize,
     )[0]
 
 
@@ -181,8 +175,6 @@ def explain_reusing(
     use_schema_alternatives: bool = True,
     revalidate: bool = True,
     max_sas: int = 64,
-    backend=None,
-    workers=None,
     optimize: Optional[bool] = None,
 ) -> "tuple[WhyNotResult, RelaxedTrace]":
     """:func:`explain` without validation, reusing *relaxed* when it fits.
@@ -197,7 +189,7 @@ def explain_reusing(
     """
     return _explain(
         question, alternatives, use_schema_alternatives, revalidate, max_sas,
-        False, backend, workers, optimize, relaxed, keep=True,
+        False, optimize, relaxed, keep=True,
     )
 
 
@@ -208,18 +200,14 @@ def _explain(
     revalidate: bool,
     max_sas: int,
     validate: bool,
-    backend,
-    workers,
     optimize: Optional[bool],
     relaxed: Optional[RelaxedTrace] = None,
     keep: bool = False,
 ) -> "tuple[WhyNotResult, Optional[RelaxedTrace]]":
     """The four steps; with *keep*, also the :class:`RelaxedTrace` used."""
-    from repro.engine.backends import get_backend
     from repro.engine.optimizer import optimize_query, resolve_optimize
 
     timings: dict[str, float] = {}
-    backend = get_backend(backend, workers)
     optimizer_summary: Optional[dict] = None
     if resolve_optimize(optimize):
         started = time.perf_counter()
@@ -249,9 +237,7 @@ def _explain(
         timings["annotate"] = time.perf_counter() - started
     else:
         started = time.perf_counter()
-        traced = trace(
-            question.query, question.db, sas, revalidate=revalidate, backend=backend
-        )
+        traced = trace(question.query, question.db, sas, revalidate=revalidate)
         timings["tracing"] = time.perf_counter() - started
         relaxed = RelaxedTrace.of(question, sas, traced) if keep else None
 

@@ -42,11 +42,11 @@ class WhyNotQuestion:
         """The original query result ``Q(D)`` (cached).
 
         Computed once, through the optimized plan on the kernel executor
-        (one partition, serial backend); the optimizer's rewrite is cached
-        on the query per database version.
+        (one partition); the optimizer's rewrite is cached on the query per
+        database version.
         """
         if self._result_cache is None:
-            executor = Executor(num_partitions=1, backend="serial", optimize=True)
+            executor = Executor(num_partitions=1, optimize=True)
             self._result_cache = executor.execute(self.query, self.db)
         return self._result_cache
 

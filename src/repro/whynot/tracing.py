@@ -53,27 +53,25 @@ A *narrow run* is a maximal chain of projection, renaming, tuple flatten,
 tuple nesting, nested aggregation and selection operators that starts at an
 operator that changes values and ends where the SA partition changes.  Each
 SA group traces the whole run in one generated relaxed kernel
-(:func:`repro.engine.kernels.trace_kernel`, one ``trace_run`` backend task
-per group): selections record retained rows instead of filtering, every
+(:func:`repro.engine.kernels.trace_kernel`, one :func:`trace_run` call per
+group): selections record retained rows instead of filtering, every
 operator's strict and relaxed NIPs are tested against the kernel's column
 variables, and only the run's last value column is materialized.  Earlier
 operators' columns are :class:`LazyColumns`, built by the per-operator
-``trace_narrow`` task on first access (row views, baselines,
+:func:`trace_narrow` step on first access (row views, baselines,
 re-annotation).  Whenever a group's kernel cannot run — an
 unsupported operator or NIP, rows of more than one layout, a bailout or an
 error — the whole run is traced operator by operator instead, so snapshots
 and errors are identical.
 
-Because the SA groups at an operator are *independent* — each group is
-evaluated through its own representative query against its own input
-column — each group's share is one batch task dispatched through the
-pluggable execution backend (:mod:`repro.engine.backends`): with
-``backend="process"`` the per-group relaxed evaluations of an operator run
-on separate CPU cores and only the mask merging happens in the driver.  The
-serial backend runs the identical task functions inline, so backends are
-result-equivalent by construction (asserted over every registered scenario
-in ``tests/engine/test_backends.py``).  The row-at-a-time tracer this layout
-replaced is kept as the test oracle in :mod:`repro.fuzz.reference`.
+The SA groups at an operator are *independent*: each group is evaluated
+through its own representative query against its own input column.  Each
+group's share is one call of a plain step function (:func:`trace_narrow`,
+:func:`trace_run`, :func:`trace_flatten`, :func:`trace_join`,
+:func:`trace_group`) over the trace's :class:`SAContexts`; the tracer then
+merges the per-group results into mask columns.  The row-at-a-time tracer
+this layout replaced is kept as the test oracle in
+:mod:`repro.fuzz.reference`.
 
 Only the ``consistent`` masks depend on the NIP.  :func:`annotate` re-runs
 that pass alone over a trace made for SA queries with the same
@@ -98,6 +96,7 @@ from repro.algebra.operators import (
     CartesianProduct,
     Deduplication,
     Difference,
+    EvalContext,
     GroupAggregation,
     Join,
     Map,
@@ -114,17 +113,11 @@ from repro.algebra.operators import (
     TupleNesting,
     Union,
 )
-from repro.engine.backends import (
-    ExecutionBackend,
-    TaskContext,
-    WorkerState,
-    get_backend,
-    run_task,
-)
 from repro.engine.database import Database
-from repro.nested.values import Bag, Tup
+from repro.engine.kernels import trace_kernel
+from repro.nested.values import Bag, Layout, Tup
 from repro.whynot.alternatives import SchemaAlternative
-from repro.whynot.matching import matching_rows
+from repro.whynot.matching import matching_rows, nip_shape
 
 
 class UnsupportedOperator(ValueError):
@@ -271,17 +264,17 @@ class LazyColumns:
     """The per-group value columns of an operator inside a fused narrow run.
 
     The run's kernel materializes only its last operator's columns; column
-    g of an earlier operator is evaluated on first access by the
-    ``trace_narrow`` task over the same group's column of the operator's
+    g of an earlier operator is evaluated on first access by
+    :func:`trace_narrow` over the same group's column of the operator's
     child snapshot, then kept (so the column-sharing invariant holds).
     """
 
-    __slots__ = ("_state", "_op_id", "_child", "_reps", "_cols")
+    __slots__ = ("_sas", "_op_id", "_child", "_reps", "_cols")
 
     def __init__(
-        self, state: WorkerState, op_id: int, child: "OpTrace", reps: "list[int]"
+        self, sas: "SAContexts", op_id: int, child: "OpTrace", reps: "list[int]"
     ):
-        self._state = state
+        self._sas = sas
         self._op_id = op_id
         self._child = child
         self._reps = reps
@@ -294,9 +287,8 @@ class LazyColumns:
         column = self._cols[g]
         if column is None:
             rep = self._reps[g]
-            column = self._cols[g] = run_task(
-                self._state,
-                ("trace_narrow", rep, self._op_id, self._child.column(rep)),
+            column = self._cols[g] = trace_narrow(
+                self._sas, rep, self._op_id, self._child.column(rep)
             )
         return column
 
@@ -488,11 +480,208 @@ class TraceResult:
         evaluate to the same columns, and the traced version can be freed."""
         for snap in self.traces.values():
             if isinstance(snap.cols, LazyColumns):
-                snap.cols._state.rebind(db)
+                snap.cols._sas.rebind(db)
 
     def total_rows(self) -> int:
         """Total number of traced rows across all operators."""
         return sum(snap.count for snap in self.traces.values())
+
+
+class SAContexts:
+    """The per-SA operators and evaluation contexts the trace steps run on.
+
+    ``sa_op(sa, op_id)`` is operator *op_id* as parameterized by schema
+    alternative *sa*; ``sa_ctx(sa)`` the evaluation context of that SA's
+    query over ``db``, built on first use.
+    """
+
+    __slots__ = ("db", "queries", "_ctxs")
+
+    def __init__(self, db: Database, queries: "tuple[Query, ...]"):
+        self.db = db
+        self.queries = queries
+        self._ctxs: "dict[int, EvalContext]" = {}
+
+    def rebind(self, db: Database) -> None:
+        """Evaluate against *db* from now on and drop the contexts built
+        over the previous database.  *db* must hold the same relations
+        wherever the SA queries read (a later version that changed none of
+        them), so every step still returns what it did."""
+        self.db = db
+        self._ctxs = {}
+
+    def sa_op(self, sa: int, op_id: int) -> Operator:
+        """Operator *op_id* as parameterized by schema alternative *sa*."""
+        return self.queries[sa].op(op_id)
+
+    def sa_ctx(self, sa: int) -> EvalContext:
+        """Evaluation context of schema alternative *sa*'s query."""
+        ctx = self._ctxs.get(sa)
+        if ctx is None:
+            query = self.queries[sa]
+            ctx = self._ctxs[sa] = EvalContext(self.db, query.infer_schemas(self.db))
+        return ctx
+
+
+# -- per-SA-group trace steps ---------------------------------------------------
+
+
+def trace_narrow(sas: SAContexts, sa: int, op_id: int, parent_vals: list) -> list:
+    """One SA group's output column for a non-filtering 1:1 unary operator.
+
+    The parent tuples that exist under this group's representative SA go
+    through the SA's operator in one ``eval_rows`` batch; missing parents
+    stay missing, so the returned column is aligned with *parent_vals*.
+    """
+    present = [v for v in parent_vals if v is not None]
+    produced = sas.sa_op(sa, op_id).eval_rows([present], sas.sa_ctx(sa))
+    if len(present) == len(parent_vals):
+        return produced
+    outputs = iter(produced)
+    return [None if v is None else next(outputs) for v in parent_vals]
+
+
+def trace_run(
+    sas: SAContexts,
+    sa: int,
+    op_ids: "tuple[int, ...]",
+    parent_vals: list,
+    nips: tuple,
+    checks: tuple,
+) -> Any:
+    """One SA group's narrow run through one relaxed trace kernel.
+
+    ``checks[j]`` lists the ``(strict, relaxed)`` indices into *nips* tested
+    after operator j (relaxed None: equal to strict).  Returns ``(column,
+    flags, hits)`` aligned with *parent_vals* — the run's last column, the
+    retained row indices of each selection and, per operator, the
+    consistent row indices of each check — or None when the run has to be
+    traced operator by operator: no present row, rows of more than one
+    layout, an unsupported operator or NIP, a bailout, or any error.
+    """
+    present = [v for v in parent_vals if v is not None]
+    if not present:
+        return None
+    layout = present[0]._layout
+    if any(v._layout is not layout for v in present):
+        return None
+    parts = [nip_shape(nip, row=True) for nip in nips]
+    if any(shape != "?" and shape[0] != "tup" for shape, _ in parts):
+        return None
+    try:
+        ops = [sas.sa_op(sa, op_id) for op_id in op_ids]
+        kernel = trace_kernel(
+            ops, layout, sas.sa_ctx(sa), [shape for shape, _ in parts], checks
+        )
+        if kernel is None:
+            return None
+        column, flags, hits = kernel.fn(present, [a for _, args in parts for a in args])
+    except Exception:
+        # Any failure, bailout or genuine error: the per-operator path
+        # reruns the run and raises errors in the row path's order and text.
+        return None
+    if len(present) == len(parent_vals):
+        return column, flags, hits
+    index = [k for k, v in enumerate(parent_vals) if v is not None]
+    values = iter(column)
+    return (
+        [None if v is None else next(values) for v in parent_vals],
+        [[index[k] for k in flag] for flag in flags],
+        [[[index[k] for k in hit] for hit in op_hits] for op_hits in hits],
+    )
+
+
+def trace_flatten(sas: SAContexts, sa: int, op_id: int, parent_vals: list) -> tuple:
+    """One SA group's outer-flatten expansions as ``(tuples, dropped, counts)``.
+
+    ``tuples`` concatenates every parent's expansions, ``counts[p]`` is the
+    number parent p contributed (0 when it is missing), and ``dropped`` lists
+    the positions in ``tuples`` that are not retained: padded expansions of
+    an SA whose own flatten is the inner variant.
+    """
+    sa_op = sas.sa_op(sa, op_id)
+    ctx = sas.sa_ctx(sa)
+    outer = sa_op.outer
+    tuples: list = []
+    dropped: list = []
+    counts: list = []
+    for v in parent_vals:
+        if v is None:
+            counts.append(0)
+            continue
+        expanded, padded = sa_op.expand(v, ctx)
+        if padded and not outer:
+            dropped.append(len(tuples))
+        tuples += expanded
+        counts.append(len(expanded))
+    return tuples, dropped, counts
+
+
+def trace_join(
+    sas: SAContexts, sa: int, op_id: int, left_vals: list, right_vals: list
+) -> tuple:
+    """One SA group's join matches: {(left_idx, right_idx): combined} plus
+    the matched index sets (for outer padding by the tracer)."""
+    sa_op = sas.sa_op(sa, op_id)
+    left_key, right_key = sa_op.key_fns()
+    extra = sa_op.extra.compile() if sa_op.extra is not None else None
+    combine = sa_op._combine
+    index: dict = {}
+    for jdx, v in enumerate(right_vals):
+        if v is None:
+            continue
+        key = right_key(v)
+        if key is not None:
+            index.setdefault(key, []).append(jdx)
+    matches: dict = {}
+    left_matched: set[int] = set()
+    right_matched: set[int] = set()
+    empty: tuple[int, ...] = ()
+    for ldx, v in enumerate(left_vals):
+        if v is None:
+            continue
+        key = left_key(v)
+        if key is None:
+            continue
+        for jdx in index.get(key, empty):
+            combined = combine(v, right_vals[jdx])
+            if extra is not None and not extra(combined):
+                continue
+            matches[(ldx, jdx)] = combined
+            left_matched.add(ldx)
+            right_matched.add(jdx)
+    return matches, left_matched, right_matched
+
+
+def trace_group(sas: SAContexts, sa: int, op_id: int, parent_vals: list) -> list:
+    """One SA group's nesting/aggregation buckets as ``(key, out, indices)``.
+
+    Indices point into *parent_vals*; the tracer maps them back to traced-row
+    ids when it merges groups full-outer-join-style on the group key.
+    """
+    sa_op = sas.sa_op(sa, op_id)
+    nesting = isinstance(sa_op, RelationNesting)
+    buckets: dict = {}
+    if not nesting and not sa_op.key_specs:
+        buckets[Tup()] = [i for i, v in enumerate(parent_vals) if v is not None]
+    else:
+        key_fn = sa_op.group_key if nesting else sa_op.key_fn()
+        for i, v in enumerate(parent_vals):
+            if v is None:
+                continue
+            buckets.setdefault(key_fn(v), []).append(i)
+    out = []
+    if nesting:
+        target_layout = Layout.of((sa_op.target,))
+        for key, idxs in buckets.items():
+            nested = Bag(parent_vals[i].project(sa_op.attrs) for i in idxs)
+            out.append((key, key.concat(Tup.from_layout(target_layout, (nested,))), idxs))
+    else:
+        for key, idxs in buckets.items():
+            out.append(
+                (key, key.concat(sa_op.aggregate_tuple([parent_vals[i] for i in idxs])), idxs)
+            )
+    return out
 
 
 class Tracer:
@@ -504,7 +693,6 @@ class Tracer:
         db: Database,
         sas: list[SchemaAlternative],
         revalidate: bool = True,
-        backend: "str | ExecutionBackend | None" = None,
     ):
         self.query = query
         self.db = db
@@ -521,22 +709,7 @@ class Tracer:
         self._op_group_cache: dict[int, tuple[int, ...]] = {}
         # Consistency scans by column id: (column, [(pattern, hits), ...]).
         self._scans: dict[int, tuple[list, list]] = {}
-        self.backend = get_backend(backend)
-        self._task_context = TaskContext(
-            query, db, tuple(sa.query for sa in sas)
-        )
-
-    def _run_group_tasks(self, tasks: list[tuple]) -> list:
-        """Evaluate one task per SA group through the execution backend.
-
-        A single group (or a serial backend) runs inline; with the process
-        backend the groups evaluate on separate cores and the caller merges
-        the returned per-group columns into mask columns.
-        """
-        if len(tasks) <= 1 or self.backend.workers <= 1:
-            state = self._task_context.local_state()
-            return [run_task(state, task) for task in tasks]
-        return self.backend.run(self._task_context, tasks)
+        self._sas = SAContexts(db, tuple(sa.query for sa in sas))
 
     # -- public entry --------------------------------------------------------
 
@@ -736,18 +909,15 @@ class Tracer:
                     relaxed = _index_of(nips[g], sa.backtrace.relaxed_at[op.op_id])
                     pair = (strict, None if relaxed == strict else relaxed)
                     checks[g][j][pair] = checks[g][j].get(pair, 0) | 1 << i
-        results = self._run_group_tasks(
-            [
-                (
-                    "trace_run", rep, op_ids, child.column(rep),
-                    tuple(nips[g]), tuple(tuple(c) for c in checks[g]),
-                )
-                for g, rep in enumerate(groups.reps)
-            ]
-        )
+        results = [
+            trace_run(
+                self._sas, rep, op_ids, child.column(rep),
+                tuple(nips[g]), tuple(tuple(c) for c in checks[g]),
+            )
+            for g, rep in enumerate(groups.reps)
+        ]
         if any(r is None for r in results):
             return False
-        state = self._task_context.local_state()
         last_value = max(j for j, op in enumerate(run) if not isinstance(op, Selection))
         n = child.count
         prev = child
@@ -768,7 +938,7 @@ class Tracer:
                 cols = (
                     [r[0] for r in results]
                     if j == last_value
-                    else LazyColumns(state, op.op_id, prev, groups.reps)
+                    else LazyColumns(self._sas, op.op_id, prev, groups.reps)
                 )
                 snap = self._snapshot(op, groups, cols, prev.valid, child_base=prev.base)
             self._next_base += snap.count
@@ -841,9 +1011,10 @@ class Tracer:
         is the child's column.
         """
         groups = self._meet_for(op, child.groups)
-        cols = self._run_group_tasks(
-            [("trace_narrow", rep, op.op_id, child.column(rep)) for rep in groups.reps]
-        )
+        cols = [
+            trace_narrow(self._sas, rep, op.op_id, child.column(rep))
+            for rep in groups.reps
+        ]
         return self._snapshot(op, groups, cols, child.valid, child_base=child.base)
 
     def _trace_flatten(self, op: RelationFlatten, child: OpTrace) -> OpTrace:
@@ -856,9 +1027,10 @@ class Tracer:
         groups = self._meet_for(op, child.groups)
         full = self._full_mask
         offset = child.base + 1
-        results = self._run_group_tasks(
-            [("trace_flatten", rep, op.op_id, child.column(rep)) for rep in groups.reps]
-        )
+        results = [
+            trace_flatten(self._sas, rep, op.op_id, child.column(rep))
+            for rep in groups.reps
+        ]
         if len(results) == 1:
             column, unretained, counts = results[0]
             parents: list[tuple[int, ...]] = []
@@ -915,15 +1087,13 @@ class Tracer:
         n_groups = len(reps)
         l_off, r_off = left.base + 1, right.base + 1
 
-        # Each group's full-outer match set is an independent task: workers
-        # return {(left_idx, right_idx): combined} plus the matched index
-        # sets; pads (cheap, schema-derived) stay in the driver.
-        results = self._run_group_tasks(
-            [
-                ("trace_join", rep, op.op_id, left.column(rep), right.column(rep))
-                for rep in reps
-            ]
-        )
+        # Each group's full-outer match set: {(left_idx, right_idx):
+        # combined} plus the matched index sets; pads (cheap, schema-derived)
+        # are built below.
+        results = [
+            trace_join(self._sas, rep, op.op_id, left.column(rep), right.column(rep))
+            for rep in reps
+        ]
         match_sets: list[dict[tuple[int, int], Tup]] = [r[0] for r in results]
         sa_ops: list[Join] = [self._sa_op(op, rep) for rep in reps]  # type: ignore[misc]
         cols: list[list[Optional[Tup]]] = [[] for _ in range(n_groups)]
@@ -1008,12 +1178,9 @@ class Tracer:
         offset = child.base + 1
         merged: dict[Tup, dict[int, tuple[Tup, list[int]]]] = {}
 
-        # Per-group nest/aggregate runs as independent tasks returning
-        # ``(key, out, member_indices)`` buckets; the driver merges them
-        # full-outer-join-style on the group key.
-        results = self._run_group_tasks(
-            [("trace_group", rep, op.op_id, child.column(rep)) for rep in reps]
-        )
+        # Per-group nest/aggregate buckets ``(key, out, member_indices)``,
+        # merged full-outer-join-style on the group key.
+        results = [trace_group(self._sas, rep, op.op_id, child.column(rep)) for rep in reps]
         for g, buckets in enumerate(results):
             for key, out, member_idxs in buckets:
                 merged.setdefault(key, {})[g] = (out, member_idxs)
@@ -1128,9 +1295,7 @@ def annotate(
 ) -> TraceResult:
     """Annotate *relaxed* for *sas*, whose :func:`sa_signature` must equal
     that of the SAs it was traced for (see :meth:`Tracer.annotate`)."""
-    return Tracer(query, db, sas, revalidate=revalidate, backend="serial").annotate(
-        relaxed
-    )
+    return Tracer(query, db, sas, revalidate=revalidate).annotate(relaxed)
 
 
 def trace(
@@ -1138,11 +1303,6 @@ def trace(
     db: Database,
     sas: list[SchemaAlternative],
     revalidate: bool = True,
-    backend: "str | ExecutionBackend | None" = None,
 ) -> TraceResult:
-    """Run the instrumented (relaxed) evaluation for all schema alternatives.
-
-    *backend* selects where independent SA groups evaluate (see
-    :mod:`repro.engine.backends`); results are backend-invariant.
-    """
-    return Tracer(query, db, sas, revalidate=revalidate, backend=backend).run()
+    """Run the instrumented (relaxed) evaluation for all schema alternatives."""
+    return Tracer(query, db, sas, revalidate=revalidate).run()

@@ -422,8 +422,10 @@ def metrics_to_json(metrics: ExecutionMetrics) -> dict:
     body = {
         "operators": operators,
         "wall_seconds": metrics.wall_seconds,
-        "backend": metrics.backend,
-        "workers": metrics.workers,
+        # Every run is serial, in one process: fixed values, kept for
+        # readers of format-2 documents.
+        "backend": "serial",
+        "workers": 1,
         "optimizer": metrics.optimizer,
         "engine": metrics.engine,
         "kernels": metrics.kernels,
@@ -436,8 +438,6 @@ def metrics_from_json(data: dict) -> ExecutionMetrics:
     check_envelope(data, "metrics")
     metrics = ExecutionMetrics(
         wall_seconds=data["wall_seconds"],
-        backend=data["backend"],
-        workers=data["workers"],
         optimizer=data["optimizer"],
         engine=data.get("engine", "row"),  # older documents: row-engine runs
         kernels=data.get("kernels"),

@@ -136,7 +136,7 @@ class TestCache:
         assert service.cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
     def test_execution_knobs_share_cache_entries(self, running_question):
-        # backend/partitions/optimize don't change explanations (equivalence
+        # partitions/optimize don't change explanations (equivalence
         # guarantees), so they share one cache entry.
         service = ExplanationService(cache_size=4)
         service.explain(_request(running_question))

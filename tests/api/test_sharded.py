@@ -82,7 +82,7 @@ class TestRoutingKey:
     @pytest.mark.parametrize(
         "options",
         [
-            ExplainOptions(backend="process", workers=2),
+            {"backend": "process", "workers": 2},  # retired raw fields
             ExplainOptions(optimize=True),
             {"engine": "row"},  # raw field an older format-2 client may send
             ExplainOptions(partitions=7),

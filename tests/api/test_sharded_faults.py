@@ -270,12 +270,13 @@ class TestClientRetries:
 
 class TestWorkerBackendDefault:
     def test_worker_ignores_process_backend_env(self, boot_server, monkeypatch):
-        # Shard workers default to serial evaluation even when the
-        # environment asks for the process backend: nesting a process pool
-        # inside a forked, threaded worker deadlocks, and the front end's
-        # scaling axis is --processes.  The env var is set before boot so
-        # the forked worker inherits it; a bounded request_timeout turns a
-        # regression into a fast 503 instead of a hung test.
+        # REPRO_BACKEND and REPRO_WORKERS are read by nothing: an
+        # environment left over from the retired process backend must not
+        # change how shard workers evaluate (a process pool nested inside a
+        # forked, threaded worker deadlocked).  The env vars are set before
+        # boot so the forked worker inherits them; a bounded
+        # request_timeout turns a regression into a fast 503 instead of a
+        # hung test.
         monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "2")
         server, client = boot_server(

@@ -1,11 +1,19 @@
-"""Cross-backend equivalence: the process backend must reproduce the serial
-backend (and plain ``Query.evaluate``) exactly — results, explanations, and
-the merged row/shuffle metrics — for every plan, partition count and worker
-count.  The columnar tracer must reproduce the row-at-a-time reference
-tracer (:mod:`repro.fuzz.reference`) row for row on every scenario, backend
-and re-validation setting.  Also covers the serialization contracts the
-process backend rests on: layout re-interning and compiled-cache stripping
-across pickling."""
+"""Executor and tracer equivalence over every registered scenario.
+
+The per-partition row fallback must reproduce the generated chain kernels
+(and plain ``Query.evaluate``) exactly — results and per-operator row and
+shuffle counts — at every partition count.  The columnar tracer must
+reproduce the row-at-a-time reference tracer (:mod:`repro.fuzz.reference`)
+row for row on every scenario and re-validation setting, also when a trace
+is re-annotated for another NIP.
+
+Every run is serial in the calling process.  The tests whose names say
+``process`` or ``workers`` keep the names and ids they had while a
+multi-process backend existed; their second side now runs over a pickled
+copy of the database, the form in which that backend's workers received
+it.  They check that the value model's pickle hooks (layout re-interning,
+canonical NaNs) leave every answer, metric and explanation unchanged, and
+the serialization contracts those hooks rest on are covered here too."""
 
 import pickle
 
@@ -22,17 +30,12 @@ from repro.algebra.operators import (
     Selection,
     TableAccess,
 )
-from repro.engine.backends import (
-    ProcessBackend,
-    SerialBackend,
-    close_backends,
-    default_backend_name,
-    get_backend,
-)
+from repro.engine.backends import default_backend_name
 from repro.engine.database import Database
 from repro.engine.executor import Executor, build_segments
 from repro.nested.values import Bag, Layout, Tup
 from repro.whynot.explain import explain
+from repro.whynot.question import WhyNotQuestion
 
 
 def make_db():
@@ -55,6 +58,22 @@ def plan_join_group():
     )
 
 
+def _pickled(db):
+    """*db* after a pickle round trip."""
+    return pickle.loads(pickle.dumps(db))
+
+
+def _question(scenario, scale, backend):
+    """*scenario*'s question; on the ``process`` side over a pickled copy
+    of its database."""
+    question = scenario.question(scale=scale)
+    if backend == "process":
+        question = WhyNotQuestion(
+            question.query, _pickled(question.db), question.nip, name=question.name
+        )
+    return question
+
+
 # -- serialization contracts -------------------------------------------------
 
 
@@ -70,32 +89,14 @@ def test_layout_pickle_is_identity():
     assert pickle.loads(pickle.dumps(layout)) is layout
 
 
-def test_operator_pickle_strips_compiled_caches():
-    query = plan_join_group()
-    # Populate every lazy compiled cache, then round-trip.
-    query.root.key_fn()
-    query.root.children[0].pred.compile()
-    query.root.children[0].children[0].key_fns()
-    restored = pickle.loads(pickle.dumps(query))
-    for op in restored.ops:
-        compiled = [k for k in op.__dict__ if k.startswith("_compiled")]
-        assert not compiled, f"{op.label} pickled compiled state {compiled}"
-    assert not hasattr(restored.root.children[0].pred, "_compiled")
-    # Re-compilation on the receiving side agrees with the original.
-    db = make_db()
-    assert restored.evaluate(db) == query.evaluate(db)
-
-
 def test_backend_resolution():
-    assert isinstance(get_backend("serial"), SerialBackend)
-    proc = get_backend("process", 2)
-    assert isinstance(proc, ProcessBackend) and proc.workers == 2
-    assert get_backend("process", 2) is proc, "pools are cached per worker count"
-    passthrough = SerialBackend()
-    assert get_backend(passthrough) is passthrough
-    assert default_backend_name() in ("serial", "process")
-    with pytest.raises(ValueError):
-        get_backend("threads")
+    """One backend: every run is serial, and the knobs that chose another
+    are gone rather than ignored."""
+    assert default_backend_name() == "serial"
+    with pytest.raises(TypeError):
+        Executor(num_partitions=2, backend="process")
+    with pytest.raises(TypeError):
+        Executor(num_partitions=2, workers=2)
 
 
 def test_chain_fusion_segments():
@@ -116,16 +117,31 @@ def test_chain_fusion_segments():
 # -- executor equivalence ----------------------------------------------------
 
 
+def _operator_counts(metrics):
+    return {
+        op_id: (m.rows_in, m.rows_out, m.shuffled_rows, m.partitions, m.tasks)
+        for op_id, m in metrics.operators.items()
+    }
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("partitions", [1, 3, 7])
 def test_process_equals_serial_join_group(workers, partitions):
+    """``workers`` back-to-back executions on one executor over the pickled
+    copy each equal ``Query.evaluate`` and repeat the first run's
+    per-operator counts: per-execution state starts afresh."""
     db = make_db()
     query = plan_join_group()
     plain = query.evaluate(db)
-    serial = Executor(num_partitions=partitions, backend="serial")
-    proc = Executor(num_partitions=partitions, backend="process", workers=workers)
+    serial = Executor(num_partitions=partitions)
     assert serial.execute(query, db) == plain
-    assert proc.execute(query, db) == plain
+    copy = _pickled(db)
+    reused = Executor(num_partitions=partitions)
+    for _ in range(workers):
+        assert reused.execute(query, copy) == plain
+        assert _operator_counts(reused.last_metrics) == _operator_counts(
+            serial.last_metrics
+        )
 
 
 def test_metrics_merged_from_workers_equal_serial():
@@ -140,24 +156,24 @@ def test_metrics_merged_from_workers_equal_serial():
             "vs",
         )
     )
-    serial = Executor(num_partitions=3, backend="serial")
-    proc = Executor(num_partitions=3, backend="process", workers=2)
-    assert serial.execute(query, db) == proc.execute(query, db)
-    ms, mp = serial.last_metrics, proc.last_metrics
-    assert ms.backend == "serial" and mp.backend == "process" and mp.workers == 2
-    assert set(ms.operators) == set(mp.operators)
+    serial = Executor(num_partitions=3)
+    copy = Executor(num_partitions=3)
+    assert serial.execute(query, db) == copy.execute(query, _pickled(db))
+    ms, mc = serial.last_metrics, copy.last_metrics
+    assert ms.engine == mc.engine == "columnar"
+    assert set(ms.operators) == set(mc.operators)
     for op_id, s in ms.operators.items():
-        p = mp.operators[op_id]
+        c = mc.operators[op_id]
         assert (s.rows_in, s.rows_out, s.shuffled_rows, s.partitions, s.tasks) == (
-            p.rows_in,
-            p.rows_out,
-            p.shuffled_rows,
-            p.partitions,
-            p.tasks,
+            c.rows_in,
+            c.rows_out,
+            c.shuffled_rows,
+            c.partitions,
+            c.tasks,
         ), f"metrics diverge at operator #{op_id}"
-        assert p.cpu_seconds >= 0.0
-    assert ms.total_shuffled_rows() == mp.total_shuffled_rows()
-    assert "backend=process" in mp.report()
+        assert c.cpu_seconds >= 0.0
+    assert ms.total_shuffled_rows() == mc.total_shuffled_rows()
+    assert "engine=columnar" in mc.report()
 
 
 def _scenario_names():
@@ -170,38 +186,38 @@ def _scenario_names():
 @pytest.mark.parametrize("name", _scenario_names())
 @pytest.mark.parametrize("partitions", [1, 3, 7])
 def test_scenario_process_equals_serial(name, partitions, chains, monkeypatch):
-    """process ≡ serial ≡ Query.evaluate for every scenario.
+    """row fallback ≡ kernels ≡ Query.evaluate for every scenario.
 
-    ``chains="row"`` forces every serial chain task onto the per-partition
-    row fallback, so the fallback is checked against the process backend's
-    kernels — results and per-operator metrics alike.
+    ``chains="row"`` forces every chain task of the first run onto the
+    per-partition row fallback, so the fallback is checked against the
+    kernels of the second run (over the pickled copy) — results and
+    per-operator metrics alike.
     """
     from repro.engine import columnar
     from repro.scenarios import get_scenario
 
     question = get_scenario(name).question(scale=10)
     plain = question.query.evaluate(question.db)
-    workers = {1: 1, 3: 2, 7: 4}[partitions]  # cover 1/2/4 workers across the grid
-    serial = Executor(num_partitions=partitions, backend="serial")
-    proc = Executor(num_partitions=partitions, backend="process", workers=workers)
+    serial = Executor(num_partitions=partitions)
+    kernels = Executor(num_partitions=partitions)
     with monkeypatch.context() as patch:
         if chains == "row":
             patch.setattr(columnar, "chain_kernel", lambda *args: None)
         assert serial.execute(question.query, question.db) == plain
-    assert proc.execute(question.query, question.db) == plain, (
-        f"{name} diverges on the process backend at {partitions} partitions"
+    assert kernels.execute(question.query, _pickled(question.db)) == plain, (
+        f"{name} diverges on the kernels at {partitions} partitions"
     )
-    ms, mp = serial.last_metrics, proc.last_metrics
-    assert ms.engine == mp.engine == "columnar"
+    ms, mk = serial.last_metrics, kernels.last_metrics
+    assert ms.engine == mk.engine == "columnar"
     if chains == "row":
-        assert ms.kernels["misses"] == 0, "the serial side must compile no kernel"
+        assert ms.kernels["misses"] == 0, "the fallback run must compile no kernel"
     for op_id, s in ms.operators.items():
-        p = mp.operators[op_id]
+        k = mk.operators[op_id]
         assert (s.rows_in, s.rows_out, s.shuffled_rows) == (
-            p.rows_in,
-            p.rows_out,
-            p.shuffled_rows,
-        ), f"{name}: worker-merged metrics diverge at operator #{op_id}"
+            k.rows_in,
+            k.rows_out,
+            k.shuffled_rows,
+        ), f"{name}: {chains} chain metrics diverge at operator #{op_id}"
 
 
 # -- tracing / explanation equivalence ---------------------------------------
@@ -211,22 +227,14 @@ SA_SCENARIOS = ["Q4", "D4", "T2", "C3", "Q13N"]
 
 @pytest.mark.parametrize("name", SA_SCENARIOS)
 def test_explain_process_equals_serial(name):
-    """Parallel SA-group tracing must not change any explanation."""
+    """Tracing the pickled copy must not change any explanation."""
     from repro.scenarios import get_scenario
 
     scenario = get_scenario(name)
-    question = scenario.question(scale=12)
-    serial = explain(
-        question, alternatives=scenario.alternatives, validate=False, backend="serial"
-    )
-    question = scenario.question(scale=12)
-    proc = explain(
-        question,
-        alternatives=scenario.alternatives,
-        validate=False,
-        backend="process",
-        workers=2,
-    )
+    question = _question(scenario, 12, "serial")
+    serial = explain(question, alternatives=scenario.alternatives, validate=False)
+    question = _question(scenario, 12, "process")
+    proc = explain(question, alternatives=scenario.alternatives, validate=False)
     assert serial.n_sas == proc.n_sas
     assert serial.explanation_labels() == proc.explanation_labels()
     assert [(e.lb, e.ub) for e in serial.explanations] == [
@@ -241,7 +249,9 @@ def test_explain_process_equals_serial(name):
 def test_tracer_equals_reference(name, backend, revalidate):
     """Columnar snapshots ≡ the row-at-a-time reference tracer: every row
     view (id, parents, values, valid/consistent/retained masks) and every
-    ranked explanation (labels, SA index, bounds, rank) is identical.
+    ranked explanation (labels, SA index, bounds, rank) is identical.  The
+    ``process`` cells trace the pickled copy of the database and compare
+    with the reference over the original.
 
     Re-annotated axis: the trace's own relaxed columns, annotated afresh
     for SAs re-enumerated from the same NIP (the serving layer's reuse
@@ -251,14 +261,12 @@ def test_tracer_equals_reference(name, backend, revalidate):
     from repro.whynot.explain import RelaxedTrace, explain_reusing
 
     scenario = get_scenario(name)
-    question = scenario.question(scale=10)
+    question = _question(scenario, 10, backend)
     got = explain(
         question,
         alternatives=scenario.alternatives,
         revalidate=revalidate,
         validate=False,
-        backend=backend,
-        workers=2,
     )
     _, ref_trace, ref_explanations = reference.reference_explain(
         scenario.question(scale=10),
@@ -278,8 +286,6 @@ def test_tracer_equals_reference(name, backend, revalidate):
         relaxed,
         alternatives=scenario.alternatives,
         revalidate=revalidate,
-        backend=backend,
-        workers=2,
     )
     assert used is relaxed and "annotate" in again.timings
     difference = reference.compare(
@@ -296,7 +302,6 @@ def test_reannotated_variant_equals_fresh_trace(family, nip_variants):
     from repro.factory import make_bundle
     from repro.fuzz import reference
     from repro.whynot.explain import RelaxedTrace, explain_reusing
-    from repro.whynot.question import WhyNotQuestion
 
     bundle = make_bundle(family, 1)
     planted = bundle.question()
@@ -341,49 +346,12 @@ def test_explain_columnar_equals_row(name):
 
 
 def test_running_example_explain_cross_backend(person_db, running_query):
-    from repro.nested.values import Bag, Tup
     from repro.whynot.placeholders import ANY, STAR
-    from repro.whynot.question import WhyNotQuestion
 
     nip = Tup(city="NY", nList=Bag([ANY, STAR]))
     groups = [["person.address2", "person.address1"]]
-    question = WhyNotQuestion(running_query, person_db, nip)
-    serial = explain(question, alternatives=groups, backend="serial")
-    proc = explain(question, alternatives=groups, backend="process", workers=2)
+    serial = explain(WhyNotQuestion(running_query, person_db, nip), alternatives=groups)
+    proc = explain(
+        WhyNotQuestion(running_query, _pickled(person_db), nip), alternatives=groups
+    )
     assert serial.explanation_labels() == proc.explanation_labels()
-
-
-def test_context_miss_replays_with_payload():
-    """Later batches ship only the context id; a worker that never saw the
-    payload must trigger a transparent replay, not an error."""
-    from repro.algebra.operators import TableAccess as TA
-    from repro.engine.backends import TaskContext
-
-    db = Database({"R": [Tup(k=i, v=i) for i in range(12)]})
-    query = Query(Selection(TA("R"), col("v").ge(0)))
-    rows = list(db.relation("R"))
-    backend = ProcessBackend(workers=3)
-    try:
-        ctx = TaskContext(query, db)
-        # One-task batch: at most one worker learns the context, but the
-        # driver marks it as shipped.
-        backend.run(ctx, [("chain", (query.root.op_id,), rows[:4])])
-        # A wider batch then reaches workers without the cached context.
-        tasks = [("chain", (query.root.op_id,), [row]) for row in rows]
-        results = backend.run(ctx, tasks)
-        assert [out for out, _, _ in results] == [[row] for row in rows]
-    finally:
-        backend.close()
-
-
-def test_close_backends_is_idempotent():
-    backend = get_backend("process", 2)
-    db = make_db()
-    query = plan_join_group()
-    Executor(num_partitions=2, backend=backend).execute(query, db)
-    close_backends()
-    close_backends()
-    # A fresh pool spins up transparently after closing.
-    assert Executor(num_partitions=2, backend="process", workers=2).execute(
-        query, db
-    ) == query.evaluate(db)

@@ -4,8 +4,8 @@ A registered database changes only through
 :meth:`~repro.api.service.ExplanationService.mutate_database`, and every
 ``query`` the service answers afterwards must equal ``Query.evaluate`` on
 the new version — through fused kernel chains and their per-partition row
-fallback, keyed shuffles, set operations, schema widening, canonical-form
-deletes and both backends.  The wider randomized gate is
+fallback, keyed shuffles, set operations, schema widening and
+canonical-form deletes.  The wider randomized gate is
 ``python -m repro fuzz --mutations`` (CI ``mutate`` job).
 """
 
@@ -176,6 +176,9 @@ class TestCanonicalFormMutations:
 
 class TestBackends:
     def test_process_backend_matches_serial(self):
+        # Format-2 clients of the retired process backend still send
+        # ``backend``/``workers``; decoded options ignore them, so the
+        # answer on a new version is the serial one.
         scenario = get_scenario("Q3")
         db = scenario.make_db(15)
         query = scenario.make_query()
@@ -184,6 +187,10 @@ class TestBackends:
         version = service.mutate_database(
             "db", deletes={table: [_first_row(db, table)]}
         )
-        serial = _query(service, query, backend="serial")
-        process = _query(service, query, backend="process", workers=2)
+        serial = _query(service, query)
+        options = ExplainOptions.from_json(
+            {"backend": "process", "workers": 2, "partitions": 3}
+        )
+        process = service.query(query, "db", options)[0]
+        assert options == ExplainOptions(partitions=3)
         assert serial == process == query.evaluate(version)

@@ -279,44 +279,40 @@ def test_failed_build_negative_cached(monkeypatch):
 def test_task_chain_falls_back_and_matches(monkeypatch):
     """The chain task matches the row path even when kernels cannot run
     (empty/mixed partitions)."""
-    from repro.engine.backends import WorkerState
-
     db = make_db()
     query = Query(Selection(TableAccess("R"), col("v").ge(4)))
-    state = WorkerState(query, db)
-    op_ids = (query.root.op_id,)
+    ops, ctx = _chain_parts(query, db)
+    memo: dict = {}
     rows = list(db.relation("R"))
 
-    out, stats, info = task_kernel_chain(state, op_ids, rows)
+    out, stats, info = task_kernel_chain(ops, rows, ctx, memo)
     assert Bag(out) == query.evaluate(db)
     assert info["fallbacks"] == 0
 
     # Empty partitions always use the row path (schema errors must surface)
     # but are not counted as fallbacks — there was nothing to vectorize.
-    out, stats, info = task_kernel_chain(state, op_ids, [])
+    out, stats, info = task_kernel_chain(ops, [], ctx, memo)
     assert out == [] and info["fallbacks"] == 0
     assert info["hits"] == 0 and info["misses"] == 0
 
     # Mixed layouts cannot be batched into columns.
     mixed = rows + [Tup(k=0, v=99)]
-    out, stats, info = task_kernel_chain(state, op_ids, mixed)
+    out, stats, info = task_kernel_chain(ops, mixed, ctx, memo)
     assert info["fallbacks"] == 1
     assert Bag(out) == Bag([t for t in mixed if t["v"] >= 4])
 
 
 def test_kernel_error_parity_with_row_path():
     """Fallbacks reproduce the row path's exact error type and message."""
-    from repro.engine.backends import WorkerState
-
     db = make_db()
     # Flattening an attribute that is not a nested relation fails at runtime;
     # the kernel must surface the same KeyError text via the row-path rerun.
     query = Query(RelationFlatten(TableAccess("R"), "missing", alias="x"))
     with pytest.raises(Exception) as row_err:
         query.evaluate(db)
-    state = WorkerState(query, db)
     with pytest.raises(Exception) as kernel_err:
-        task_kernel_chain(state, (query.root.op_id,), list(db.relation("R")))
+        ops, ctx = _chain_parts(query, db)
+        task_kernel_chain(ops, list(db.relation("R")), ctx, {})
     assert type(kernel_err.value) is type(row_err.value)
     assert str(kernel_err.value) == str(row_err.value)
 
@@ -362,7 +358,8 @@ def test_metrics_wire_round_trip_with_kernels():
 
 
 def _social_trace_tasks(monkeypatch):
-    """GenSocial's question plus the tracer's ``trace_run`` tasks for it."""
+    """GenSocial's question plus the tracer's ``trace_run`` calls for it
+    (each call's arguments after the SA contexts)."""
     from repro.scenarios import get_scenario
     from repro.whynot import tracing
     from repro.whynot.alternatives import enumerate_schema_alternatives
@@ -375,13 +372,13 @@ def _social_trace_tasks(monkeypatch):
         question.query, question.db, question.nip, base, groups=scenario.alternatives
     )
     tasks = []
-    run_group_tasks = tracing.Tracer._run_group_tasks
+    trace_run = tracing.trace_run
 
-    def capture(self, group_tasks):
-        tasks.extend(t for t in group_tasks if t[0] == "trace_run")
-        return run_group_tasks(self, group_tasks)
+    def capture(sa_contexts, *args):
+        tasks.append(args)
+        return trace_run(sa_contexts, *args)
 
-    monkeypatch.setattr(tracing.Tracer, "_run_group_tasks", capture)
+    monkeypatch.setattr(tracing, "trace_run", capture)
     tracing.trace(question.query, question.db, sas)
     return question, sas, tasks
 
@@ -406,7 +403,7 @@ def test_trace_kernel_source_golden(monkeypatch):
     from repro.whynot.matching import nip_shape
 
     question, sas, tasks = _social_trace_tasks(monkeypatch)
-    _, rep, op_ids, parent_vals, nips, checks = tasks[0]
+    rep, op_ids, parent_vals, nips, checks = tasks[0]
     sa_query = sas[rep].query
     assert [sa_query.op(i).label for i in op_ids] == ["F60", "Fᵀ3", "π4", "σ61", "σ62"]
     ops = [sa_query.op(i) for i in op_ids]
@@ -479,7 +476,7 @@ def test_row_level_nips_compile_no_fallback(monkeypatch):
 
     monkeypatch.setattr(matching, "compile_pattern", spy)
     _, _, tasks = _social_trace_tasks(monkeypatch)
-    row_nips = {id(nip) for task in tasks for nip in task[4]}
+    row_nips = {id(nip) for task in tasks for nip in task[3]}
     assert tasks and compiled
     assert not [p for p in compiled if id(p) in row_nips]
 
@@ -564,8 +561,8 @@ def _reference_parity(question, alternatives=()):
 
 def test_trace_run_falls_back_on_mixed_layouts(monkeypatch):
     """Rows of more than one layout trace operator by operator, identically."""
-    from repro.engine import backends
     from repro.nested.types import INT, TupleType
+    from repro.whynot import tracing
     from repro.whynot.placeholders import ANY
     from repro.whynot.question import WhyNotQuestion
 
@@ -577,14 +574,14 @@ def test_trace_run_falls_back_on_mixed_layouts(monkeypatch):
         Selection(Projection(TableAccess("R"), [("c", col("a")), "b"]), col("c").ge(4))
     )
     fused = []
-    task = backends._TASK_HANDLERS["trace_run"]
+    task = tracing.trace_run
 
     def spy(*args):
         out = task(*args)
         fused.append(out is not None)
         return out
 
-    monkeypatch.setitem(backends._TASK_HANDLERS, "trace_run", spy)
+    monkeypatch.setattr(tracing, "trace_run", spy)
     result = _reference_parity(WhyNotQuestion(query, db, Tup(c=ANY, b=3)))
     assert fused == [False]
     assert result.rows_traced() == 9

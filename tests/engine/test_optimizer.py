@@ -7,10 +7,10 @@ Two layers of guarantees:
   nested-attribute predicates, duplicate output names, ...) makes the
   rewrite unsound;
 * **plan-level equivalence** — for every registered scenario, optimized and
-  unoptimized execution produce identical result bags on both backends at
-  1/3/7 partitions, and the why-not pipeline produces identical explanation
-  sets, SA counts and side-effect bounds with the optimizer on and off
-  (mirroring the cross-backend suite in ``tests/engine/test_backends.py``).
+  unoptimized execution produce identical result bags at 1/3/7 partitions,
+  and the why-not pipeline produces identical explanation sets, SA counts
+  and side-effect bounds with the optimizer on and off (mirroring the
+  scenario suites in ``tests/engine/test_backends.py``).
 """
 
 import pytest
@@ -414,22 +414,20 @@ def _scenario_names():
 @pytest.mark.parametrize("name", _scenario_names())
 @pytest.mark.parametrize("partitions", [1, 3, 7])
 def test_scenario_optimized_equals_unoptimized(name, partitions):
-    """Optimized ≡ unoptimized ≡ Query.evaluate for every scenario, both
-    backends, at 1/3/7 partitions (the optimizer acceptance criterion), and
-    the why-not answer path's ``Q(D)`` equals the reference too."""
+    """Optimized ≡ unoptimized ≡ Query.evaluate for every scenario at
+    1/3/7 partitions (the optimizer acceptance criterion), and the why-not
+    answer path's ``Q(D)`` equals the reference too."""
     from repro.scenarios import get_scenario
 
     question = get_scenario(name).question(scale=10)
     plain = question.query.evaluate(question.db)
     assert question.result() == plain
-    workers = {1: 1, 3: 2, 7: 4}[partitions]
-    for backend, kwargs in (("serial", {}), ("process", {"workers": workers})):
-        off = Executor(num_partitions=partitions, backend=backend, optimize=False, **kwargs)
-        on = Executor(num_partitions=partitions, backend=backend, optimize=True, **kwargs)
-        assert off.execute(question.query, question.db) == plain
-        assert on.execute(question.query, question.db) == plain, (
-            f"{name}: optimized {backend} execution diverges at {partitions} partitions"
-        )
+    off = Executor(num_partitions=partitions, optimize=False)
+    on = Executor(num_partitions=partitions, optimize=True)
+    assert off.execute(question.query, question.db) == plain
+    assert on.execute(question.query, question.db) == plain, (
+        f"{name}: optimized execution diverges at {partitions} partitions"
+    )
 
 
 def test_at_least_three_rules_fire_across_the_scenario_suite():

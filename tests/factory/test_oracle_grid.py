@@ -2,7 +2,7 @@
 
 The satellite requirement: factory corpora must survive the differential
 oracle exactly like hand-built scenarios — ``Query.evaluate`` vs the
-partitioned executor across serial×process backends and 1/3/7 partitions,
+partitioned executor, optimizer off and on, at 1/3/7 partitions,
 plus the explanation differential on the why-not
 question.  Any divergence is a real engine bug, not a flaky benchmark.
 """
@@ -21,7 +21,5 @@ def test_generated_scenario_survives_executor_grid(family):
         bundle.query,
         question=bundle.question(),
         partitions=(1, 3, 7),
-        backends=("serial", "process"),
-        workers=2,
     )
     assert report.ok, [d.describe() for d in report.divergences]

@@ -87,7 +87,6 @@ class TestMiniSweep:
             cases=3,
             config=_config(),
             steps=2,
-            backends=("serial",),
         )
         first = run_mutation_sweep(**kwargs)
         assert first.ok, "\n".join(
@@ -120,7 +119,7 @@ class TestMiniSweep:
             return materialized(self)
 
         monkeypatch.setattr(explain_module.RelaxedTrace, "materialized", spy)
-        result = run_mutation_sweep(seed=1, cases=2, backends=("serial",))
+        result = run_mutation_sweep(seed=1, cases=2)
         assert result.ok, result.failures
         assert result.tracer_checks > 0 and result.sibling_checks > 0
         assert lazy_reuses
@@ -132,7 +131,6 @@ class TestMiniSweep:
             config=_config(),
             steps=2,
             questions=False,
-            backends=("serial",),
         )
         assert result.ok
         assert result.with_question == 0

@@ -82,7 +82,6 @@ def test_fuzz_case_roundtrip(index):
         case.query,
         question=question,
         partitions=(1,),
-        backends=("serial",),
         optimize=(False,),
         explain_grid=(),
         grammar=True,

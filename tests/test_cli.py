@@ -1,8 +1,10 @@
 """CLI behaviour: knob validation and the fuzz subcommand.
 
-Regression (fuzz PR): ``--workers 0`` / ``--partitions 0`` used to reach the
+Regression: ``--workers 0`` / ``--partitions 0`` used to reach the
 executor/pool constructors and die with a traceback; they must fail at
-argument parsing with a usage error (SystemExit 2) instead.
+argument parsing with a usage error (SystemExit 2) instead.  ``--workers``
+went with the process backend, so every value of it is now a usage error
+naming the flag.
 """
 
 import os
@@ -51,7 +53,7 @@ class TestKnobValidation:
 class TestFuzzCommand:
     def test_small_serial_sweep_exits_zero(self, capsys):
         code = main(
-            ["fuzz", "--seed", "4", "--cases", "5", "--backend", "serial"]
+            ["fuzz", "--seed", "4", "--cases", "5"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -65,8 +67,6 @@ class TestFuzzCommand:
                 "1",
                 "--cases",
                 "3",
-                "--backend",
-                "serial",
                 "--partitions",
                 "2,5",
                 "--no-questions",
@@ -85,8 +85,6 @@ class TestFuzzCommand:
                 "2",
                 "--cases",
                 "3",
-                "--backend",
-                "serial",
                 "--no-questions",
                 "--corpus-dir",
                 str(corpus),
@@ -108,7 +106,7 @@ class TestRunCommand:
     def test_mutation_fuzz_reports_service_checks(self, capsys):
         code = main(
             ["fuzz", "--mutations", "--seed", "4", "--cases", "3",
-             "--backend", "serial", "--mutation-steps", "2"]
+             "--mutation-steps", "2"]
         )
         out = capsys.readouterr().out
         assert code == 0

@@ -37,9 +37,12 @@ def test_docs_cover_readme_and_docs_dir():
 
 
 def test_readme_documents_backend_flags():
+    """One backend: the README names ``serve --processes`` as the way to
+    use several cores and documents no retired backend knob."""
     readme = (REPO_ROOT / "README.md").read_text()
-    assert "--backend process --workers 4" in readme
-    assert "REPRO_BACKEND" in readme
+    assert "serve --processes N" in readme
+    for retired in ("--backend", "--workers", "REPRO_BACKEND", "REPRO_WORKERS"):
+        assert retired not in readme, f"README still documents {retired}"
 
 
 def test_readme_file_references_exist():

@@ -32,9 +32,7 @@ def _labels(result):
 
 
 def _scratch(query, db, nip, alternatives=()):
-    return explain(
-        WhyNotQuestion(query, db, nip), alternatives=alternatives, backend="serial"
-    )
+    return explain(WhyNotQuestion(query, db, nip), alternatives=alternatives)
 
 
 def _same_as_scratch(service, request, db):
