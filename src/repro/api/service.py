@@ -56,6 +56,7 @@ from repro.engine.database import Database, Mutation
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionMetrics
 from repro.nested.values import Bag
+from repro.whynot.alternatives import TooManyAlternatives
 from repro.whynot.explain import RelaxedTrace, WhyNotResult, explain_reusing
 from repro.whynot.matching import matching_tuples
 from repro.whynot.question import IllPosedQuestion, WhyNotQuestion
@@ -951,5 +952,13 @@ def _digest(text: str) -> int:
     )
 
 
-#: Error types the HTTP layer maps to 4xx responses.
-CLIENT_ERRORS = (BadRequest, UnknownDatabase, IllPosedQuestion, ValueError, KeyError)
+#: Error types the HTTP layer maps to 4xx responses.  ``TooManyAlternatives``
+#: is one: the request's own ``max_sas`` is what its SA candidates exceed.
+CLIENT_ERRORS = (
+    BadRequest,
+    UnknownDatabase,
+    IllPosedQuestion,
+    TooManyAlternatives,
+    ValueError,
+    KeyError,
+)

@@ -80,7 +80,8 @@ def task_kernel_chain(ops: list, rows: list, ctx, memo: dict) -> Any:
     *memo* is the execution's kernel memo: partitions of one execution
     share the plan, so the (semantic) global cache key is built once per
     chain and layout, and every further partition resolves by identity.
-    Memo hits still count as cache hits — the compiled kernel was reused.
+    A memo hit counts as a cache hit when it holds a kernel (the compiled
+    kernel was reused); a memoized ``None`` counts as neither hit nor miss.
     """
     info = new_kernel_info()
     if rows:
@@ -89,7 +90,8 @@ def task_kernel_chain(ops: list, rows: list, ctx, memo: dict) -> Any:
             mkey = (tuple(op.op_id for op in ops), layout)
             if mkey in memo:
                 kernel = memo[mkey]
-                info["hits"] += 1
+                if kernel is not None:
+                    info["hits"] += 1
             else:
                 kernel = memo[mkey] = chain_kernel(ops, layout, ctx, info)
             if kernel is not None:

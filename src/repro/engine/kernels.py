@@ -40,8 +40,8 @@ Contract (see ``docs/KERNELS.md`` for the full walkthrough):
   run, where selections record retained row indices instead of filtering,
   each operator's strict/relaxed NIP checks run inline against its column
   variables (the generated Definition-4 tests of
-  :mod:`repro.whynot.matching`), and only the run's last row is
-  materialized.
+  :mod:`repro.whynot.matching`), and the run's last row is returned as a
+  plain value tuple of the kernel's output layout — no ``Tup`` is built.
 """
 
 from __future__ import annotations
@@ -251,9 +251,13 @@ class KernelBuilder:
 
 
 class CompiledKernel:
-    """One compiled chain kernel plus the metadata to derive per-op stats."""
+    """One compiled chain kernel plus the metadata to derive per-op stats.
 
-    __slots__ = ("fn", "source", "changes", "last_changer")
+    ``layout`` is a relaxed trace kernel's output layout, the layout of the
+    value tuples it returns (None for chain kernels, which return rows).
+    """
+
+    __slots__ = ("fn", "source", "changes", "last_changer", "layout")
 
     def __init__(
         self,
@@ -261,11 +265,13 @@ class CompiledKernel:
         source: str,
         changes: "tuple[bool, ...]",
         last_changer: int,
+        layout: Optional[Layout] = None,
     ):
         self.fn = fn
         self.source = source
         self.changes = changes
         self.last_changer = last_changer
+        self.layout = layout
 
     def run(self, rows: list, ops: "Sequence[Any]") -> "tuple[list, list]":
         """Execute over one partition; returns rows plus row-path-shaped stats.
@@ -337,6 +343,7 @@ def _compile_kernel(
     prelude: "list[str]",
     returns: str,
     indexed: bool = False,
+    as_values: bool = False,
 ) -> "tuple[Callable, str]":
     """Finish a kernel body and compile it; returns ``(function, source)``.
 
@@ -346,14 +353,18 @@ def _compile_kernel(
     *indexed*), the extra *prelude* lines and ``return returns``.  When the
     final logical row is the input row (selection-only chains), the loop
     also binds the input row ``_r`` and appends it unchanged, as
-    ``Selection.eval_rows`` does.
+    ``Selection.eval_rows`` does.  With *as_values* the loop appends the
+    final row's value tuple instead of a ``Tup`` (the input row's
+    ``_values`` when the final row is the input row).
     """
     values = list(kb._cols.values())
     passthrough = tuple(kb._cols) == layout.names and values == [
         f"_c{i}_" for i in range(len(values))
     ]
     if passthrough:
-        kb.emit("_append(_r)")
+        kb.emit("_append(_r._values)" if as_values else "_append(_r)")
+    elif as_values:
+        kb.emit(f"_append({_tuple_source(values)})")
     else:
         out_layout = kb.bind(Layout.of(tuple(kb._cols)))
         kb.emit(f"_append(_mk({out_layout}, {_tuple_source(values)}))")
@@ -408,11 +419,11 @@ def build_trace_kernel(
     and ``checks[j]`` the ``(strict, relaxed)`` shape indices tested after
     ``ops[j]`` (relaxed None: equal to strict).  The kernel is called as
     ``fn(rows, args)`` with the NIPs' ``nip_shape(nip, row=True)`` arguments
-    concatenated in shape order and returns ``(last_rows, flags, hits)``:
-    the run's output rows, one retained-index list per selection and, per
-    operator, one hit-index list per check — the strict hits, or the
-    relaxed ones when no row matched
-    strictly.  Each check is the generated Definition-4 test of
+    concatenated in shape order and returns ``(values, flags, hits)``: the
+    run's output rows as value tuples of the kernel's ``layout``, one
+    retained-index list per selection and, per operator, one hit-index
+    list per check — the strict hits, or the relaxed ones when no row
+    matched strictly.  Each check is the generated Definition-4 test of
     :func:`repro.whynot.matching.fields_test` over the column variables;
     checks repeated over an unchanged row (a selection re-testing its
     child's NIP) share one scan.
@@ -467,8 +478,10 @@ def build_trace_kernel(
     prelude += [f"    {var} = []" for var in kb.flags + hit_lists]
     per_op_hits = _tuple_source([_tuple_source(h) for h in hits])
     returns = f"_out, {_tuple_source(kb.flags)}, {per_op_hits}"
-    fn, source = _compile_kernel(kb, layout, "rows, _a", prelude, returns, indexed=True)
-    return CompiledKernel(fn, source, (), -1)
+    fn, source = _compile_kernel(
+        kb, layout, "rows, _a", prelude, returns, indexed=True, as_values=True
+    )
+    return CompiledKernel(fn, source, (), -1, Layout.of(tuple(kb._cols)))
 
 
 _MISSING = object()
@@ -548,16 +561,20 @@ def chain_kernel(
 
     *info* accumulates the observability counters (``hits``/``misses``/
     ``codegen_seconds``) that the executor surfaces through
-    ``ExecutionMetrics.kernels``.  ``None`` means "row path, please": the
-    chain contains an unsupported operator, a hook declined, or the key is
-    unhashable (e.g. a constant holding an unhashable value).
+    ``ExecutionMetrics.kernels``: a hit is a cached kernel returned, a miss
+    a lookup that keyed or built nothing cached; a negative entry counts as
+    neither, so the hit ratio never credits the row path.  ``None`` means
+    "row path, please": the chain contains an unsupported operator, a hook
+    declined, or the key is unhashable (e.g. a constant holding an
+    unhashable value).
     """
     kernel, codegen_seconds = _cached_kernel(
         lambda: _chain_key(ops, layout, ctx),
         lambda: build_kernel(ops, layout, ctx),
     )
     if codegen_seconds is None:
-        info["hits"] += 1
+        if kernel is not None:
+            info["hits"] += 1
     else:
         info["misses"] += 1
         info["codegen_seconds"] += codegen_seconds

@@ -32,6 +32,7 @@ from operator import and_, or_
 from typing import Callable, Optional
 
 from repro.algebra.operators import Join, Query, Selection
+from repro.nested.values import Layout
 from repro.whynot.alternatives import SchemaAlternative
 from repro.whynot.question import WhyNotQuestion
 from repro.whynot.tracing import OpTrace, TraceResult, parent_reader
@@ -232,9 +233,13 @@ class _SideEffectBounds:
     and per-SA counts run on first use, and each is published by one
     assignment, so concurrent readers at worst compute one twice.
 
-    Final tuples are compared by ``(layout, values)`` keys, which equal and
-    hash like the tuples themselves (layouts are interned) without hashing
-    each freshly built :class:`~repro.nested.values.Tup` in Python.
+    Final tuples are compared by value tuples within their layout, which
+    equal and hash like the tuples themselves (layouts are interned): S1's
+    fully retained final rows are kept as one set of value tuples per
+    layout.  A final column a fused run's kernel produced is read as its
+    value tuples (:meth:`~repro.whynot.tracing.OpTrace.value_column`), so
+    no :class:`~repro.nested.values.Tup` is built; other columns are read
+    through each tuple's layout and values.
     """
 
     def __init__(self, question: WhyNotQuestion, trace: TraceResult):
@@ -243,15 +248,16 @@ class _SideEffectBounds:
         self.n_orig = len(question.result())
         self._final = trace.traces[trace.root_id]
         self._position = {op.op_id: p for p, op in enumerate(self.query.ops)}
-        self._retained: "Optional[tuple[list[int], set]]" = None
+        self._retained: "Optional[tuple[list[int], dict[Layout, set]]]" = None
         self._blocked: Optional[list[int]] = None
         self._counts: "dict[int, tuple[list[int], int, int]]" = {}
 
-    def _retained_folds(self) -> "tuple[list[int], set]":
+    def _retained_folds(self) -> "tuple[list[int], dict[Layout, set]]":
         """Per final row, the bitmask of SAs under which the row's entire
-        ancestry carries no retained=False flag; and the keys of the tuples
-        of the original result derived with every flag retained under S1
-        ("original tuples with only true valid/retained flags")."""
+        ancestry carries no retained=False flag; and, per layout, the value
+        tuples of the original result's tuples derived with every flag
+        retained under S1 ("original tuples with only true valid/retained
+        flags")."""
         if self._retained is None:
             fr_masks = _fold_ancestry(
                 self.query,
@@ -260,12 +266,19 @@ class _SideEffectBounds:
                 and_,
                 (1 << self.trace.n_sas) - 1,
             )
-            column = self._final.column(0)
-            fully_retained_s1 = {
-                (column[k]._layout, column[k]._values)
+            kept = [
+                k
                 for k, (valid, fr) in enumerate(zip(self._final.valid, fr_masks))
                 if valid & fr & 1
-            }
+            ]
+            layout, column = self._final.value_column(0)
+            fully_retained_s1: "dict[Layout, set]" = {}
+            if layout is not None:
+                fully_retained_s1[layout] = {column[k] for k in kept}
+            else:
+                for k in kept:
+                    v = column[k]
+                    fully_retained_s1.setdefault(v._layout, set()).add(v._values)
             self._retained = (fr_masks, fully_retained_s1)
         return self._retained
 
@@ -276,13 +289,16 @@ class _SideEffectBounds:
         if counts is None:
             bit = 1 << i
             present = [k for k, valid in enumerate(self._final.valid) if valid & bit]
-            column = self._final.column(i)
+            layout, column = self._final.value_column(i)
             fr_masks, fully_retained_s1 = self._retained_folds()
-            matched = sum(
-                1
-                for k in present
-                if (column[k]._layout, column[k]._values) in fully_retained_s1
-            )
+            if layout is not None:
+                s1 = fully_retained_s1.get(layout, ())
+                matched = sum(1 for k in present if column[k] in s1)
+            else:
+                matched = 0
+                for k in present:
+                    v = column[k]
+                    matched += v._values in fully_retained_s1.get(v._layout, ())
             n_vr = sum(1 for k in present if fr_masks[k] & bit)
             counts = self._counts[i] = (present, matched, n_vr)
         return counts

@@ -28,7 +28,6 @@ reuses anything.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -141,16 +140,15 @@ class RelaxedTrace:
     (``signature``, see :func:`~repro.whynot.tracing.sa_signature`), and
     ``bounds`` (paper §5.4) only on those columns and ``|Q(D)|``.  A question
     over the same query, database version, alternatives and options whose
-    SAs have the same signature re-annotates ``trace`` instead of tracing.
+    SAs have the same signature re-annotates ``trace`` instead of tracing:
+    its fused runs replay their kernels, and everything else is scanned.
+    Any thread may re-annotate it: a lazy column that a fallback scan or a
+    downstream step reads is built once, under the column's own lock.
     """
 
     trace: TraceResult
     signature: tuple
     bounds: _SideEffectBounds
-    #: Guards the one-time evaluation of ``trace``'s lazy columns.
-    lock: threading.Lock = field(
-        default_factory=threading.Lock, compare=False, repr=False
-    )
 
     @classmethod
     def of(
@@ -159,13 +157,6 @@ class RelaxedTrace:
         """The reusable part of *question*'s run that traced *sas* into
         *trace* (the bounds are built lazily, on first use)."""
         return cls(trace, sa_signature(sas), _SideEffectBounds(question, trace))
-
-    def materialized(self) -> TraceResult:
-        """``trace`` with every lazy column of its fused narrow runs
-        evaluated (once, under ``lock``), safe to read from any thread."""
-        with self.lock:
-            self.trace.materialize()
-        return self.trace
 
 
 def explain_reusing(
@@ -232,7 +223,7 @@ def _explain(
     if relaxed is not None and relaxed.signature == sa_signature(sas):
         started = time.perf_counter()
         traced = annotate(
-            relaxed.materialized(), question.query, question.db, sas, revalidate=revalidate
+            relaxed.trace, question.query, question.db, sas, revalidate=revalidate
         )
         timings["annotate"] = time.perf_counter() - started
     else:

@@ -56,13 +56,18 @@ SA group traces the whole run in one generated relaxed kernel
 (:func:`repro.engine.kernels.trace_kernel`, one :func:`trace_run` call per
 group): selections record retained rows instead of filtering, every
 operator's strict and relaxed NIPs are tested against the kernel's column
-variables, and only the run's last value column is materialized.  Earlier
-operators' columns are :class:`LazyColumns`, built by the per-operator
-:func:`trace_narrow` step on first access (row views, baselines,
-re-annotation).  Whenever a group's kernel cannot run — an
+variables, and the run's last row comes back as a plain value tuple.  No
+:class:`~repro.nested.values.Tup` is built unless someone reads it: every
+value column of the run is a :class:`LazyColumns`.  The last value-changing
+operator's holds each group's ``(layout, value tuples)`` and wraps them on
+first read; earlier operators' columns are evaluated by the per-operator
+:func:`trace_narrow` step on first read (row views, baselines, a downstream
+per-operator step or run).  The §5.4 bounds read the value tuples
+(:meth:`OpTrace.value_column`).  Whenever a group's kernel cannot run — an
 unsupported operator or NIP, rows of more than one layout, a bailout or an
 error — the whole run is traced operator by operator instead, so snapshots
-and errors are identical.
+and errors are identical.  The :class:`TraceResult` records every run its
+kernels traced (:class:`FusedRun`).
 
 The SA groups at an operator are *independent*: each group is evaluated
 through its own representative query against its own input column.  Each
@@ -77,6 +82,9 @@ Only the ``consistent`` masks depend on the NIP.  :func:`annotate` re-runs
 that pass alone over a trace made for SA queries with the same
 :func:`sa_signature`, sharing its values, groups, validity, retained masks
 and parents; the serving layer answers NIP variants of a query this way.
+A kernel-traced run is re-annotated by replaying its kernels with the new
+NIPs' arguments, so its lazy columns stay unevaluated; every other operator
+(and a run whose kernel cannot run for the new NIPs) is scanned.
 
 Aggregate-value constraints in NIPs are checked softly: if no row at an
 operator is strictly consistent under some SA, consistency is re-evaluated
@@ -86,8 +94,9 @@ does not enumerate input subsets for aggregates — paper §5.5 caveat (iii)).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
@@ -261,24 +270,37 @@ def _or_columns(columns: list[list[int]]) -> list[int]:
 
 
 class LazyColumns:
-    """The per-group value columns of an operator inside a fused narrow run.
+    """The per-group value columns of an operator inside a fused narrow run,
+    built on first read.
 
-    The run's kernel materializes only its last operator's columns; column
-    g of an earlier operator is evaluated on first access by
-    :func:`trace_narrow` over the same group's column of the operator's
-    child snapshot, then kept (so the column-sharing invariant holds).
+    The run's last value-changing operator has ``values``: per group, the
+    kernel's ``(layout, value tuples)``, aligned with the child's rows
+    (None where a row is missing), and column g wraps them in ``Tup``
+    objects (:meth:`OpTrace.value_column` reads them unwrapped).  An
+    earlier operator's column g is evaluated by :func:`trace_narrow` over
+    the same group's column of the operator's child snapshot.  Each column
+    is built once, under the lock these columns hold, and kept: the
+    column-sharing invariant holds, and readers on any thread see one
+    column.
     """
 
-    __slots__ = ("_sas", "_op_id", "_child", "_reps", "_cols")
+    __slots__ = ("_sas", "_op_id", "_child", "_reps", "_values", "_cols", "_lock")
 
     def __init__(
-        self, sas: "SAContexts", op_id: int, child: "OpTrace", reps: "list[int]"
+        self,
+        sas: "SAContexts",
+        op_id: int,
+        child: "OpTrace",
+        reps: "list[int]",
+        values: "Optional[list[tuple[Layout, list]]]" = None,
     ):
         self._sas = sas
         self._op_id = op_id
         self._child = child
         self._reps = reps
+        self._values = values
         self._cols: "list[Optional[list[Optional[Tup]]]]" = [None] * len(reps)
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._reps)
@@ -286,11 +308,19 @@ class LazyColumns:
     def __getitem__(self, g: int) -> "list[Optional[Tup]]":
         column = self._cols[g]
         if column is None:
-            rep = self._reps[g]
-            column = self._cols[g] = trace_narrow(
-                self._sas, rep, self._op_id, self._child.column(rep)
-            )
+            with self._lock:
+                column = self._cols[g]
+                if column is None:
+                    column = self._cols[g] = self._build(g)
         return column
+
+    def _build(self, g: int) -> "list[Optional[Tup]]":
+        if self._values is not None:
+            layout, values = self._values[g]
+            mk = Tup.from_layout
+            return [None if v is None else mk(layout, v) for v in values]
+        rep = self._reps[g]
+        return trace_narrow(self._sas, rep, self._op_id, self._child.column(rep))
 
 
 class OpTrace:
@@ -361,6 +391,16 @@ class OpTrace:
         """The value column of schema alternative *i*."""
         return self.cols[self.groups.gids[i]]
 
+    def value_column(self, i: int) -> "tuple[Optional[Layout], list]":
+        """Schema alternative *i*'s column without building rows: the
+        kernel's ``(layout, value tuples)`` inside a fused run, else
+        ``(None, column)``."""
+        g = self.groups.gids[i]
+        cols = self.cols
+        if isinstance(cols, LazyColumns) and cols._values is not None:
+            return cols._values[g]
+        return None, cols[g]
+
     def parents_of(self, k: int) -> tuple[int, ...]:
         """Parent row ids of row *k*."""
         if self.parents is not None:
@@ -427,13 +467,28 @@ def parent_reader(
     return read
 
 
+class FusedRun:
+    """One narrow run its kernels traced: the run's operator ids, its
+    input operator's id and its SA groups (what a re-annotation needs to
+    replay the kernels over the same input columns)."""
+
+    __slots__ = ("op_ids", "child_id", "groups")
+
+    def __init__(self, op_ids: "tuple[int, ...]", child_id: int, groups: SAGroups):
+        self.op_ids = op_ids
+        self.child_id = child_id
+        self.groups = groups
+
+
 @dataclass
 class TraceResult:
-    """All per-operator snapshots plus lazily built row views."""
+    """All per-operator snapshots plus lazily built row views, and the
+    fused narrow runs traced by kernels."""
 
     traces: dict[int, OpTrace]
     root_id: int
     n_sas: int
+    runs: "list[FusedRun]" = field(default_factory=list)
 
     def final_rows(self) -> list[TRow]:
         """The traced rows of the root operator (the relaxed final result)."""
@@ -465,14 +520,6 @@ class TraceResult:
             seen.add(rid)
             stack.extend(rows[rid].parents)
         return seen
-
-    def materialize(self) -> None:
-        """Evaluate every lazy value column of the fused narrow runs now, so
-        that later readers, on any thread, only read."""
-        for snap in self.traces.values():
-            if isinstance(snap.cols, LazyColumns):
-                for g in range(len(snap.cols)):
-                    snap.cols[g]
 
     def rebind(self, db: Database) -> None:
         """Point the lazy value columns at *db*, a later version of the
@@ -552,8 +599,9 @@ def trace_run(
     """One SA group's narrow run through one relaxed trace kernel.
 
     ``checks[j]`` lists the ``(strict, relaxed)`` indices into *nips* tested
-    after operator j (relaxed None: equal to strict).  Returns ``(column,
-    flags, hits)`` aligned with *parent_vals* — the run's last column, the
+    after operator j (relaxed None: equal to strict).  Returns ``(layout,
+    values, flags, hits)`` aligned with *parent_vals* — the run's last
+    column as value tuples of *layout* (None where a row is missing), the
     retained row indices of each selection and, per operator, the
     consistent row indices of each check — or None when the run has to be
     traced operator by operator: no present row, rows of more than one
@@ -581,10 +629,11 @@ def trace_run(
         # reruns the run and raises errors in the row path's order and text.
         return None
     if len(present) == len(parent_vals):
-        return column, flags, hits
+        return kernel.layout, column, flags, hits
     index = [k for k, v in enumerate(parent_vals) if v is not None]
     values = iter(column)
     return (
+        kernel.layout,
         [None if v is None else next(values) for v in parent_vals],
         [[index[k] for k in flag] for flag in flags],
         [[[index[k] for k in hit] for hit in op_hits] for op_hits in hits],
@@ -740,13 +789,29 @@ class Tracer:
         tracer's (:func:`sa_signature`): its value columns, validity,
         retained masks, parents and SA groups then hold for these SAs too,
         and only the ``consistent`` columns, which test each SA's backtraced
-        NIP, are computed afresh, operator by operator.
+        NIP, are computed afresh, operator by operator.  Each run its
+        kernels traced replays them over the same input columns with these
+        SAs' NIPs and keeps only their hits; a run whose kernels cannot run
+        for these NIPs is scanned like every other operator.
         """
-        result = TraceResult({}, relaxed.root_id, self.n)
+        replayed: "dict[int, tuple[int, list, list]]" = {}
+        if self.revalidate:
+            for run in relaxed.runs:
+                kernels = self._run_kernels(
+                    run.op_ids, relaxed.traces[run.child_id], run.groups
+                )
+                if kernels is not None:
+                    for j, op_id in enumerate(run.op_ids):
+                        replayed[op_id] = (j, *kernels)
+        result = TraceResult({}, relaxed.root_id, self.n, relaxed.runs)
         for op in self.query.ops:
             snap = relaxed.traces[op.op_id].relaxed()
-            children = [result.traces[c.op_id] for c in op.children]
-            self._annotate_consistency(op, snap, children)
+            replay = replayed.get(op.op_id)
+            if replay is not None:
+                self._add_hits(snap, *replay)
+            else:
+                children = [result.traces[c.op_id] for c in op.children]
+                self._annotate_consistency(op, snap, children)
             result.traces[op.op_id] = snap
         return result
 
@@ -884,6 +949,50 @@ class Tracer:
             run.append(parent)
         return run, groups
 
+    def _run_kernels(
+        self, op_ids: "tuple[int, ...]", child: OpTrace, groups: SAGroups
+    ) -> "Optional[tuple[list, list]]":
+        """Every SA group's :func:`trace_run` of a narrow run over *child*'s
+        columns, with the checks tested: ``(results, checks)``, or None
+        when any group's kernel cannot run.
+
+        ``checks[g][j]`` maps each distinct ``(strict, relaxed)`` index pair
+        into group g's distinct NIPs tested after operator j to the mask of
+        the SAs it tests (none without revalidation).
+        """
+        nips: list[list] = [[] for _ in groups.reps]
+        checks: "list[list[dict[tuple[int, Optional[int]], int]]]" = [
+            [{} for _ in op_ids] for _ in groups.reps
+        ]
+        if self.revalidate:
+            for j, op_id in enumerate(op_ids):
+                for i, sa in enumerate(self.sas):
+                    g = groups.gids[i]
+                    strict = _index_of(nips[g], sa.backtrace.nip_at[op_id])
+                    relaxed = _index_of(nips[g], sa.backtrace.relaxed_at[op_id])
+                    pair = (strict, None if relaxed == strict else relaxed)
+                    checks[g][j][pair] = checks[g][j].get(pair, 0) | 1 << i
+        results = []
+        for g, rep in enumerate(groups.reps):
+            r = trace_run(
+                self._sas, rep, op_ids, child.column(rep),
+                tuple(nips[g]), tuple(tuple(c) for c in checks[g]),
+            )
+            if r is None:
+                return None
+            results.append(r)
+        return results, checks
+
+    @staticmethod
+    def _add_hits(snap: OpTrace, j: int, results: list, checks: list) -> None:
+        """Mark the rows the run's kernels found consistent after its
+        operator *j* in ``snap.consistent``."""
+        consistent = snap.consistent
+        for g, r in enumerate(results):
+            for hits, sa_mask in zip(r[3][j], checks[g][j].values()):
+                for k in hits:
+                    consistent[k] |= sa_mask
+
     def _trace_run(
         self,
         run: "list[Operator]",
@@ -895,29 +1004,10 @@ class Tracer:
         notes); False, with nothing recorded, when any group's kernel cannot
         run and the run must be traced operator by operator."""
         op_ids = tuple(op.op_id for op in run)
-        # Per group: the distinct NIPs of its members and, per operator, the
-        # distinct (strict, relaxed) NIP index pairs with their SA masks.
-        nips: list[list] = [[] for _ in groups.reps]
-        checks: "list[list[dict[tuple[int, Optional[int]], int]]]" = [
-            [{} for _ in run] for _ in groups.reps
-        ]
-        if self.revalidate:
-            for j, op in enumerate(run):
-                for i, sa in enumerate(self.sas):
-                    g = groups.gids[i]
-                    strict = _index_of(nips[g], sa.backtrace.nip_at[op.op_id])
-                    relaxed = _index_of(nips[g], sa.backtrace.relaxed_at[op.op_id])
-                    pair = (strict, None if relaxed == strict else relaxed)
-                    checks[g][j][pair] = checks[g][j].get(pair, 0) | 1 << i
-        results = [
-            trace_run(
-                self._sas, rep, op_ids, child.column(rep),
-                tuple(nips[g]), tuple(tuple(c) for c in checks[g]),
-            )
-            for g, rep in enumerate(groups.reps)
-        ]
-        if any(r is None for r in results):
+        kernels = self._run_kernels(op_ids, child, groups)
+        if kernels is None:
             return False
+        results, checks = kernels
         last_value = max(j for j, op in enumerate(run) if not isinstance(op, Selection))
         n = child.count
         prev = child
@@ -926,7 +1016,7 @@ class Tracer:
             if isinstance(op, Selection):
                 retained = [0] * n
                 for mask, r in zip(groups.masks, results):
-                    for k in r[1][flag]:
+                    for k in r[2][flag]:
                         retained[k] |= mask
                 flag += 1
                 snap = self._snapshot(
@@ -935,23 +1025,17 @@ class Tracer:
                     child_base=prev.base,
                 )
             else:
-                cols = (
-                    [r[0] for r in results]
-                    if j == last_value
-                    else LazyColumns(self._sas, op.op_id, prev, groups.reps)
-                )
+                values = [(r[0], r[1]) for r in results] if j == last_value else None
+                cols = LazyColumns(self._sas, op.op_id, prev, groups.reps, values)
                 snap = self._snapshot(op, groups, cols, prev.valid, child_base=prev.base)
             self._next_base += snap.count
             if self.revalidate:
-                consistent = snap.consistent
-                for g, r in enumerate(results):
-                    for hits, sa_mask in zip(r[2][j], checks[g][j].values()):
-                        for k in hits:
-                            consistent[k] |= sa_mask
+                self._add_hits(snap, j, results, checks)
             else:
                 self._annotate_consistency(op, snap, [prev])
             result.traces[op.op_id] = snap
             prev = snap
+        result.runs.append(FusedRun(op_ids, child.op_id, groups))
         return True
 
     # -- per-operator tracing --------------------------------------------------

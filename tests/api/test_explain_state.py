@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.algebra.operators import TableAccess
 from repro.api import Client, ExplainOptions, ExplainRequest, ExplanationService
 from repro.api import service as service_module
 from repro.api.http import make_server
@@ -21,6 +22,7 @@ from repro.engine.database import Database
 from repro.factory import make_bundle
 from repro.lang import pretty_program
 from repro.nested.values import Tup
+from repro.whynot.tracing import LazyColumns
 from repro.wire import result_to_json, serving_stats_from_json
 
 SF = 2
@@ -108,6 +110,22 @@ def test_reused_miss_records_annotation(social, nip_variants):
     assert "tracing" not in variant.result.timings
     assert variant.result.rows_traced() == first.result.rows_traced()
     assert service.cache_stats()["misses"] == 2
+
+
+def test_reannotation_evaluates_no_fused_run_column(social, nip_variants):
+    """A NIP-variant miss replays the fused run's kernels over the state's
+    relaxed trace: no column of the run is built, in the state or in the
+    answer, and the answer equals a fresh explain."""
+    service = _service(social)
+    service.explain(_explicit(social, social.nip))
+    variant = _explicit(social, nip_variants(social, 1)[0])
+    reused = service.explain(variant)
+    assert "annotate" in reused.result.timings
+    traces = reused.result.trace.traces
+    run_cols = [traces[op.op_id].cols for op in social.query.ops if not isinstance(op, TableAccess)]
+    assert all(isinstance(cols, LazyColumns) for cols in run_cols)
+    assert all(column is None for cols in run_cols for column in cols._cols)
+    assert _wire(reused) == _wire(service.explain(variant, use_cache=False))
 
 
 def test_summarize_twin_leaves_stored_result_unsummarized(social):

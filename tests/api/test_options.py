@@ -124,6 +124,24 @@ def test_bad_query_option_is_400_cold_and_warm(port, case):
     _assert_bad_request(*_post(port, "/v1/query", _query(bad)), case)
 
 
+def test_too_many_alternatives_is_400(port):
+    """A valid ``max_sas`` that a request's raw SA candidates exceed
+    eightfold (Q4 has 12 > 8 for ``max_sas: 1``) is the client's to fix:
+    400 ``TooManyAlternatives``, while ``max_sas: 2`` answers 200."""
+
+    def request(max_sas: int) -> dict:
+        return ExplainRequest(
+            scenario="Q4", scale=10, options=ExplainOptions(max_sas=max_sas)
+        ).to_json()
+
+    status, body = _post(port, "/v1/explain", request(1))
+    assert status == 400, body
+    assert body["error"]["type"] == "TooManyAlternatives", body
+    assert "exceed the cap" in body["error"]["message"]
+    status, body = _post(port, "/v1/explain", request(2))
+    assert status == 200, body
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_from_json_rejects(case):
     with pytest.raises(BadRequest):

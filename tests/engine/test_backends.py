@@ -324,6 +324,53 @@ def test_reannotated_variant_equals_fresh_trace(family, nip_variants):
         assert reference.row_view(reused.trace) != reference.row_view(first.trace)
 
 
+def test_reannotation_without_run_kernel_scans(monkeypatch, nip_variants):
+    """A re-annotation whose run kernels cannot run for the variant (no
+    trace kernel) evaluates the run's lazy columns and scans them instead;
+    it equals a fresh trace of the variant and the reference tracer."""
+    from repro.factory import make_bundle
+    from repro.fuzz import reference
+    from repro.whynot import tracing
+    from repro.whynot.explain import RelaxedTrace, explain_reusing
+
+    bundle = make_bundle("social", 1)
+    planted = bundle.question()
+    first = explain(planted, alternatives=bundle.alternatives, validate=False)
+    assert first.trace.runs
+    relaxed = RelaxedTrace.of(planted, first.sas, first.trace)
+    nip = nip_variants(bundle, 1)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(tracing, "trace_kernel", lambda *args: None)
+        reused, used = explain_reusing(
+            WhyNotQuestion(bundle.query, bundle.database, nip),
+            relaxed,
+            alternatives=bundle.alternatives,
+        )
+    assert used is relaxed and "annotate" in reused.timings
+    run_cols = [
+        reused.trace.traces[op_id].cols for run in first.trace.runs for op_id in run.op_ids
+    ]
+    assert all(column is not None for cols in run_cols for column in cols._cols)
+    fresh = explain(
+        WhyNotQuestion(bundle.query, bundle.database, nip),
+        alternatives=bundle.alternatives,
+        validate=False,
+    )
+    difference = reference.compare(
+        reused.trace, reused.explanations, fresh.trace, fresh.explanations
+    )
+    assert difference is None, difference
+    _, ref_trace, ref_explanations = reference.reference_explain(
+        WhyNotQuestion(bundle.query, bundle.database, nip),
+        alternatives=bundle.alternatives,
+        validate=False,
+    )
+    difference = reference.compare(
+        reused.trace, reused.explanations, ref_trace, ref_explanations
+    )
+    assert difference is None, difference
+
+
 @pytest.mark.parametrize("name", SA_SCENARIOS)
 def test_explain_columnar_equals_row(name):
     """The compiled answer path must not change any explanation: ``Q(D)``

@@ -263,14 +263,28 @@ def test_failed_build_negative_cached(monkeypatch):
     assert chain_kernel(ops, layout, ctx, info) is None
     assert info["misses"] == 1
     monkeypatch.undo()
-    # The negative entry survives even though codegen would now succeed.
+    # The negative entry survives even though codegen would now succeed;
+    # it returns no kernel, so it counts as neither hit nor miss.
     info2 = new_kernel_info()
     assert chain_kernel(ops, layout, ctx, info2) is None
-    assert info2["hits"] == 1 and info2["misses"] == 0
+    assert info2["hits"] == 0 and info2["misses"] == 0
     # A clean cache lowers the same chain fine.
     kernel_cache_clear()
     info3 = new_kernel_info()
     assert chain_kernel(ops, layout, ctx, info3) is not None
+
+
+def test_unlowerable_chain_counts_no_hits():
+    """A chain no kernel can run reports no hits: partitions that find the
+    execution memo's ``None`` count as neither hit nor miss, so the hit
+    ratio never credits the row path."""
+    db = make_db()
+    query = Query(Map(Selection(TableAccess("R"), col("v").ge(3)), lambda t: t))
+    executor = Executor(num_partitions=4)
+    for _ in range(2):
+        assert executor.execute(query, db) == query.evaluate(db)
+        kernels = executor.last_metrics.kernels
+        assert (kernels["hits"], kernels["fallbacks"]) == (0, 4)
 
 
 # -- fallbacks ----------------------------------------------------------------
@@ -396,8 +410,9 @@ def test_trace_kernel_source_golden(monkeypatch):
     ``_a1``), the ``uName`` constant of Fᵀ3's and π4's rows by ``==`` on the
     argument (``_a4``/``_a6``); the selections reuse π4's scan (``_h2``),
     their constants are folded with the ⊥ tests settled, and only π4's row
-    is built.  Update alongside intentional codegen changes — the shape is
-    documented in ``docs/KERNELS.md``.
+    is returned, as a plain value tuple of the kernel's output layout.
+    Update alongside intentional codegen changes — the shape is documented
+    in ``docs/KERNELS.md``.
     """
     from repro.engine.kernels import build_trace_kernel
     from repro.whynot.matching import nip_shape
@@ -452,12 +467,13 @@ def test_trace_kernel_source_golden(monkeypatch):
                     _t4_ = False
                 if _t4_:
                     _f1.append(_k)
-                _append(_mk(_g4, (_c1_, _t1_, _t2_,)))
+                _append((_c1_, _t1_, _t2_,))
             return _out, (_f0, _f1,), ((_h0,), (_h1,), (_h2,), (_h2,), (_h2,),)
         """
     )
-    source = build_trace_kernel(ops, parent_vals[0].layout, ctx, shapes, checks).source
-    assert source == expected
+    kernel = build_trace_kernel(ops, parent_vals[0].layout, ctx, shapes, checks)
+    assert kernel.source == expected
+    assert kernel.layout.names == ("text", "country", "uName")
 
 
 def test_row_level_nips_compile_no_fallback(monkeypatch):
@@ -528,6 +544,79 @@ def test_fresh_question_compiles_no_trace_kernel(monkeypatch):
     variant = explain_fresh(Tup(text=ANY, country=ANY, uName="someone_else"))
     assert len(builds) == 2 and len(scans) == compiled_scans
     assert variant.rows_traced() == first.rows_traced()
+
+
+def test_explain_evaluates_no_fused_run_column():
+    """A library explain reads its fused run only through the run's
+    kernels and, for the §5.4 bounds, the value tuples they return: no
+    column of the run is built, so no ``Tup`` of it exists."""
+    from repro.scenarios import get_scenario
+    from repro.whynot.explain import explain
+    from repro.whynot.tracing import LazyColumns
+
+    scenario = get_scenario("GenSocial")
+    question = scenario.question(1)
+    result = explain(question, alternatives=scenario.alternatives)
+    assert ("σ62",) in result.explanation_labels()
+    traces = result.trace.traces
+    run_cols = [traces[op.op_id].cols for op in question.query.ops if not isinstance(op, TableAccess)]
+    assert all(isinstance(cols, LazyColumns) for cols in run_cols)
+    assert all(column is None for cols in run_cols for column in cols._cols)
+
+
+def test_lazy_run_columns_build_once_across_threads(monkeypatch):
+    """Threads reading a shared trace's lazy run columns at once (service
+    threads re-annotating one explain state) all get the same column
+    objects: the lock each ``LazyColumns`` holds lets one of them build
+    each column, once."""
+    import sys
+    import threading
+
+    from repro.scenarios import get_scenario
+    from repro.whynot.explain import explain
+    from repro.whynot.tracing import LazyColumns
+
+    scenario = get_scenario("GenSocial")
+    result = explain(scenario.question(1), alternatives=scenario.alternatives)
+    lazy = [
+        snap.cols for snap in result.trace.traces.values()
+        if isinstance(snap.cols, LazyColumns)
+    ]
+    builds = []
+    build = LazyColumns._build
+
+    def counting_build(self, g):
+        builds.append((id(self), g))
+        return build(self, g)
+
+    monkeypatch.setattr(LazyColumns, "_build", counting_build)
+    readers = 8
+    barrier = threading.Barrier(readers)
+    seen: "list[list]" = [[] for _ in range(readers)]
+
+    def read(t):
+        barrier.wait(timeout=30)
+        for cols in reversed(lazy):  # last operator first: nested builds
+            for g in range(len(cols)):
+                seen[t].append(cols[g])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(t,)) for t in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    distinct = {(id(cols), g) for cols in lazy for g in range(len(cols))}
+    assert sorted(builds) == sorted(distinct)
+    assert all(
+        len(columns) == len(seen[0]) and all(a is b for a, b in zip(columns, seen[0]))
+        for columns in seen
+    )
 
 
 def _reference_parity(question, alternatives=()):

@@ -99,30 +99,37 @@ class TestMiniSweep:
 
     def test_delta_retraces_reuse_lazy_columns(self, monkeypatch):
         """Fused narrow runs leave lazy columns in the service's explain
-        states, and the sweep's siblings re-annotate over them (which
-        materializes them first) on versions written through the service."""
-        import importlib
-
+        states, and the sweep's siblings re-annotate over them on versions
+        written through the service by replaying the runs' kernels, which
+        leaves every lazy column unevaluated."""
         from repro.whynot import tracing
 
-        explain_module = importlib.import_module("repro.whynot.explain")
-        lazy_reuses = []
-        materialized = explain_module.RelaxedTrace.materialized
+        def built(cols):
+            return [column is not None for column in cols._cols]
 
-        def spy(self):
-            lazy_reuses.extend(
-                op_id
-                for op_id, snap in self.trace.traces.items()
+        unevaluated = []
+        newly_built = []
+        annotate = tracing.Tracer.annotate
+
+        def spy(self, relaxed):
+            lazy = {
+                op_id: snap.cols
+                for op_id, snap in relaxed.traces.items()
                 if isinstance(snap.cols, tracing.LazyColumns)
-                and None in snap.cols._cols
+            }
+            before = {op_id: built(cols) for op_id, cols in lazy.items()}
+            unevaluated.extend(op_id for op_id, flags in before.items() if not any(flags))
+            result = annotate(self, relaxed)
+            newly_built.extend(
+                op_id for op_id, cols in lazy.items() if built(cols) != before[op_id]
             )
-            return materialized(self)
+            return result
 
-        monkeypatch.setattr(explain_module.RelaxedTrace, "materialized", spy)
+        monkeypatch.setattr(tracing.Tracer, "annotate", spy)
         result = run_mutation_sweep(seed=1, cases=2)
         assert result.ok, result.failures
         assert result.tracer_checks > 0 and result.sibling_checks > 0
-        assert lazy_reuses
+        assert unevaluated and not newly_built
 
     def test_mini_sweep_without_questions(self):
         result = run_mutation_sweep(

@@ -146,7 +146,8 @@ def _row_patterns():
 @settings(max_examples=200, deadline=None)
 def test_trace_kernel_checks_equal_matches(cells, nip):
     """A relaxed trace kernel's inline NIP check over its column variables
-    hits exactly the rows ``matches`` accepts."""
+    hits exactly the rows ``matches`` accepts; its output is the rows'
+    value tuples."""
     layout = Layout.of(_ROW)
     rows = [Tup.from_layout(layout, tuple(values)) for values in cells]
     db = Database({"R": rows}, schemas={"R": TupleType([(n, ANY_TYPE) for n in _ROW])})
@@ -155,5 +156,6 @@ def test_trace_kernel_checks_equal_matches(cells, nip):
     shape, args = nip_shape(nip)
     kernel = build_trace_kernel([query.root], layout, ctx, [shape], [[(0, None)]])
     out, _, hits = kernel.fn(rows, args)
-    assert out == rows
+    assert kernel.layout is layout
+    assert out == [row._values for row in rows]
     assert list(hits[0][0]) == [k for k, row in enumerate(rows) if matches(row, nip)]
