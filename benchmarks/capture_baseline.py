@@ -8,10 +8,9 @@ Usage::
 Writes ``benchmarks/results/baseline_fig10.json`` and
 ``benchmarks/results/baseline_fig11.json``.
 
-Baselines are normally captured with the logical optimizer off, so a
-subsequent ``REPRO_BENCH_OPTIMIZE=1`` benchmark run measures the optimizer
-speedup against them; the optimizer flag used is recorded in the file's
-``backend`` block.
+The plain-query timings run with the logical optimizer off (the harness's
+``time_query`` default); the file's ``backend`` block records the
+configuration.
 """
 
 from __future__ import annotations

@@ -14,14 +14,14 @@ series plus — when a ``baseline_<figure>.json`` exists (captured with
 baseline timings and derived speedups.  This keeps the perf trajectory of
 the evaluation core observable across PRs; see ROADMAP.md §Performance.
 
-Optimizer knob
---------------
+Optimizer
+---------
 
-``REPRO_BENCH_OPTIMIZE=1`` runs the logical plan optimizer
-(:mod:`repro.engine.optimizer`) on the timed answer path; the flag is
-recorded in the payloads, and the Figure-10 series always measures the plain
-query both optimizer-off and optimizer-on (``query_s`` vs ``query_opt_s``)
-so every ``BENCH_fig10.json`` carries the on-vs-off comparison.
+The why-not pipeline computes ``Q(D)`` on the answer path (optimized, one
+partition).  :func:`time_query` times the plain query unoptimized on four
+partitions unless asked otherwise, and the Figure-10 series measures it
+both optimizer-off and optimizer-on (``query_s`` vs ``query_opt_s``), so
+every ``BENCH_fig10.json`` carries the on-vs-off comparison.
 
 See ``docs/BENCHMARKS.md`` for how to read the emitted files.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,6 +40,7 @@ from repro.baselines.wnpp import wnpp_explain
 from repro.engine.backends import default_backend_name
 from repro.engine.columnar import default_engine
 from repro.engine.executor import Executor
+from repro.engine.optimizer import default_optimize
 from repro.scenarios import get_scenario
 from repro.whynot.explain import explain
 
@@ -49,23 +49,14 @@ SCALE_STEPS = [20, 40, 60, 80, 100]
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def bench_optimize() -> bool:
-    """Whether timed runs use the plan optimizer (``REPRO_BENCH_OPTIMIZE``)."""
-    return os.environ.get("REPRO_BENCH_OPTIMIZE", "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
-
-
 def backend_info() -> dict:
     """Backend/optimizer/engine metadata embedded into the BENCH payloads
-    (every run is serial, in one process)."""
+    (every run is serial, in one process; ``optimize`` is the answer
+    path's setting, under which every explain computes ``Q(D)``)."""
     return {
         "name": default_backend_name(),
         "workers": 1,
-        "optimize": bench_optimize(),
+        "optimize": default_optimize(),
         "engine": default_engine(),
     }
 
@@ -223,14 +214,12 @@ def _gc_paused():
             gc.enable()
 
 
-def time_query(scenario_name: str, scale: int, optimize=None) -> float:
-    """Wall time of the plain (partitioned) execution of the scenario query."""
+def time_query(scenario_name: str, scale: int, optimize: bool = False) -> float:
+    """Wall time of the plain execution of the scenario query on four
+    partitions (the "Spark" line), unoptimized unless *optimize*."""
     scenario = get_scenario(scenario_name)
     question = scenario.question(scale)
-    executor = Executor(
-        num_partitions=4,
-        optimize=optimize if optimize is not None else bench_optimize(),
-    )
+    executor = Executor(num_partitions=4, optimize=optimize)
     with _gc_paused():
         started = time.perf_counter()
         executor.execute(question.query, question.db)
@@ -242,7 +231,6 @@ def time_explain(
     scale: int,
     with_sas: bool = True,
     alternatives=None,
-    optimize=None,
 ) -> tuple[float, int]:
     """Wall time of the full why-not pipeline; returns (seconds, #SAs)."""
     scenario = get_scenario(scenario_name)
@@ -254,7 +242,6 @@ def time_explain(
         alternatives=groups,
         use_schema_alternatives=with_sas,
         validate=False,
-        optimize=optimize if optimize is not None else bench_optimize(),
     )
     return time.perf_counter() - started, result.n_sas
 

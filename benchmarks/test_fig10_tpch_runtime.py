@@ -43,8 +43,7 @@ def test_fig10_series(benchmark):
         query_rounds = 12
         for name in SCENARIOS:
             # Plain query both optimizer-off and optimizer-on: every emitted
-            # payload carries the on-vs-off comparison regardless of the
-            # REPRO_BENCH_OPTIMIZE setting used for the pipeline timings.
+            # payload carries the on-vs-off comparison.
             query_opt_s = min(
                 time_query(name, SCALE, optimize=True) for _ in range(query_rounds)
             )

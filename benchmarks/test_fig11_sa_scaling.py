@@ -33,6 +33,8 @@ LADDERS = {
 }
 
 SCALE = 50
+#: Samples per SA count, taken in turn across the counts of a ladder.
+SAMPLES = 5
 
 
 def ladder_alternatives(name: str, n_sas: int):
@@ -67,16 +69,22 @@ def _build_blocks():
     for name in sorted(LADDERS):
         n_max = len(LADDERS[name][1]) + 1
         lines = [f"Figure 11 — {name}", f"{'#SAs':>5} {'RP[s]':>10} {'factor/SA':>10}"]
-        timings = []
-        for n_sas in range(1, n_max + 1):
-            runs = [
-                time_explain(
-                    name, scale=SCALE, alternatives=ladder_alternatives(name, n_sas)
+        # Each SA count's time is the min of SAMPLES runs, the counts taken
+        # in turn, so a slow spell of the host lands on every count instead
+        # of on one count's batch.
+        counts = range(1, n_max + 1)
+        runs: dict = {n_sas: [] for n_sas in counts}
+        for _ in range(SAMPLES):
+            for n_sas in counts:
+                runs[n_sas].append(
+                    time_explain(
+                        name, scale=SCALE, alternatives=ladder_alternatives(name, n_sas)
+                    )
                 )
-                for _ in range(5)
-            ]
-            seconds = min(s for s, _ in runs)
-            actual = runs[0][1]
+        timings = []
+        for n_sas in counts:
+            seconds = min(s for s, _ in runs[n_sas])
+            actual = runs[n_sas][0][1]
             timings.append(seconds)
             factor = (
                 (seconds - timings[-2]) / timings[0] if len(timings) > 1 else 0.0

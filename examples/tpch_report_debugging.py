@@ -7,9 +7,9 @@ selections and — via a schema alternative — the projection computing the
 revenue from the wrong column.
 
 Along the way this example shows the logical plan optimizer
-(docs/OPTIMIZER.md): the answer path may run a rewritten plan
-(``explain(..., optimize=True)``, CLI ``--optimize``/``--show-plan``)
-while the explanations keep naming the operators the analyst wrote.
+(docs/OPTIMIZER.md): the answer path runs a rewritten plan (CLI
+``--show-plan`` prints it) while the explanations keep naming the
+operators the analyst wrote.
 
 Run:  PYTHONPATH=src python examples/tpch_report_debugging.py   (from the repository root)
 """
@@ -21,12 +21,12 @@ from repro.scenarios import get_scenario
 def main() -> None:
     scenario = get_scenario("Q10")
     question = scenario.question(scale=60)
-    # No explicit validate() here: explain(..., optimize=True) below seeds
-    # Q(D) through the optimized plan and then validates Definition 5 itself.
+    # No explicit validate() here: explain() below computes Q(D) through the
+    # optimized plan and then validates Definition 5 itself.
 
     # The optimizer rewrites the answer path (fused selections, reordered
-    # join) but every rewritten operator links back to the user's plan —
-    # and the explanations below are identical with or without it.
+    # join) but every rewritten operator links back to the user's plan, and
+    # the explanations below trace the plan as written.
     report = optimize_query(question.query, question.db)
     fired = ", ".join(f"{r}×{n}" for r, n in report.rule_fires.items() if n)
     print(f"Answer-path optimizer: {fired}")
@@ -40,7 +40,7 @@ def main() -> None:
     print("  ... but making the join outer only adds a customer with ⊥ revenue.")
     print()
 
-    result = explain(question, alternatives=scenario.alternatives, optimize=True)
+    result = explain(question, alternatives=scenario.alternatives)
     print(result.describe())
     print()
     print(

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro list                     # all registered scenarios
     python -m repro run Q10 [--scale 60]     # one scenario, all approaches
-    python -m repro run Q10 --optimize       # optimized answer path
     python -m repro run Q10 --show-plan      # original vs optimized plan
     python -m repro run --query-file f.rq    # run a textual .rq program
     python -m repro repl [--scenario Q10]    # interactive .rq REPL
@@ -23,13 +22,11 @@ explanations up into ontology-aware summary groups
 (:mod:`repro.whynot.summarize`); ``--hierarchy FILE`` supplies a concept
 hierarchy document and ``--max-summaries N`` bounds the group count.
 
-``Q(D)`` always runs through the logical plan optimizer on the kernel
-executor.  ``--optimize`` / ``--no-optimize`` toggle whether explanations
-report the optimizer's rewrite and whether ``serve`` optimizes plain
-queries (default: the ``REPRO_OPTIMIZE`` environment variable; see
-``docs/OPTIMIZER.md``) — explanations are identical either way.
-``--show-plan`` prints the scenario query's original vs. optimized plan with
-per-rule provenance annotations before running it.
+Every ``Q(D)`` and every query ``serve`` answers runs one configuration:
+the logical plan optimizer's rewrite on the kernel executor, one partition
+(see ``docs/OPTIMIZER.md``).  ``--show-plan`` prints the scenario query's
+original vs. optimized plan with per-rule provenance annotations before
+running it.
 
 ``fuzz`` runs the seeded differential-testing sweep of :mod:`repro.fuzz`
 (see ``docs/FUZZING.md``): random nested databases and plans are checked
@@ -146,7 +143,7 @@ def _run_query_file(args: argparse.Namespace) -> int:
         return 2
     print(f"{args.query_file}: database {db_name} (scale {scale})")
     if lowered.has_question:
-        print_explanation(lowered, db, dict(optimize=args.optimize))
+        print_explanation(lowered, db)
     else:
         print_result(lowered, db)
     return 0
@@ -177,7 +174,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         question = scenario.question(args.scale)
         print(optimize_query(question.query, question.db).describe())
         print()
-    run = run_scenario(scenario, scale=args.scale, optimize=args.optimize)
+    run = run_scenario(scenario, scale=args.scale)
     print(f"  WN++    : {_fmt(run.wnpp)}")
     print(f"  Conseil : {_fmt(run.conseil)}")
     print(f"  RPnoSA  : {_fmt(run.rp_nosa)}")
@@ -258,7 +255,7 @@ def _cmd_table7(args: argparse.Namespace) -> int:
     ]
     print(f"{'scen.':>6} {'WN++':>6} {'RPnoSA':>7} {'RP':>6}  gold-rank")
     for name in names:
-        run = run_scenario(name, scale=args.scale, optimize=args.optimize)
+        run = run_scenario(name, scale=args.scale)
         wn, nosa, rp = run.counts()
         gold = run.gold_position()
         print(f"{name:>6} {wn:>6} {nosa:>7} {rp:>6}  {f'({gold})' if gold else '-'}")
@@ -277,8 +274,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
         print(
             f"mutation fuzzing: seed={args.seed} cases={args.cases} "
-            f"steps={args.steps} depth={args.depth} rows={args.rows} "
-            f"ops={args.ops} partitions={args.partitions[-1]}"
+            f"steps={args.steps} depth={args.depth} rows={args.rows} ops={args.ops}"
         )
         result = run_mutation_sweep(
             args.seed,
@@ -286,7 +282,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             config,
             steps=args.steps,
             questions=not args.no_questions,
-            num_partitions=args.partitions[-1],
         )
         for case, report in result.failures:
             print(f"\nDIVERGENT: {case.name}")
@@ -364,15 +359,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_repl(args: argparse.Namespace) -> int:
     from repro.lang.repl import run_repl
 
-    return run_repl(
-        scenario=args.scenario, scale=args.scale, options=dict(optimize=args.optimize)
-    )
+    return run_repl(scenario=args.scenario, scale=args.scale)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api.http import make_server, serve
 
-    options = dict(optimize=args.optimize)
     if args.processes is not None:
         from repro.api.sharded import ShardedConfig, make_sharded_server
 
@@ -380,18 +372,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             processes=args.processes,
             queue_depth=args.queue_depth,
             cache_size=args.cache_size,
-            options=options,
         )
         server = make_sharded_server(config, args.host, args.port, quiet=args.quiet)
         return serve(
             server,
             f" [{config.processes} worker processes, queue depth {config.queue_depth}]",
         )
-    from repro.api import ExplainOptions, ExplanationService
+    from repro.api import ExplanationService
 
-    service = ExplanationService(
-        cache_size=args.cache_size, options=ExplainOptions(**options)
-    )
+    service = ExplanationService(cache_size=args.cache_size)
     return serve(make_server(service, args.host, args.port, quiet=args.quiet))
 
 
@@ -402,15 +391,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list all registered scenarios")
-
-    def add_optimize_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--optimize",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="report the answer-path optimizer rewrite with explanations "
-            "and optimize served plain queries (default: REPRO_OPTIMIZE)",
-        )
 
     run_parser = sub.add_parser("run", help="run one scenario or .rq program")
     run_parser.add_argument(
@@ -451,7 +431,6 @@ def main(argv=None) -> int:
         default=8,
         help="summary group budget for --summarize (default 8)",
     )
-    add_optimize_flag(run_parser)
 
     gen_parser = sub.add_parser(
         "generate",
@@ -483,11 +462,9 @@ def main(argv=None) -> int:
     repl_parser.add_argument(
         "--scale", type=_positive_int, default=None, help="database scale for --scenario"
     )
-    add_optimize_flag(repl_parser)
 
     t7 = sub.add_parser("table7", help="regenerate the Table-7 summary")
     t7.add_argument("--scale", type=int, default=40)
-    add_optimize_flag(t7)
 
     fuzz = sub.add_parser(
         "fuzz", help="run the seeded differential fuzz sweep (docs/FUZZING.md)"
@@ -509,7 +486,8 @@ def main(argv=None) -> int:
         "--partitions",
         type=_partition_list,
         default=(1, 3, 7),
-        help="comma-separated partition counts to cross-check (default 1,3,7)",
+        help="comma-separated partition counts to cross-check (default 1,3,7; "
+        "--mutations ignores it)",
     )
     fuzz.add_argument(
         "--no-questions",
@@ -582,7 +560,6 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request access logs"
     )
-    add_optimize_flag(serve_parser)
 
     args = parser.parse_args(argv)
     if args.command == "list":

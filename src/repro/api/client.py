@@ -267,12 +267,7 @@ class Client:
         check_envelope(document, "explain-response")
         return RemoteExplainResponse(document)
 
-    def query(
-        self,
-        query: Any,
-        database: "str | Any",
-        options: Optional[ExplainOptions] = None,
-    ) -> "tuple[Bag, ExecutionMetrics]":
+    def query(self, query: Any, database: "str | Any") -> "tuple[Bag, ExecutionMetrics]":
         """``POST /v1/query`` — evaluate a plan remotely.
 
         ``database`` is a registered name or an inline
@@ -286,7 +281,6 @@ class Client:
             "database": (
                 database if isinstance(database, str) else database_to_json(database)
             ),
-            "options": (options or ExplainOptions()).to_json(),
         }
         document = self._request("POST", "/query", body)
         check_envelope(document, "query-response")
@@ -295,12 +289,7 @@ class Client:
             metrics_from_json(document["metrics"]),
         )
 
-    def query_text(
-        self,
-        text: str,
-        database: "str | Any",
-        options: Optional[ExplainOptions] = None,
-    ) -> "tuple[Bag, ExecutionMetrics]":
+    def query_text(self, text: str, database: "str | Any") -> "tuple[Bag, ExecutionMetrics]":
         """``POST /v1/query`` with a textual ``.rq`` program body.
 
         The server parses, validates and lowers *text* against *database*
@@ -309,9 +298,7 @@ class Client:
         Returns the decoded result bag and execution metrics, exactly like
         :meth:`query`.
         """
-        body = text_query_request(
-            text, database, options=(options or ExplainOptions()).to_json()
-        )
+        body = text_query_request(text, database)
         document = self._request("POST", "/query", body)
         check_envelope(document, "query-response")
         return (

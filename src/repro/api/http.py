@@ -179,9 +179,13 @@ def answer(service: ExplanationService, kind: str, document: dict) -> "tuple[int
 
 
 def _run_query(service: ExplanationService, document: dict) -> dict:
-    """Evaluate a ``query-request`` wire document into a ``query-response``."""
+    """Evaluate a ``query-request`` wire document into a ``query-response``.
+
+    Its ``options`` are checked like an explain request's, then ignored:
+    every query runs on the answer path's configuration.
+    """
     check_envelope(document, "query-request")
-    options = ExplainOptions.from_json(document.get("options"))
+    ExplainOptions.from_json(document.get("options"))
     if "text" in document:
         from repro.lang import compile_program
 
@@ -204,7 +208,7 @@ def _run_query(service: ExplanationService, document: dict) -> dict:
         database = (
             db_field if isinstance(db_field, str) else database_from_json(db_field)
         )
-    result, metrics = service.query(query, database, options)
+    result, metrics = service.query(query, database)
     return {
         "format": WIRE_VERSION,
         "kind": "query-response",

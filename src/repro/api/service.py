@@ -18,11 +18,8 @@ north star asks for.  It owns
   request's canonical wire encoding, with hit/miss counters surfaced in
   every response.  The key covers everything that determines the
   *explanations* (query, NIP, database content, alternatives, SA
-  toggles); execution-only knobs (partitions, optimize) are excluded
-  because the engine's equivalence guarantees make results independent of
-  them — the same cached entry serves all of them, and the differential
-  fuzz oracle cross-checks the service against direct
-  :func:`~repro.whynot.explain.explain` to keep that assumption honest;
+  toggles), and the differential fuzz oracle cross-checks the service
+  against direct :func:`~repro.whynot.explain.explain`;
 * **per-query explain states** — an LRU keyed like the result cache but
   without the NIP and ``summarize``.  A state holds ``Q(D)``, the first
   question's relaxed trace with its SA signature and §5.4 bounds
@@ -137,9 +134,8 @@ _RETIRED_ENGINES = (None, "row", "columnar")
 #: ``backend`` values older format-2 clients may send (accepted, ignored).
 _RETIRED_BACKENDS = (None, "serial", "process")
 
-#: Largest ``partitions`` a request may ask for.  A plain query splits its
-#: input into that many partitions, so the count bounds the work and memory
-#: one request can claim (the most any shipped client or test sends is 7).
+#: Largest ``partitions`` an older format-2 client may send (accepted,
+#: ignored: every query runs on one partition).
 MAX_PARTITIONS = 64
 
 
@@ -150,16 +146,13 @@ def _is_count(value: Any, high: Optional[int] = None) -> bool:
 
 @dataclass(frozen=True)
 class ExplainOptions:
-    """Execution and algorithm knobs of one explain request.
+    """Algorithm knobs of one explain request.
 
-    ``optimize`` selects *how* the engine runs (default: the
-    ``REPRO_OPTIMIZE`` environment, like the CLI); ``partitions`` applies to
-    plain query evaluation only (:meth:`ExplanationService.query` /
-    ``POST /v1/query`` — the explain pipeline's tracing step manages its
-    own partitioning);
     ``use_schema_alternatives``/``revalidate``/``max_sas`` select *what* is
     computed (the paper's RP vs RPnoSA vs no-revalidation ablation) and
-    therefore participate in the cache key.
+    therefore participate in the cache key.  Every run takes the answer
+    path's one configuration (``Executor()``), so no field selects *how*
+    the engine runs.
 
     ``summarize`` requests ontology-aware explanation summaries
     (:mod:`repro.whynot.summarize`): ``None`` (default) skips them, ``True``
@@ -170,8 +163,6 @@ class ExplainOptions:
     changes response content, so it participates in the cache key.
     """
 
-    partitions: Optional[int] = None
-    optimize: Optional[bool] = None
     use_schema_alternatives: bool = True
     revalidate: bool = True
     max_sas: int = 64
@@ -198,8 +189,6 @@ class ExplainOptions:
     def to_json(self) -> dict:
         """Encode as a plain JSON object (all fields, defaults included)."""
         return {
-            "partitions": self.partitions,
-            "optimize": self.optimize,
             "use_schema_alternatives": self.use_schema_alternatives,
             "revalidate": self.revalidate,
             "max_sas": self.max_sas,
@@ -211,16 +200,15 @@ class ExplainOptions:
         """Decode :meth:`to_json` output, checking every field's value.
 
         Unknown fields and ill-typed or out-of-range values raise
-        :class:`BadRequest`: ``optimize`` is a boolean or null,
-        ``revalidate`` and ``use_schema_alternatives`` booleans,
-        ``max_sas`` an integer of at least 1, and ``partitions`` null or an
-        integer from 1 to :data:`MAX_PARTITIONS` (a boolean is not an
-        integer).  Format-2 clients written while a row engine and a process
-        backend existed may still send ``engine`` (``null``, ``"row"`` or
-        ``"columnar"``), ``backend`` (``null``, ``"serial"`` or
-        ``"process"``) and ``workers`` (``null`` or an integer of at least
-        1); they are checked, then ignored, since every run is serial on
-        the kernel executor.
+        :class:`BadRequest`: ``revalidate`` and ``use_schema_alternatives``
+        are booleans and ``max_sas`` an integer of at least 1 (a boolean is
+        not an integer).  Format-2 clients written while other execution
+        configurations existed may still send ``engine`` (``null``,
+        ``"row"`` or ``"columnar"``), ``backend`` (``null``, ``"serial"`` or
+        ``"process"``), ``workers`` (``null`` or an integer of at least 1),
+        ``optimize`` (a boolean or null) and ``partitions`` (null or an
+        integer from 1 to :data:`MAX_PARTITIONS`); they are checked, then
+        ignored, since every run takes the answer path's configuration.
         """
         if data is None:
             return cls()
@@ -240,23 +228,23 @@ class ExplainOptions:
         workers = data.pop("workers", None)
         if workers is not None and not _is_count(workers):
             raise BadRequest(f"workers must be null or an integer >= 1, got {workers!r}")
+        optimize = data.pop("optimize", None)
+        if optimize is not None and not isinstance(optimize, bool):
+            raise BadRequest(f"optimize must be true, false or null, got {optimize!r}")
+        partitions = data.pop("partitions", None)
+        if partitions is not None and not _is_count(partitions, MAX_PARTITIONS):
+            raise BadRequest(
+                f"partitions must be null or an integer from 1 to {MAX_PARTITIONS}, "
+                f"got {partitions!r}"
+            )
         extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise BadRequest(f"unknown option fields: {sorted(extra)}")
         for name in ("use_schema_alternatives", "revalidate"):
             if name in data and not isinstance(data[name], bool):
                 raise BadRequest(f"{name} must be true or false, got {data[name]!r}")
-        optimize = data.get("optimize")
-        if optimize is not None and not isinstance(optimize, bool):
-            raise BadRequest(f"optimize must be true, false or null, got {optimize!r}")
         if "max_sas" in data and not _is_count(data["max_sas"]):
             raise BadRequest(f"max_sas must be an integer >= 1, got {data['max_sas']!r}")
-        partitions = data.get("partitions")
-        if partitions is not None and not _is_count(partitions, MAX_PARTITIONS):
-            raise BadRequest(
-                f"partitions must be null or an integer from 1 to {MAX_PARTITIONS}, "
-                f"got {partitions!r}"
-            )
         return cls(**data)
 
 
@@ -326,10 +314,20 @@ class ExplainRequest:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplainRequest":
-        """Decode :meth:`to_json` output (databases stay name refs/inline)."""
+        """Decode :meth:`to_json` output (databases stay name refs/inline).
+
+        ``satisfied_ok`` must be a boolean and ``name`` a string (absent:
+        ``""``); any other value raises :class:`BadRequest`, like a bad
+        option.
+        """
         check_envelope(data, "explain-request")
         options = ExplainOptions.from_json(data.get("options"))
-        satisfied_ok = bool(data.get("satisfied_ok", False))
+        satisfied_ok = data.get("satisfied_ok", False)
+        if not isinstance(satisfied_ok, bool):
+            raise BadRequest(f"satisfied_ok must be true or false, got {satisfied_ok!r}")
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise BadRequest(f"name must be a string, got {name!r}")
         if "text" in data:
             if not isinstance(data["text"], str):
                 raise BadRequest("the 'text' field must be an .rq program string")
@@ -344,7 +342,7 @@ class ExplainRequest:
                     else database_from_json(db_field)
                 ),
                 options=options,
-                name=data.get("name", ""),
+                name=name,
                 satisfied_ok=satisfied_ok,
             )
         if "scenario" in data:
@@ -352,7 +350,7 @@ class ExplainRequest:
                 scenario=data["scenario"],
                 scale=data.get("scale"),
                 options=options,
-                name=data.get("name", ""),
+                name=name,
                 satisfied_ok=satisfied_ok,
             )
         try:
@@ -368,7 +366,7 @@ class ExplainRequest:
             database=database,
             alternatives=alternatives_from_json(data.get("alternatives")),
             options=options,
-            name=data.get("name", ""),
+            name=name,
             satisfied_ok=satisfied_ok,
         )
 
@@ -486,7 +484,6 @@ class ExplanationService:
         self,
         databases: Optional[dict] = None,
         cache_size: int = 128,
-        options: Optional[ExplainOptions] = None,
         max_concurrency: int = 4,
     ):
         self._lock = threading.Lock()
@@ -504,7 +501,6 @@ class ExplanationService:
         self.misses = 0
         #: Misses answered from an explain state (re-annotated or twins).
         self.state_reuses = 0
-        self.default_options = options or ExplainOptions()
         self._max_concurrency = max_concurrency
         self._pool: Optional[ThreadPoolExecutor] = None
         #: Small LRU of built scenario databases — bounded, because ``scale``
@@ -791,11 +787,6 @@ class ExplanationService:
                 use_schema_alternatives=options.use_schema_alternatives,
                 revalidate=options.revalidate,
                 max_sas=options.max_sas,
-                optimize=(
-                    options.optimize
-                    if options.optimize is not None
-                    else self.default_options.optimize
-                ),
             )
             if caching:
                 self._keep_state(state_key, nip_doc, request, question, result, relaxed)
@@ -868,26 +859,16 @@ class ExplanationService:
         return pool.submit(self.explain, request, use_cache)
 
     def query(
-        self,
-        query: Any,
-        database: "str | Database",
-        options: Optional[ExplainOptions] = None,
+        self, query: Any, database: "str | Database"
     ) -> "tuple[Bag, ExecutionMetrics]":
-        """Evaluate a plain query through the partitioned executor.
+        """Evaluate a plain query on the answer path's configuration.
 
-        Returns ``(result bag, execution metrics)``; ``options`` selects
-        partitions/optimize for this run.
+        ``Executor()`` runs it like the ``Q(D)`` of a why-not question: the
+        optimized plan, one partition.  Returns ``(result bag, execution
+        metrics)``; the metrics carry the optimizer's rewrite summary.
         """
-        options = options or self.default_options
         db = self.database(database) if isinstance(database, str) else database
-        executor = Executor(
-            num_partitions=options.partitions or 4,
-            optimize=(
-                options.optimize
-                if options.optimize is not None
-                else self.default_options.optimize
-            ),
-        )
+        executor = Executor()
         result = executor.execute(query, db)
         return result, executor.last_metrics
 

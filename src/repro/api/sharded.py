@@ -15,7 +15,7 @@ the stdlib-only contract:
 * **Consistent-hash routing** — every ``POST /v1/explain`` / ``/v1/query``
   document is reduced to a :func:`routing_key` (a
   :func:`~repro.engine.hashing.stable_hash` of the canonical document with
-  display-only and execution-only fields stripped) and dispatched to
+  the display-only name and retired options stripped) and dispatched to
   ``workers[key % N]``.  Identical questions therefore always land on the
   same worker, so its LRU cache sees every repeat — cache capacity shards
   across processes instead of being duplicated.
@@ -55,7 +55,7 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.api.http import (
@@ -66,15 +66,14 @@ from repro.api.http import (
     error_body,
     health_document,
 )
-from repro.api.service import ExplainOptions, ExplanationService
+from repro.api.service import BadRequest, ExplainOptions, ExplanationService
 from repro.api.stats import LatencyWindow, ServingCounters
 from repro.engine.hashing import stable_hash
 from repro.wire import serving_stats_to_json
 
-#: Option fields that change explanation *content*; everything else
-#: (partitions/optimize, and the retired engine/backend/workers) is
-#: execution-only and is stripped from explain routing keys so equivalent
-#: requests co-locate.
+#: Option fields that change explanation *content*; everything else (the
+#: retired engine/backend/workers/optimize/partitions) changes nothing and
+#: is stripped from routing keys so equivalent requests co-locate.
 SEMANTIC_OPTION_FIELDS = ("use_schema_alternatives", "revalidate", "max_sas", "summarize")
 
 #: The answer to a request that reaches a closed dispatcher.
@@ -89,8 +88,7 @@ class ShardedConfig:
     in-flight leader bound before 503 backpressure fires, ``cache_size``
     each worker's LRU capacity, ``request_timeout`` the front-end wait
     bound per request (a stuck worker yields a 503, never a hang), and
-    ``retry_after`` the hint sent with every 503.  ``options`` holds the
-    default execution knobs each worker's service runs with (``optimize``).
+    ``retry_after`` the hint sent with every 503.
     """
 
     processes: int = 2
@@ -98,7 +96,6 @@ class ShardedConfig:
     cache_size: int = 128
     request_timeout: float = 120.0
     retry_after: int = 1
-    options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.processes < 1:
@@ -117,31 +114,35 @@ def routing_key(document: dict) -> int:
     """The shard/coalescing key of one ``/v1`` request document.
 
     Canonicalizes the parsed JSON document (sorted keys), strips the
-    display-only ``name`` and — for explain requests — every execution-only
-    option (the engine's equivalence guarantees make results independent of
-    them), then applies :func:`~repro.engine.hashing.stable_hash`.  Two
-    requests that must produce the same explanations therefore always get
-    the same key: they route to the same worker (cache locality) and
-    coalesce when concurrent.  Query requests keep their options verbatim
-    because execution knobs are visible in their metrics payload.
+    display-only ``name`` and every option outside
+    :data:`SEMANTIC_OPTION_FIELDS` (retired fields change no answer), then
+    applies :func:`~repro.engine.hashing.stable_hash`.  Two requests that
+    must produce the same answer therefore always get the same key: they
+    route to the same worker (cache locality) and coalesce when concurrent.
+    Options that fail :meth:`ExplainOptions.from_json` are kept verbatim,
+    so a request that answers 400 never shares a key with a good one.
     """
     doc = dict(document)
     doc.pop("name", None)
-    if doc.get("kind") == "explain-request":
-        options = doc.get("options")
-        if isinstance(options, dict):
-            doc["options"] = {
-                k: options[k] for k in SEMANTIC_OPTION_FIELDS if k in options
-            }
+    options = doc.get("options")
+    if isinstance(options, dict) and _decodes(options):
+        doc["options"] = {k: options[k] for k in SEMANTIC_OPTION_FIELDS if k in options}
     return stable_hash(json.dumps(doc, sort_keys=True, ensure_ascii=True))
+
+
+def _decodes(options: dict) -> bool:
+    """Do *options* pass :meth:`ExplainOptions.from_json`?"""
+    try:
+        ExplainOptions.from_json(options)
+    except BadRequest:
+        return False
+    return True
 
 
 # -- worker process -----------------------------------------------------------
 
 
-def _worker_main(
-    conn, index: int, cache_size: int, options: dict, close_fds: tuple = ()
-) -> None:
+def _worker_main(conn, index: int, cache_size: int, close_fds: tuple = ()) -> None:
     """Entry point of one worker process.
 
     ``close_fds`` holds pipe fds duplicated into this process by ``fork``
@@ -160,9 +161,7 @@ def _worker_main(
             os.close(fd)
         except OSError:
             pass
-    service = ExplanationService(
-        cache_size=cache_size, options=ExplainOptions(**options)
-    )
+    service = ExplanationService(cache_size=cache_size)
     send_lock = threading.Lock()
     jobs: "queue.SimpleQueue" = queue.SimpleQueue()
     served = {"explain": 0, "query": 0, "errors": 0}  # registry kinds added lazily
@@ -272,8 +271,7 @@ class _WorkerHandle:
         # ``ShardDispatcher.close`` escalates shutdown → terminate → kill.
         self.process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.index, self._config.cache_size,
-                  dict(self._config.options), close_fds),
+            args=(child_conn, self.index, self._config.cache_size, close_fds),
             name=f"repro-shard-{self.index}",
         )
         self.process.start()

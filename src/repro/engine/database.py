@@ -199,7 +199,12 @@ class Database:
             child._relations[name] = merged.difference(dels)
             schema: NestedType = self._schemas[name]
             for row in ins.distinct():
-                schema = unify(schema, type_of(row))
+                try:
+                    schema = unify(schema, type_of(row))
+                except TypeError as exc:
+                    raise ValueError(
+                        f"inserted row {row!r} does not fit relation {name!r}: {exc}"
+                    ) from None
             if not isinstance(schema, TupleType):
                 raise ValueError(
                     f"inserted rows do not fit a tuple schema for {name!r}"

@@ -61,7 +61,7 @@ from repro.engine.columnar import (
 from repro.engine.database import Database
 from repro.engine.hashing import stable_hash
 from repro.engine.metrics import ExecutionMetrics, OperatorMetrics
-from repro.engine.optimizer import OptimizationReport, optimize_query, resolve_optimize
+from repro.engine.optimizer import OptimizationReport, optimize_query
 from repro.nested.values import Bag, Tup
 
 Partitions = list[list[Tup]]
@@ -135,11 +135,14 @@ def build_segments(query: Query) -> list[_Segment]:
 class Executor:
     """Evaluates query plans with partitioned execution.
 
-    ``optimize`` runs the logical plan optimizer
-    (:mod:`repro.engine.optimizer`) before execution; ``None`` defers to the
-    ``REPRO_OPTIMIZE`` environment variable.  Results are identical either
-    way — the optimizer's equivalence suite enforces it for every scenario —
-    and ``last_report`` keeps the rewrite provenance of the last run.
+    The defaults are the answer path's configuration, which every
+    ``Q(D)`` of a why-not question and every served plain query runs: one
+    partition, with the logical plan optimizer
+    (:mod:`repro.engine.optimizer`) rewriting the plan first.
+    ``last_report`` keeps the rewrite provenance of the last run.  Other
+    partition counts and ``optimize=False`` give identical results — the
+    equivalence suites, which need both sides, enforce it for every
+    scenario.
 
     Each fused narrow chain runs as one cached generated kernel per
     partition, falling back to the row-at-a-time operators for a partition
@@ -149,13 +152,13 @@ class Executor:
 
     def __init__(
         self,
-        num_partitions: int = 4,
-        optimize: Optional[bool] = None,
+        num_partitions: int = 1,
+        optimize: bool = True,
     ):
         if num_partitions < 1:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions
-        self.optimize = resolve_optimize(optimize)
+        self.optimize = optimize
         self.last_metrics: Optional[ExecutionMetrics] = None
         self.last_report: Optional[OptimizationReport] = None
 

@@ -57,7 +57,6 @@ annotations (the CLI's ``--show-plan``).
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from typing import Any, Callable, Optional
@@ -85,9 +84,6 @@ from repro.algebra.operators import (
 from repro.nested.paths import Path
 from repro.nested.types import TupleType
 
-#: Environment variable consulted when no explicit optimize flag is given.
-OPTIMIZE_ENV = "REPRO_OPTIMIZE"
-
 #: Stable names of the rewrite rules (the keys of ``rule_fires``).
 RULE_NAMES = (
     "fuse-selections",
@@ -108,13 +104,12 @@ _MAX_ROUNDS = 10
 
 
 def default_optimize() -> bool:
-    """The optimizer default when none is requested (``REPRO_OPTIMIZE``)."""
-    return os.environ.get(OPTIMIZE_ENV, "").strip().lower() in ("1", "true", "on", "yes")
+    """The optimizer setting of the answer path: always on.
 
-
-def resolve_optimize(flag: Optional[bool]) -> bool:
-    """Resolve an explicit on/off flag, falling back to the environment."""
-    return default_optimize() if flag is None else bool(flag)
+    It is :class:`~repro.engine.executor.Executor`'s default; only the
+    equivalence gates run ``Executor(optimize=False)``.
+    """
+    return True
 
 
 def _stamp(op: Operator, origins: "tuple[int, ...]", rules: "tuple[str, ...]" = ()) -> Operator:

@@ -1,9 +1,9 @@
 """Seeded differential fuzzing for the query/why-not pipeline.
 
-The repo has three execution paths that must agree bag-for-bag and
-explanation-for-explanation: the reference ``Query.evaluate``, the
-partitioned executor, and the logical optimizer toggled on or off — at
-every partition count.  The
+Results must agree bag-for-bag between the reference ``Query.evaluate``
+and the partitioned executor with the logical optimizer on or off, at
+every partition count; explanations must agree between ``explain``, the
+service and the row-at-a-time reference tracer.  The
 hand-written paper scenarios only cover a sliver of the input space, so this
 package generates the rest: random nested databases seeded with adversarial
 values (NaN, ±0.0, ``2`` vs ``2.0`` vs ``True``, empty bags, all-null

@@ -159,7 +159,6 @@ def check_mutation_case(
     case: FuzzCase,
     rng: random.Random,
     steps: int = 3,
-    num_partitions: int = 3,
     config: Optional[FuzzConfig] = None,
 ) -> OracleReport:
     """Differentially test the service write path over one fuzzed chain.
@@ -202,7 +201,7 @@ def check_mutation_case(
         expected = (
             reference if db_v is base else _outcome(lambda: case.query.evaluate(db_v))
         )
-        if not _check_query(report, service, case, expected, num_partitions, label):
+        if not _check_query(report, service, case, expected, label):
             return report
         if expected[0] == "error":
             nips.clear()  # the query itself errors: no question to explain
@@ -238,16 +237,12 @@ def _check_query(
     service,
     case: FuzzCase,
     expected,
-    num_partitions: int,
     label: str,
 ) -> bool:
     """The service's ``query`` on the registered version ≡ *expected*, for
     the call that plans the version and the one that reuses the plan."""
-    from repro.api import ExplainOptions
-
-    options = ExplainOptions(partitions=num_partitions, optimize=True)
     for attempt in ("miss", "hit"):
-        got = _outcome(lambda: service.query(case.query, DB_NAME, options)[0])
+        got = _outcome(lambda: service.query(case.query, DB_NAME)[0])
         report.configs_run += 1
         config = f"query {attempt} {label}"
         if got[0] != expected[0] or (got[0] == "error" and got[1] != expected[1]):
@@ -398,7 +393,6 @@ def run_mutation_sweep(
     config: Optional[FuzzConfig] = None,
     steps: int = 3,
     questions: bool = True,
-    num_partitions: int = 3,
 ) -> MutationSweepResult:
     """Fuzz *cases* mutation chains for one seed (CLI: ``fuzz --mutations``).
 
@@ -411,13 +405,7 @@ def run_mutation_sweep(
     for index in range(cases):
         case = generate_case(seed, index, config, questions=questions)
         rng = random.Random(f"{seed}:mutations:{index}")
-        report = check_mutation_case(
-            case,
-            rng,
-            steps=steps,
-            num_partitions=num_partitions,
-            config=config,
-        )
+        report = check_mutation_case(case, rng, steps=steps, config=config)
         result.cases += 1
         result.configs_run += report.configs_run
         result.explain_configs_run += report.explain_configs_run

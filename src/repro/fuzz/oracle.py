@@ -12,9 +12,8 @@ and checks
 1. **result bags** — every configuration must equal the reference bag;
 2. **metrics invariants** — the root operator's ``rows_out`` equals the
    result size;
-3. **explanation sets** — ``explain`` (validated why-not question) must
-   produce the identical ranked explanation label sets with the optimizer
-   off and on;
+3. **explanations** — ``explain`` of the validated why-not question is
+   the baseline that checks 5 and 6 compare with;
 4. **matcher agreement** — the reference NIP matcher
    (:func:`repro.whynot.matching.matches`), the compiled matcher
    (:func:`repro.whynot.matching.compile_pattern`) and the generated column
@@ -29,8 +28,8 @@ and checks
    :func:`~repro.fuzz.plans.gen_sibling`), which the service answers from
    the question's explain state, must match direct ``explain`` too
    (summaries included);
-6. **tracer agreement** — the columnar tracer and Algorithm 4 behind the
-   first explain configuration must reproduce the row-at-a-time reference
+6. **tracer agreement** — the columnar tracer and Algorithm 4 behind that
+   explain must reproduce the row-at-a-time reference
    (:mod:`repro.fuzz.reference`): identical traced rows (ids, parents,
    values, valid/consistent/retained masks) and ranked explanations
    (labels, SA index, bounds, rank), or the identical exception type;
@@ -62,15 +61,13 @@ from repro.whynot.question import WhyNotQuestion
 #: Default grid (the acceptance grid of the fuzz subsystem).
 PARTITIONS = (1, 3, 7)
 OPTIMIZE = (False, True)
-#: Optimizer settings explanation sets are compared across.
-EXPLAIN_GRID = (False, True)
 
 
 @dataclass
 class Divergence:
     """One observed disagreement between execution paths."""
 
-    kind: str  #: "result" | "error" | "metrics" | "explanation" | "matcher" | "service" | "tracer" | "grammar"
+    kind: str  #: "result" | "error" | "metrics" | "matcher" | "service" | "tracer" | "grammar" | "mutation"
     config: str  #: the configuration that disagreed with the reference
     detail: str  #: human-readable description (truncated values)
 
@@ -136,10 +133,14 @@ def check_case(
     question: Optional[WhyNotQuestion] = None,
     partitions: Sequence[int] = PARTITIONS,
     optimize: Sequence[bool] = OPTIMIZE,
-    explain_grid: Optional[Sequence[bool]] = None,
+    explanations: bool = True,
     grammar: bool = False,
 ) -> OracleReport:
-    """Differentially test one case across the full configuration grid."""
+    """Differentially test one case across the full configuration grid.
+
+    ``explanations=False`` skips checks 3–6 (the explain runs) for a case
+    with a question.
+    """
     report = OracleReport()
     reference = _outcome(lambda: query.evaluate(db))
 
@@ -199,13 +200,8 @@ def check_case(
 
     if question is not None:
         _check_matcher(report, reference[1], question.nip)
-        _check_explanations(
-            report,
-            query,
-            db,
-            question,
-            explain_grid if explain_grid is not None else EXPLAIN_GRID,
-        )
+        if explanations:
+            _check_explanations(report, query, db, question)
     return report
 
 
@@ -535,59 +531,18 @@ def _check_explanations(
     query: Query,
     db: Database,
     question: WhyNotQuestion,
-    grid: Sequence[bool],
 ) -> None:
+    """Explain the question; check its outcome against the reference
+    tracer and the service (checks 5 and 6)."""
     from repro.whynot.explain import explain
 
-    if not grid:
-        return
-    outcomes = []
-    for opt in grid:
-        # A fresh question per configuration: ``explain`` seeds the result
-        # cache, and sharing it across configurations could mask divergence.
-        fresh = WhyNotQuestion(query, db, question.nip, name=question.name)
-        outcome = _outcome(lambda: explain(fresh, optimize=opt, validate=True))
-        report.explain_configs_run += 1
-        outcomes.append((opt, outcome))
-    kinds = {o[0] for _, o in outcomes}
-    if kinds == {"error"}:
-        _check_tracer(report, query, db, question, outcomes[0][1])
-        names = {o[1] for _, o in outcomes}
-        if len(names) > 1:
-            report.divergences.append(
-                Divergence(
-                    "explanation",
-                    "all-configs",
-                    f"differing exception types across configs: {sorted(names)}",
-                )
-            )
-        else:
-            _check_service(report, query, db, question, None, outcomes[0][1][1])
-        return
-    baseline_config, baseline = outcomes[0]
-    _check_tracer(report, query, db, question, baseline)
-    for config, outcome in outcomes[1:]:
-        label = f"optimize={config}"
-        if outcome[0] != baseline[0]:
-            report.divergences.append(
-                Divergence(
-                    "explanation",
-                    label,
-                    f"outcome {outcome[0]}/{outcome[1] if outcome[0] == 'error' else ''}"
-                    f" vs {baseline[0]} on optimize={baseline_config}",
-                )
-            )
-            continue
-        if outcome[0] == "ok":
-            got = _explanation_key(outcome[1])
-            expected = _explanation_key(baseline[1])
-            if got != expected:
-                report.divergences.append(
-                    Divergence(
-                        "explanation",
-                        label,
-                        f"explanations {got} vs {expected}",
-                    )
-                )
-    if baseline[0] == "ok":
-        _check_service(report, query, db, question, baseline[1], None)
+    # A fresh question: ``explain`` seeds its ``Q(D)`` cache, which must
+    # come from the answer path, not from an earlier check.
+    fresh = WhyNotQuestion(query, db, question.nip, name=question.name)
+    outcome = _outcome(lambda: explain(fresh, validate=True))
+    report.explain_configs_run += 1
+    _check_tracer(report, query, db, question, outcome)
+    if outcome[0] == "ok":
+        _check_service(report, query, db, question, outcome[1], None)
+    else:
+        _check_service(report, query, db, question, None, outcome[1])

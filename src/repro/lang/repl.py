@@ -43,14 +43,12 @@ MAX_ROWS = 20
 class Repl:
     """One interactive session: a current database plus the last program."""
 
-    def __init__(self, scenario: Optional[str] = None, scale: Optional[int] = None,
-                 options: Optional[dict] = None):
+    def __init__(self, scenario: Optional[str] = None, scale: Optional[int] = None):
         self.db = None
         self.db_name: Optional[str] = None
         self.last: Optional[LoweredProgram] = None
         #: Full result of the last explanation run (feeds ``\summarize``).
         self.last_result = None
-        self.options = options or {}
         self._buffer: list = []
         if scenario is not None:
             self._cmd_use([scenario] if scale is None else [scenario, str(scale)])
@@ -299,7 +297,7 @@ class Repl:
         print_result(lowered, self.db)
 
     def _explain(self, lowered: LoweredProgram) -> None:
-        self.last_result = print_explanation(lowered, self.db, self.options)
+        self.last_result = print_explanation(lowered, self.db)
 
 
 def print_result(lowered: LoweredProgram, db) -> None:
@@ -320,7 +318,7 @@ def print_result(lowered: LoweredProgram, db) -> None:
         print(f"   {pattern_text(row)}{times}")
 
 
-def print_explanation(lowered: LoweredProgram, db, options: dict):
+def print_explanation(lowered: LoweredProgram, db):
     """Run the program's why-not question and print the ranked label sets.
 
     Returns the full :class:`~repro.whynot.explain.WhyNotResult` (``None``
@@ -332,7 +330,7 @@ def print_explanation(lowered: LoweredProgram, db, options: dict):
 
     question = WhyNotQuestion(lowered.query, db, lowered.nip, name=lowered.name)
     try:
-        result = explain(question, alternatives=lowered.alternatives, **options)
+        result = explain(question, alternatives=lowered.alternatives)
     except IllPosedQuestion as exc:
         print(f"ill-posed question: {exc}")
         return None
@@ -347,7 +345,6 @@ def print_explanation(lowered: LoweredProgram, db, options: dict):
     return result
 
 
-def run_repl(scenario: Optional[str] = None, scale: Optional[int] = None,
-             options: Optional[dict] = None) -> int:
+def run_repl(scenario: Optional[str] = None, scale: Optional[int] = None) -> int:
     """Entry point used by ``python -m repro repl``."""
-    return Repl(scenario=scenario, scale=scale, options=options).run()
+    return Repl(scenario=scenario, scale=scale).run()

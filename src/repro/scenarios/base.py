@@ -92,14 +92,8 @@ def run_scenario(
     scenario: "Scenario | str",
     scale: Optional[int] = None,
     with_baselines: bool = True,
-    optimize: Optional[bool] = None,
 ) -> ScenarioRun:
-    """Run all approaches on *scenario* and collect their explanations.
-
-    ``optimize`` attaches the answer-path optimizer's rewrite summary
-    (:mod:`repro.engine.optimizer`) to the RP results; explanations do not
-    depend on it, because the optimizer is explanation-preserving.
-    """
+    """Run all approaches on *scenario* and collect their explanations."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     question = scenario.question(scale)
@@ -116,21 +110,11 @@ def run_scenario(
     timings["baselines"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    nosa = explain(
-        question,
-        use_schema_alternatives=False,
-        validate=False,
-        optimize=optimize,
-    )
+    nosa = explain(question, use_schema_alternatives=False, validate=False)
     timings["rp_nosa"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    rp = explain(
-        question,
-        alternatives=scenario.alternatives,
-        validate=False,
-        optimize=optimize,
-    )
+    rp = explain(question, alternatives=scenario.alternatives, validate=False)
     timings["rp"] = time.perf_counter() - started
 
     return ScenarioRun(

@@ -49,8 +49,6 @@ class WhyNotResult:
     backtrace: BacktraceResult
     trace: Optional[TraceResult] = field(repr=False, default=None)
     timings: dict[str, float] = field(default_factory=dict)
-    #: Rule-fire summary of the answer-path optimizer run (None: not used).
-    optimizer: Optional[dict] = None
     #: Ontology-aware summary groups (:mod:`repro.whynot.summarize`);
     #: ``None`` until :func:`~repro.whynot.summarize.attach_summaries` runs.
     summaries: Optional[list] = None
@@ -101,7 +99,6 @@ def explain(
     revalidate: bool = True,
     max_sas: int = 64,
     validate: bool = True,
-    optimize: Optional[bool] = None,
 ) -> WhyNotResult:
     """Compute query-based explanations for *question* (Algorithm 1).
 
@@ -112,22 +109,14 @@ def explain(
     ``timings`` records each step's seconds; with ``validate`` it includes
     ``"validate"``: computing ``Q(D)`` plus the Definition 5 check.  ``Q(D)``
     always runs on the compiled answer path (:meth:`WhyNotQuestion.result`:
-    the optimized plan on the kernel executor).
-
-    ``optimize`` (default: the ``REPRO_OPTIMIZE`` environment variable)
-    attaches the logical plan optimizer's rule-fire summary for the answer
-    path to :attr:`WhyNotResult.optimizer`; the rewrite is cached on the
-    query per database version, so reporting it and computing ``Q(D)``
-    share one rewrite.  The
-    explanation path (backtracing, SA enumeration, tracing, Algorithm 4)
-    always runs against the original plan, because explanations are sets of
-    *user* operators (paper Def. 9); the optimizer is explanation-preserving
-    by construction and the equivalence suite asserts identical explanation
-    sets either way.
+    the optimized plan on the kernel executor).  The explanation path
+    (backtracing, SA enumeration, tracing, Algorithm 4) always runs against
+    the original plan, because explanations are sets of *user* operators
+    (paper Def. 9), so the optimizer can never change one.
     """
     return _explain(
         question, alternatives, use_schema_alternatives, revalidate, max_sas,
-        validate, optimize,
+        validate,
     )[0]
 
 
@@ -166,7 +155,6 @@ def explain_reusing(
     use_schema_alternatives: bool = True,
     revalidate: bool = True,
     max_sas: int = 64,
-    optimize: Optional[bool] = None,
 ) -> "tuple[WhyNotResult, RelaxedTrace]":
     """:func:`explain` without validation, reusing *relaxed* when it fits.
 
@@ -180,7 +168,7 @@ def explain_reusing(
     """
     return _explain(
         question, alternatives, use_schema_alternatives, revalidate, max_sas,
-        False, optimize, relaxed, keep=True,
+        False, relaxed, keep=True,
     )
 
 
@@ -191,19 +179,11 @@ def _explain(
     revalidate: bool,
     max_sas: int,
     validate: bool,
-    optimize: Optional[bool],
     relaxed: Optional[RelaxedTrace] = None,
     keep: bool = False,
 ) -> "tuple[WhyNotResult, Optional[RelaxedTrace]]":
     """The four steps; with *keep*, also the :class:`RelaxedTrace` used."""
-    from repro.engine.optimizer import optimize_query, resolve_optimize
-
     timings: dict[str, float] = {}
-    optimizer_summary: Optional[dict] = None
-    if resolve_optimize(optimize):
-        started = time.perf_counter()
-        optimizer_summary = optimize_query(question.query, question.db).summary()
-        timings["optimize"] = time.perf_counter() - started
     if validate:
         started = time.perf_counter()
         question.validate()
@@ -238,7 +218,5 @@ def _explain(
     )
     timings["approximate"] = time.perf_counter() - started
 
-    result = WhyNotResult(
-        question, explanations, sas, base, traced, timings, optimizer_summary
-    )
+    result = WhyNotResult(question, explanations, sas, base, traced, timings)
     return result, relaxed

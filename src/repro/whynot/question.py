@@ -41,13 +41,12 @@ class WhyNotQuestion:
     def result(self) -> Bag:
         """The original query result ``Q(D)`` (cached).
 
-        Computed once, through the optimized plan on the kernel executor
-        (one partition); the optimizer's rewrite is cached on the query per
-        database version.
+        Computed once by ``Executor()``: the optimized plan on the kernel
+        executor, one partition.  The optimizer's rewrite is cached on the
+        query per database version.
         """
         if self._result_cache is None:
-            executor = Executor(num_partitions=1, optimize=True)
-            self._result_cache = executor.execute(self.query, self.db)
+            self._result_cache = Executor().execute(self.query, self.db)
         return self._result_cache
 
     def validate(self) -> None:

@@ -131,11 +131,28 @@ def value_from_json(data: Any) -> Any:
         if "tup" in data:
             return Tup((n, value_from_json(v)) for n, v in data["tup"])
         if "bag" in data:
-            return Bag.from_counts(
-                (value_from_json(e), c) for e, c in data["bag"]
-            )
+            return bag_from_json(data["bag"])
         raise ValueError(f"unknown tagged value {data!r}")
     return data
+
+
+def bag_from_json(pairs: Any) -> Bag:
+    """Decode ``[value, count]`` pairs into a :class:`Bag`.
+
+    A count must be an integer of at least 0 (a boolean is not one);
+    anything else raises ``ValueError``, which the serving layer answers
+    with 400.
+    """
+
+    def decoded():
+        for element, count in pairs:
+            if type(count) is not int or count < 0:
+                raise ValueError(
+                    f"a multiplicity must be an integer >= 0, got {count!r}"
+                )
+            yield value_from_json(element), count
+
+    return Bag.from_counts(decoded())
 
 
 # -- types --------------------------------------------------------------------
@@ -165,10 +182,11 @@ def type_from_json(data: Any) -> NestedType:
         # Return the interned singletons so identity checks keep working
         # on decoded schemas, not just freshly built ones.
         return _PRIMITIVE_SINGLETONS.get(data) or PrimitiveType(data)
-    if "tuple" in data:
-        return TupleType((n, type_from_json(t)) for n, t in data["tuple"])
-    if "bag" in data:
-        return BagType(type_from_json(data["bag"]))
+    if isinstance(data, dict):
+        if "tuple" in data:
+            return TupleType((n, type_from_json(t)) for n, t in data["tuple"])
+        if "bag" in data:
+            return BagType(type_from_json(data["bag"]))
     raise ValueError(f"unknown type encoding {data!r}")
 
 

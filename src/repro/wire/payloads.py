@@ -12,9 +12,9 @@ Payload kinds:
   database either inline or referenced by registered name (the
   :class:`~repro.api.ExplanationService` registry resolves references);
 * ``result``     — a full :class:`~repro.whynot.explain.WhyNotResult`
-  payload: ranked explanations, SA count/descriptions, step timings and the
-  optimizer summary (backtrace/trace internals stay in-process — they are
-  unbounded and carry no API contract);
+  payload: ranked explanations, SA count/descriptions and step timings
+  (backtrace/trace internals stay in-process — they are unbounded and carry
+  no API contract);
 * ``metrics``    — an :class:`~repro.engine.metrics.ExecutionMetrics` dump
   (per-operator counters + backend/engine/optimizer/kernel summaries);
 * ``relation``   — a bag of tuples (query results on the wire);
@@ -49,6 +49,7 @@ from repro.whynot.summarize import ConceptHierarchy, ExplanationSummary
 from repro.wire.codec import (
     SUPPORTED_VERSIONS,
     WIRE_VERSION,
+    bag_from_json,
     query_from_json,
     query_to_json,
     type_from_json,
@@ -108,10 +109,8 @@ def database_from_json(data: dict) -> Database:
     check_envelope(data, "database")
     db = Database()
     for name, table in data["tables"].items():
-        rows = Bag.from_counts(
-            (value_from_json(row), count) for row, count in table["rows"]
-        )
-        db.add(name, rows, schema=type_from_json(table["schema"]))
+        schema = type_from_json(table["schema"])
+        db.add(name, bag_from_json(table["rows"]), schema=schema)
     return db
 
 
@@ -138,12 +137,7 @@ def mutation_from_json(data: dict) -> Mutation:
     check_envelope(data, "mutation")
 
     def side(key: str) -> dict:
-        return {
-            name: Bag.from_counts(
-                (value_from_json(row), count) for row, count in rows
-            )
-            for name, rows in (data.get(key) or {}).items()
-        }
+        return {name: bag_from_json(rows) for name, rows in (data.get(key) or {}).items()}
 
     return Mutation(side("inserts"), side("deletes"))
 
@@ -308,7 +302,7 @@ def relation_to_json(bag: Bag) -> dict:
 def relation_from_json(data: dict) -> Bag:
     """Decode :func:`relation_to_json` output."""
     check_envelope(data, "relation")
-    return Bag.from_counts((value_from_json(r), c) for r, c in data["rows"])
+    return bag_from_json(data["rows"])
 
 
 # -- explanations and results -------------------------------------------------
@@ -381,8 +375,10 @@ def result_to_json(result: WhyNotResult) -> dict:
 
     The payload is the API contract of an explanation run: the question
     identity (name + NIP), the ranked explanations, the number and
-    descriptions of the traced schema alternatives, per-step timings, rows
-    traced, and the optimizer summary.  When the result carries summary
+    descriptions of the traced schema alternatives, per-step timings and
+    rows traced.  ``optimizer`` is always ``null``: explanations never
+    depend on the optimizer, and the field stays for readers of format-2
+    documents.  When the result carries summary
     groups (:mod:`repro.whynot.summarize`), an optional ``summaries``
     section is included; it is omitted entirely otherwise, keeping the
     payload byte-identical to pre-summarization encoders.  The
@@ -397,7 +393,7 @@ def result_to_json(result: WhyNotResult) -> dict:
         "sa_descriptions": [sa.describe() for sa in result.sas],
         "rows_traced": result.rows_traced(),
         "timings": dict(result.timings),
-        "optimizer": result.optimizer,
+        "optimizer": None,
     }
     if result.summaries is not None:
         body["summaries"] = [summary_to_json(s) for s in result.summaries]

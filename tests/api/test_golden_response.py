@@ -1,7 +1,7 @@
 """Pinned golden ``ExplainResponse`` wire document.
 
 ``golden_explain_response.json`` is the exact wire response for
-``ExplainRequest(scenario="Q1", scale=20, optimize=False)`` from a fresh
+``ExplainRequest(scenario="Q1", scale=20)`` from a fresh
 service (timings emptied — they are the only non-deterministic field).  Any
 diff here means the wire format changed: either revert the accidental
 break, or — for a deliberate, policy-compliant change — regenerate the
@@ -11,10 +11,8 @@ Regenerate with::
 
     PYTHONPATH=src python - <<'EOF'
     import json
-    from repro.api import ExplainOptions, ExplainRequest, ExplanationService
-    response = ExplanationService().explain(
-        ExplainRequest(scenario="Q1", scale=20, options=ExplainOptions(optimize=False))
-    )
+    from repro.api import ExplainRequest, ExplanationService
+    response = ExplanationService().explain(ExplainRequest(scenario="Q1", scale=20))
     document = response.to_json()
     document["result"]["timings"] = {}
     with open("tests/api/golden_explain_response.json", "w") as fh:
@@ -26,15 +24,13 @@ Regenerate with::
 import json
 from pathlib import Path
 
-from repro.api import ExplainOptions, ExplainRequest, ExplanationService
+from repro.api import ExplainRequest, ExplanationService
 
 GOLDEN = Path(__file__).parent / "golden_explain_response.json"
 
 
 def test_explain_response_matches_golden_fixture():
-    response = ExplanationService().explain(
-        ExplainRequest(scenario="Q1", scale=20, options=ExplainOptions(optimize=False))
-    )
+    response = ExplanationService().explain(ExplainRequest(scenario="Q1", scale=20))
     document = response.to_json()
     document["result"]["timings"] = {}
     golden = json.loads(GOLDEN.read_text())

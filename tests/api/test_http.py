@@ -96,9 +96,7 @@ class TestExplainEndpoint:
 
 class TestQueryEndpoint:
     def test_query_round_trip(self, client, person_db, running_query):
-        bag, metrics = client.query(
-            running_query, person_db, ExplainOptions(partitions=3)
-        )
+        bag, metrics = client.query(running_query, person_db)
         assert bag == running_query.evaluate(person_db)
         assert metrics.operators  # per-operator counters came back
 
@@ -138,7 +136,7 @@ class TestRetiredEngineOption:
             "kind": "query-request",
             "query": query_to_json(running_query),
             "database": database_to_json(person_db),
-            "options": ExplainOptions(partitions=3).to_json(),
+            "options": {**ExplainOptions().to_json(), "partitions": 3},
         }
         with_engine = json.loads(json.dumps(document))
         with_engine["options"]["engine"] = "columnar"

@@ -3,9 +3,11 @@
 Every ill-typed or out-of-range option answers 400 ``BadRequest`` on
 ``/v1/explain`` and ``/v1/query`` — on a cold server, and again once the
 same request without the bad option has been answered (a warm cache and a
-planned query) — in both serving modes.  The retired ``backend`` and
-``workers`` fields of format-2 requests are accepted and ignored: they
-change neither the routing key, nor the cache entry, nor the explanations.
+planned query) — in both serving modes.  So do an explain request's
+``satisfied_ok`` that is not a boolean and ``name`` that is not a string.
+The retired ``backend``, ``workers``, ``optimize`` and ``partitions``
+fields of format-2 requests are accepted and ignored: they change neither
+the routing key, nor the cache entry, nor the explanations.
 """
 
 import http.client
@@ -142,6 +144,52 @@ def test_too_many_alternatives_is_400(port):
     assert status == 200, body
 
 
+#: Bad top-level fields of an explain request; the ids name what is wrong.
+BAD_FIELDS = {
+    "satisfied_ok-no": {"satisfied_ok": "no"},
+    "satisfied_ok-false-string": {"satisfied_ok": "false"},
+    "satisfied_ok-zero": {"satisfied_ok": 0},
+    "satisfied_ok-null": {"satisfied_ok": None},
+    "name-int": {"name": 5},
+    "name-list": {"name": ["x"]},
+    "name-object": {"name": {"a": 1}},
+    "name-null": {"name": None},
+}
+FIELD_CASES = list(BAD_FIELDS)
+
+#: A row of ``QUERY``'s answer: as a NIP the question is already satisfied.
+PRESENT = Tup(a=5, b="v5")
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_bad_request_field_is_400_cold_and_warm(port, case):
+    bad = BAD_FIELDS[case]
+    if "satisfied_ok" in bad:
+        # The question is satisfied: only a boolean ``satisfied_ok`` chooses
+        # between the typed answer and IllPosedQuestion.
+        document = {**_explain(0, {}), "nip": value_to_json(PRESENT)}
+        _assert_bad_request(*_post(port, "/v1/explain", {**document, **bad}), case)
+        status, body = _post(port, "/v1/explain", {**document, "satisfied_ok": True})
+        assert status == 200 and body["satisfied"], body
+        status, body = _post(port, "/v1/explain", {**document, "satisfied_ok": False})
+        assert status == 400 and body["error"]["type"] == "IllPosedQuestion", body
+    else:
+        document = _explain(len(CASES) + FIELD_CASES.index(case), {})
+        _assert_bad_request(*_post(port, "/v1/explain", {**document, **bad}), case)
+        status, body = _post(port, "/v1/explain", {**document, "name": "q"})
+        assert status == 200 and body["result"]["question"] == "q", body
+        status, body = _post(port, "/v1/explain", document)
+        assert status == 200 and body["cached"] and body["result"]["question"] == ""
+    _assert_bad_request(*_post(port, "/v1/explain", {**document, **bad}), case)
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_from_json_rejects_bad_fields(case):
+    document = {**_explain(0, {}), **BAD_FIELDS[case]}
+    with pytest.raises(BadRequest):
+        ExplainRequest.from_json(document)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_from_json_rejects(case):
     with pytest.raises(BadRequest):
@@ -160,8 +208,9 @@ def test_from_json_rejects(case):
 )
 def test_good_options_decode(options):
     decoded = ExplainOptions.from_json(options)
-    assert decoded.partitions == options.get("partitions")
-    assert "backend" not in decoded.to_json() and "workers" not in decoded.to_json()
+    assert decoded.max_sas == options.get("max_sas", 64)
+    for retired in ("backend", "workers", "optimize", "partitions"):
+        assert retired not in decoded.to_json()
 
 
 def test_retired_backend_fields_change_nothing():

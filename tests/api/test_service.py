@@ -136,13 +136,12 @@ class TestCache:
         assert service.cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
     def test_execution_knobs_share_cache_entries(self, running_question):
-        # partitions/optimize don't change explanations (equivalence
-        # guarantees), so they share one cache entry.
+        # The retired partitions/optimize fields change no explanation, so
+        # a request carrying them shares the entry of one without them.
         service = ExplanationService(cache_size=4)
         service.explain(_request(running_question))
-        response = service.explain(
-            _request(running_question, options=ExplainOptions(optimize=True))
-        )
+        retired = ExplainOptions.from_json({"optimize": True, "partitions": 3})
+        response = service.explain(_request(running_question, options=retired))
         assert response.cached
 
     def test_semantic_knobs_get_separate_entries(self, running_question):

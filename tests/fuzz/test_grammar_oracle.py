@@ -19,7 +19,7 @@ from repro.nested.values import Bag, Tup
 from repro.whynot.placeholders import ANY, STAR
 from repro.whynot.question import WhyNotQuestion
 
-FAST = dict(partitions=(1,), optimize=(False,), explain_grid=())
+FAST = dict(partitions=(1,), optimize=(False,), explanations=False)
 
 
 @pytest.fixture

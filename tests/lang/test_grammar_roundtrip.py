@@ -83,7 +83,7 @@ def test_fuzz_case_roundtrip(index):
         question=question,
         partitions=(1,),
         optimize=(False,),
-        explain_grid=(),
+        explanations=False,
         grammar=True,
     )
     grammar_divergences = [d for d in report.divergences if d.kind == "grammar"]

@@ -54,9 +54,9 @@ def test_readme_file_references_exist():
 
 def test_readme_documents_optimizer_flags():
     readme = (REPO_ROOT / "README.md").read_text()
-    assert "--optimize" in readme and "--show-plan" in readme
-    assert "REPRO_OPTIMIZE" in readme
-    assert "docs/OPTIMIZER.md" in readme
+    assert "--show-plan" in readme and "docs/OPTIMIZER.md" in readme
+    for retired in ("--optimize", "--no-optimize", "REPRO_OPTIMIZE"):
+        assert retired not in readme, f"README still documents {retired}"
 
 
 def test_optimizer_doc_linked_from_architecture_and_benchmarks():

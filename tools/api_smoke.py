@@ -321,11 +321,12 @@ def main() -> int:
         print(f"cache ok: hit served in {warm_s * 1000:.0f} ms "
               f"(counters {warm.cache})")
 
-        bag, metrics = client.query(
-            question.query, question.db, ExplainOptions(partitions=3)
-        )
+        bag, metrics = client.query(question.query, question.db)
         assert bag == question.query.evaluate(question.db), "/v1/query result differs"
-        print(f"query ok: |result|={len(bag)} engine={metrics.engine}")
+        assert metrics.optimizer is not None, "/v1/query skipped the optimizer"
+        assert {m.partitions for m in metrics.operators.values()} == {1}, metrics
+        print(f"query ok: |result|={len(bag)} engine={metrics.engine}, "
+              "optimized, one partition")
 
         registry_smoke(client)
         state_smoke(client)
