@@ -42,10 +42,14 @@ Contract (see ``docs/KERNELS.md`` for the full walkthrough):
   variables (the generated Definition-4 tests of
   :mod:`repro.whynot.matching`), and the run's last row is returned as a
   plain value tuple of the kernel's output layout — no ``Tup`` is built.
+  Its *recheck* build, which a re-annotation runs for other NIPs, keeps
+  only the checks and what they read and returns their hits alone.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 import time
 from typing import Any, Callable, Optional, Sequence
 
@@ -343,7 +347,7 @@ def _compile_kernel(
     prelude: "list[str]",
     returns: str,
     indexed: bool = False,
-    as_values: bool = False,
+    output: Optional[str] = "rows",
 ) -> "tuple[Callable, str]":
     """Finish a kernel body and compile it; returns ``(function, source)``.
 
@@ -353,28 +357,35 @@ def _compile_kernel(
     *indexed*), the extra *prelude* lines and ``return returns``.  When the
     final logical row is the input row (selection-only chains), the loop
     also binds the input row ``_r`` and appends it unchanged, as
-    ``Selection.eval_rows`` does.  With *as_values* the loop appends the
-    final row's value tuple instead of a ``Tup`` (the input row's
-    ``_values`` when the final row is the input row).
+    ``Selection.eval_rows`` does.  With *output* ``"values"`` the loop
+    appends the final row's value tuple instead of a ``Tup`` (the input
+    row's ``_values`` when the final row is the input row); with None it
+    appends nothing, and the loop-level temporaries that no later line
+    reads are dropped (:func:`_live_lines`) before the input columns are
+    picked.
     """
-    values = list(kb._cols.values())
-    passthrough = tuple(kb._cols) == layout.names and values == [
-        f"_c{i}_" for i in range(len(values))
-    ]
-    if passthrough:
-        kb.emit("_append(_r._values)" if as_values else "_append(_r)")
-    elif as_values:
-        kb.emit(f"_append({_tuple_source(values)})")
+    passthrough = False
+    if output is None:
+        body = _live_lines(kb.lines)
     else:
-        out_layout = kb.bind(Layout.of(tuple(kb._cols)))
-        kb.emit(f"_append(_mk({out_layout}, {_tuple_source(values)}))")
-    body = kb.lines
+        values = list(kb._cols.values())
+        passthrough = tuple(kb._cols) == layout.names and values == [
+            f"_c{i}_" for i in range(len(values))
+        ]
+        if passthrough:
+            kb.emit("_append(_r._values)" if output == "values" else "_append(_r)")
+        elif output == "values":
+            kb.emit(f"_append({_tuple_source(values)})")
+        else:
+            out_layout = kb.bind(Layout.of(tuple(kb._cols)))
+            kb.emit(f"_append(_mk({out_layout}, {_tuple_source(values)}))")
+        body = kb.lines
+        prelude = ["    _out = []", "    _append = _out.append"] + prelude
     used = [
         i
         for i in range(len(layout.names))
         if any(f"_c{i}_" in line for line in body)
     ]
-    prelude = ["    _out = []", "    _append = _out.append"] + prelude
     prelude += [f"    _l{i} = [_r._values[{i}] for _r in rows]" for i in used]
     targets = [f"_c{i}_" for i in used]
     lists = [f"_l{i}" for i in used]
@@ -399,6 +410,38 @@ def _compile_kernel(
     return namespace["_kernel"], source
 
 
+#: A loop-level statement that assigns a temporary (``_tN_ = ...``).
+_LOOP_TEMP = re.compile(r" {8}_t\d+_ = ")
+
+
+def _live_lines(lines: "list[str]") -> "list[str]":
+    """*lines* without the loop-level temporaries that no later line reads.
+
+    A candidate is a loop-level single-line statement that binds one
+    temporary and nothing else (no chained target, no ``:=``).  Scanning
+    from the last line up drops every candidate whose temporary no kept
+    later line mentions, so a temporary read only by dropped lines goes
+    too: the result is what dropping one dead line at a time reaches when
+    nothing changes any more.  Only recheck kernels drop lines
+    (:func:`build_trace_kernel`): each replays a run whose full kernel
+    already evaluated every dropped expression over the same input without
+    error, so no dropped line could have raised or bailed out.
+    """
+    kept: "list[str]" = []
+    for line in reversed(lines):
+        if _LOOP_TEMP.match(line):
+            (statement,) = ast.parse(line.strip()).body
+            if (
+                len(statement.targets) == 1
+                and not any(isinstance(node, ast.NamedExpr) for node in ast.walk(statement))
+                and not any(statement.targets[0].id in later for later in kept)
+            ):
+                continue
+        kept.append(line)
+    kept.reverse()
+    return kept
+
+
 def kernel_source(ops: "Sequence[Any]", layout: Layout, ctx) -> str:
     """The generated source for a chain (golden-snapshot tests, debugging)."""
     return build_kernel(ops, layout, ctx).source
@@ -410,6 +453,7 @@ def build_trace_kernel(
     ctx,
     shapes: "Sequence[tuple]",
     checks: "Sequence[Sequence[tuple[int, Optional[int]]]]",
+    recheck: bool = False,
 ) -> CompiledKernel:
     """Generate and compile a relaxed trace kernel for one narrow run.
 
@@ -427,7 +471,16 @@ def build_trace_kernel(
     :func:`repro.whynot.matching.fields_test` over the column variables;
     checks repeated over an unchanged row (a selection re-testing its
     child's NIP) share one scan.
+
+    A *recheck* build tests the same checks after the same operators and
+    returns only ``hits``: selections emit nothing (a relaxed selection
+    never changes the row), no value tuple or retained list is built, and
+    the loop-level temporaries that no check reads are dropped before the
+    input columns are picked (:func:`_live_lines`).  It is only run over
+    input the run's full kernel has already traced without error, which is
+    what makes dropping statements safe.
     """
+    from repro.algebra.operators import Selection
     from repro.whynot.matching import arg_names, fields_test, shape_arity
 
     kb = KernelBuilder(layout, relaxed=True)
@@ -448,10 +501,11 @@ def build_trace_kernel(
         return fields_test(shapes[j], kb._cols, arg_names("_a", firsts[j], shapes[j]), kb)
 
     for op, op_checks in zip(ops, checks):
-        kb.row_type = ctx.schema_of(op.children[0])
-        op.emit_kernel(kb, ctx)
-        if kb.indent != 2:
-            raise KernelUnsupported(f"{type(op).__name__} expands rows")
+        if not (recheck and isinstance(op, Selection)):
+            kb.row_type = ctx.schema_of(op.children[0])
+            op.emit_kernel(kb, ctx)
+            if kb.indent != 2:
+                raise KernelUnsupported(f"{type(op).__name__} expands rows")
         row = tuple(kb._cols.items())
         hits.append([])
         for strict, relaxed in op_checks:
@@ -477,9 +531,14 @@ def build_trace_kernel(
         prelude.append("    " + ", ".join(f"_a{j}" for j in range(n_args)) + ", = _a")
     prelude += [f"    {var} = []" for var in kb.flags + hit_lists]
     per_op_hits = _tuple_source([_tuple_source(h) for h in hits])
+    if recheck:
+        fn, source = _compile_kernel(
+            kb, layout, "rows, _a", prelude, per_op_hits, indexed=True, output=None
+        )
+        return CompiledKernel(fn, source, (), -1)
     returns = f"_out, {_tuple_source(kb.flags)}, {per_op_hits}"
     fn, source = _compile_kernel(
-        kb, layout, "rows, _a", prelude, returns, indexed=True, as_values=True
+        kb, layout, "rows, _a", prelude, returns, indexed=True, output="values"
     )
     return CompiledKernel(fn, source, (), -1, Layout.of(tuple(kb._cols)))
 
@@ -587,6 +646,7 @@ def trace_kernel(
     ctx,
     shapes: "Sequence[tuple]",
     checks: "Sequence[Sequence[tuple[int, Optional[int]]]]",
+    recheck: bool = False,
 ) -> Optional[CompiledKernel]:
     """The cached relaxed trace kernel for one narrow run, or ``None``.
 
@@ -594,19 +654,20 @@ def trace_kernel(
     the input layout and its nested layouts — plus the NIP shapes (with the
     layouts of their tuple patterns) and checks, never the NIP constants
     (those reach the kernel as arguments), so a fresh question over the same
-    query compiles nothing.  ``None`` means "trace this run operator by
-    operator".
+    query compiles nothing.  A *recheck* kernel (see
+    :func:`build_trace_kernel`) is cached under its own ``"recheck"`` key.
+    ``None`` means "trace (or scan) this run operator by operator".
     """
 
     def key() -> tuple:
         return (
-            "trace",
+            "recheck" if recheck else "trace",
             _chain_key(ops, layout, ctx),
             tuple(shapes),
             tuple(tuple(c) for c in checks),
         )
 
     kernel, _ = _cached_kernel(
-        key, lambda: build_trace_kernel(ops, layout, ctx, shapes, checks)
+        key, lambda: build_trace_kernel(ops, layout, ctx, shapes, checks, recheck)
     )
     return kernel

@@ -83,6 +83,8 @@ class SweepResult:
     explain_configs_run: int = 0
     tracer_checks: int = 0  #: traces compared against the reference tracer
     stateful_checks: int = 0  #: explain-state service answers vs direct explain
+    reannotated_checks: int = 0  #: stateful answers that re-annotated a relaxed trace
+    recheck_runs: int = 0  #: recheck kernels those re-annotations ran
     matcher_checks: int = 0  #: result rows the NIP matchers were compared on
     failures: list = field(default_factory=list)  #: (FuzzCase, OracleReport) pairs
 
@@ -101,7 +103,9 @@ class SweepResult:
             f"{self.configs_run} executor configs, "
             f"{self.explain_configs_run} explain configs, "
             f"{self.tracer_checks} reference-tracer checks, "
-            f"{self.stateful_checks} stateful-service checks, "
+            f"{self.stateful_checks} stateful-service checks "
+            f"({self.reannotated_checks} re-annotated, "
+            f"{self.recheck_runs} recheck kernel runs), "
             f"{self.matcher_checks} matcher checks — {status}"
         )
 
@@ -124,6 +128,8 @@ def run_sweep(
         result.explain_configs_run += report.explain_configs_run
         result.tracer_checks += report.tracer_checks
         result.stateful_checks += report.stateful_checks
+        result.reannotated_checks += report.reannotated_checks
+        result.recheck_runs += report.recheck_runs
         result.matcher_checks += report.matcher_checks
         if case.nip is not None:
             result.with_question += 1

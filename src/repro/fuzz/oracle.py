@@ -88,6 +88,11 @@ class OracleReport:
     #: Service answers derived from an explain state, compared with direct
     #: ``explain`` (summarize twins and sibling questions).
     stateful_checks: int = 0
+    #: Stateful answers that re-annotated the state's relaxed trace.
+    reannotated_checks: int = 0
+    #: Recheck kernels those re-annotations ran (one per SA group of each
+    #: fused run they replayed).
+    recheck_runs: int = 0
     #: Result rows the NIP matchers were compared on.
     matcher_checks: int = 0
     #: Exception repr when the reference itself failed (case counted skipped).
@@ -328,8 +333,11 @@ def _check_stateful(
             options=ExplainOptions(summarize=summarize),
         )
 
+        answered = []
+
         def served():
             result = service.explain(request).result
+            answered.append(result)
             summaries = result.summaries
             return _explanation_key(result), (
                 None if summaries is None else [summary_to_json(s) for s in summaries]
@@ -338,6 +346,9 @@ def _check_stateful(
         got = _outcome(served)
         report.explain_configs_run += 1
         report.stateful_checks += 1
+        if answered and "annotate" in answered[0].timings:
+            report.reannotated_checks += 1
+            report.recheck_runs += answered[0].trace.rechecks
         if got != expected:
             report.divergences.append(
                 Divergence("service", config, f"{_clip(got)} vs direct {_clip(expected)}")

@@ -130,7 +130,8 @@ class RelaxedTrace:
     ``bounds`` (paper §5.4) only on those columns and ``|Q(D)|``.  A question
     over the same query, database version, alternatives and options whose
     SAs have the same signature re-annotates ``trace`` instead of tracing:
-    its fused runs replay their kernels, and everything else is scanned.
+    its fused runs rerun only their checks through recheck kernels, and
+    everything else is scanned.
     Any thread may re-annotate it: a lazy column that a fallback scan or a
     downstream step reads is built once, under the column's own lock.
     """

@@ -38,7 +38,9 @@ codegen).
 expression (a value of the pattern's layout is read by position; anything
 else goes to the fallback), :func:`compile_scan` compiles one column scan
 per shape, and the trace kernels (:func:`repro.engine.kernels.trace_kernel`)
-inline the same tests.  Constants reach the code as arguments, never as
+inline the same tests.  The Definition 5 check (:func:`matching_tuples`,
+:func:`any_match`) runs the generated scan over a relation's distinct
+tuples.  Constants reach the code as arguments, never as
 source, so NIPs that differ only in constants share every compiled scan and
 kernel.
 """
@@ -500,9 +502,11 @@ def matching_rows(column: list, pattern: Any) -> "list[int]":
 
 def any_match(relation: Bag, pattern: Any) -> bool:
     """True when some tuple of *relation* matches *pattern*."""
-    return any(matches(t, pattern) for t in relation.distinct())
+    return bool(matching_tuples(relation, pattern))
 
 
 def matching_tuples(relation: Bag, pattern: Any) -> list:
-    """All distinct tuples of *relation* matching *pattern*."""
-    return [t for t in relation.distinct() if matches(t, pattern)]
+    """All distinct tuples of *relation* matching *pattern*, by one
+    generated scan (:func:`matching_rows`) over them."""
+    tuples = list(relation.distinct())
+    return [tuples[k] for k in matching_rows(tuples, pattern)]

@@ -82,9 +82,12 @@ Only the ``consistent`` masks depend on the NIP.  :func:`annotate` re-runs
 that pass alone over a trace made for SA queries with the same
 :func:`sa_signature`, sharing its values, groups, validity, retained masks
 and parents; the serving layer answers NIP variants of a query this way.
-A kernel-traced run is re-annotated by replaying its kernels with the new
-NIPs' arguments, so its lazy columns stay unevaluated; every other operator
-(and a run whose kernel cannot run for the new NIPs) is scanned.
+A kernel-traced run is re-annotated by rerunning only its checks: one
+recheck kernel per SA group (:func:`recheck_run`) tests the new NIPs'
+arguments and returns the hits, building no value tuple and no selection
+flag, so the run's lazy columns stay unevaluated and its full trace
+kernels do not run.  Every other operator (and a run whose recheck kernel
+cannot run for the new NIPs) is scanned.
 
 Aggregate-value constraints in NIPs are checked softly: if no row at an
 operator is strictly consistent under some SA, consistency is re-evaluated
@@ -470,7 +473,7 @@ def parent_reader(
 class FusedRun:
     """One narrow run its kernels traced: the run's operator ids, its
     input operator's id and its SA groups (what a re-annotation needs to
-    replay the kernels over the same input columns)."""
+    recheck the run over the same input columns)."""
 
     __slots__ = ("op_ids", "child_id", "groups")
 
@@ -489,6 +492,9 @@ class TraceResult:
     root_id: int
     n_sas: int
     runs: "list[FusedRun]" = field(default_factory=list)
+    #: Recheck kernels the annotation pass that made this result ran, one
+    #: per SA group of each replayed run (0 after a first trace).
+    rechecks: int = 0
 
     def final_rows(self) -> list[TRow]:
         """The traced rows of the root operator (the relaxed final result)."""
@@ -606,6 +612,7 @@ def trace_run(
     consistent row indices of each check — or None when the run has to be
     traced operator by operator: no present row, rows of more than one
     layout, an unsupported operator or NIP, a bailout, or any error.
+    :func:`recheck_run` replays the checks alone.
     """
     present = [v for v in parent_vals if v is not None]
     if not present:
@@ -613,21 +620,10 @@ def trace_run(
     layout = present[0]._layout
     if any(v._layout is not layout for v in present):
         return None
-    parts = [nip_shape(nip, row=True) for nip in nips]
-    if any(shape != "?" and shape[0] != "tup" for shape, _ in parts):
+    ran = _run_kernel(sas, sa, op_ids, present, nips, checks, False)
+    if ran is None:
         return None
-    try:
-        ops = [sas.sa_op(sa, op_id) for op_id in op_ids]
-        kernel = trace_kernel(
-            ops, layout, sas.sa_ctx(sa), [shape for shape, _ in parts], checks
-        )
-        if kernel is None:
-            return None
-        column, flags, hits = kernel.fn(present, [a for _, args in parts for a in args])
-    except Exception:
-        # Any failure, bailout or genuine error: the per-operator path
-        # reruns the run and raises errors in the row path's order and text.
-        return None
+    kernel, (column, flags, hits) = ran
     if len(present) == len(parent_vals):
         return kernel.layout, column, flags, hits
     index = [k for k, v in enumerate(parent_vals) if v is not None]
@@ -636,8 +632,73 @@ def trace_run(
         kernel.layout,
         [None if v is None else next(values) for v in parent_vals],
         [[index[k] for k in flag] for flag in flags],
-        [[[index[k] for k in hit] for hit in op_hits] for op_hits in hits],
+        _remap_hits(hits, index),
     )
+
+
+def recheck_run(
+    sas: SAContexts,
+    sa: int,
+    op_ids: "tuple[int, ...]",
+    parent_vals: list,
+    nips: tuple,
+    checks: tuple,
+) -> Any:
+    """One SA group's narrow-run checks through one recheck kernel.
+
+    Replays a run that :func:`trace_run` has traced over the same
+    *parent_vals* with other NIPs: returns only the per-operator hits, the
+    consistent row indices of each check aligned with *parent_vals*, or
+    None when the run has to be scanned operator by operator (an
+    unsupported NIP, any error).  The recheck kernel builds no value tuple
+    and no retained list, and its input is one the run's full kernel
+    already traced without error, so it skips :func:`trace_run`'s layout
+    check (see :func:`repro.engine.kernels.build_trace_kernel`).
+    """
+    present = [v for v in parent_vals if v is not None]
+    ran = _run_kernel(sas, sa, op_ids, present, nips, checks, True)
+    if ran is None:
+        return None
+    hits = ran[1]
+    if len(present) == len(parent_vals):
+        return hits
+    return _remap_hits(hits, [k for k, v in enumerate(parent_vals) if v is not None])
+
+
+def _run_kernel(
+    sas: SAContexts,
+    sa: int,
+    op_ids: "tuple[int, ...]",
+    present: list,
+    nips: tuple,
+    checks: tuple,
+    recheck: bool,
+) -> "Optional[tuple[Any, Any]]":
+    """``(kernel, output)`` of the run's trace (or recheck) kernel over the
+    *present* rows, or None when the NIPs are not row shapes, no kernel
+    builds, or running it fails."""
+    parts = [nip_shape(nip, row=True) for nip in nips]
+    if any(shape != "?" and shape[0] != "tup" for shape, _ in parts):
+        return None
+    try:
+        ops = [sas.sa_op(sa, op_id) for op_id in op_ids]
+        kernel = trace_kernel(
+            ops, present[0]._layout, sas.sa_ctx(sa),
+            [shape for shape, _ in parts], checks, recheck,
+        )
+        if kernel is None:
+            return None
+        return kernel, kernel.fn(present, [a for _, args in parts for a in args])
+    except Exception:
+        # Any failure, bailout or genuine error: the per-operator path
+        # reruns the run and raises errors in the row path's order and text.
+        return None
+
+
+def _remap_hits(hits: Any, index: "list[int]") -> list:
+    """Per-operator hit lists over the present rows, as indices into the
+    full column (``index[k]`` is present row k's position)."""
+    return [[[index[k] for k in hit] for hit in op_hits] for op_hits in hits]
 
 
 def trace_flatten(sas: SAContexts, sa: int, op_id: int, parent_vals: list) -> tuple:
@@ -790,20 +851,23 @@ class Tracer:
         retained masks, parents and SA groups then hold for these SAs too,
         and only the ``consistent`` columns, which test each SA's backtraced
         NIP, are computed afresh, operator by operator.  Each run its
-        kernels traced replays them over the same input columns with these
-        SAs' NIPs and keeps only their hits; a run whose kernels cannot run
-        for these NIPs is scanned like every other operator.
+        kernels traced reruns only its checks, one recheck kernel per SA
+        group (:func:`recheck_run`) over the same input columns with these
+        SAs' NIPs; no full trace kernel runs.  A run whose recheck kernels
+        cannot run for these NIPs is scanned like every other operator.
         """
         replayed: "dict[int, tuple[int, list, list]]" = {}
+        rechecks = 0
         if self.revalidate:
             for run in relaxed.runs:
-                kernels = self._run_kernels(
-                    run.op_ids, relaxed.traces[run.child_id], run.groups
+                rechecked = self._run_kernels(
+                    run.op_ids, relaxed.traces[run.child_id], run.groups, recheck=True
                 )
-                if kernels is not None:
+                if rechecked is not None:
+                    rechecks += len(run.groups)
                     for j, op_id in enumerate(run.op_ids):
-                        replayed[op_id] = (j, *kernels)
-        result = TraceResult({}, relaxed.root_id, self.n, relaxed.runs)
+                        replayed[op_id] = (j, *rechecked)
+        result = TraceResult({}, relaxed.root_id, self.n, relaxed.runs, rechecks)
         for op in self.query.ops:
             snap = relaxed.traces[op.op_id].relaxed()
             replay = replayed.get(op.op_id)
@@ -950,11 +1014,16 @@ class Tracer:
         return run, groups
 
     def _run_kernels(
-        self, op_ids: "tuple[int, ...]", child: OpTrace, groups: SAGroups
+        self,
+        op_ids: "tuple[int, ...]",
+        child: OpTrace,
+        groups: SAGroups,
+        recheck: bool = False,
     ) -> "Optional[tuple[list, list]]":
-        """Every SA group's :func:`trace_run` of a narrow run over *child*'s
-        columns, with the checks tested: ``(results, checks)``, or None
-        when any group's kernel cannot run.
+        """Every SA group's :func:`trace_run` (with *recheck*, its
+        :func:`recheck_run`) of a narrow run over *child*'s columns, with
+        the checks tested: ``(results, checks)``, or None when any group's
+        kernel cannot run.
 
         ``checks[g][j]`` maps each distinct ``(strict, relaxed)`` index pair
         into group g's distinct NIPs tested after operator j to the mask of
@@ -972,9 +1041,10 @@ class Tracer:
                     relaxed = _index_of(nips[g], sa.backtrace.relaxed_at[op_id])
                     pair = (strict, None if relaxed == strict else relaxed)
                     checks[g][j][pair] = checks[g][j].get(pair, 0) | 1 << i
+        step = recheck_run if recheck else trace_run
         results = []
         for g, rep in enumerate(groups.reps):
-            r = trace_run(
+            r = step(
                 self._sas, rep, op_ids, child.column(rep),
                 tuple(nips[g]), tuple(tuple(c) for c in checks[g]),
             )
@@ -984,13 +1054,14 @@ class Tracer:
         return results, checks
 
     @staticmethod
-    def _add_hits(snap: OpTrace, j: int, results: list, checks: list) -> None:
+    def _add_hits(snap: OpTrace, j: int, hits: list, checks: list) -> None:
         """Mark the rows the run's kernels found consistent after its
-        operator *j* in ``snap.consistent``."""
+        operator *j* in ``snap.consistent`` (``hits[g]`` is group g's
+        per-operator hits)."""
         consistent = snap.consistent
-        for g, r in enumerate(results):
-            for hits, sa_mask in zip(r[3][j], checks[g][j].values()):
-                for k in hits:
+        for g, op_hits in enumerate(hits):
+            for rows, sa_mask in zip(op_hits[j], checks[g][j].values()):
+                for k in rows:
                     consistent[k] |= sa_mask
 
     def _trace_run(
@@ -1008,6 +1079,7 @@ class Tracer:
         if kernels is None:
             return False
         results, checks = kernels
+        hits = [r[3] for r in results]
         last_value = max(j for j, op in enumerate(run) if not isinstance(op, Selection))
         n = child.count
         prev = child
@@ -1030,7 +1102,7 @@ class Tracer:
                 snap = self._snapshot(op, groups, cols, prev.valid, child_base=prev.base)
             self._next_base += snap.count
             if self.revalidate:
-                self._add_hits(snap, j, results, checks)
+                self._add_hits(snap, j, hits, checks)
             else:
                 self._annotate_consistency(op, snap, [prev])
             result.traces[op.op_id] = snap

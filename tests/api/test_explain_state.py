@@ -22,6 +22,7 @@ from repro.engine.database import Database
 from repro.factory import make_bundle
 from repro.lang import pretty_program
 from repro.nested.values import Tup
+from repro.whynot import tracing
 from repro.whynot.tracing import LazyColumns
 from repro.wire import result_to_json, serving_stats_from_json
 
@@ -112,15 +113,29 @@ def test_reused_miss_records_annotation(social, nip_variants):
     assert service.cache_stats()["misses"] == 2
 
 
-def test_reannotation_evaluates_no_fused_run_column(social, nip_variants):
-    """A NIP-variant miss replays the fused run's kernels over the state's
-    relaxed trace: no column of the run is built, in the state or in the
-    answer, and the answer equals a fresh explain."""
+def test_reannotation_evaluates_no_fused_run_column(social, nip_variants, monkeypatch):
+    """A NIP-variant miss reruns only the fused run's checks over the
+    state's relaxed trace: every kernel it runs is a recheck kernel (no
+    full trace kernel runs), no column of the run is built, in the state
+    or in the answer, and the answer equals a fresh explain."""
     service = _service(social)
     service.explain(_explicit(social, social.nip))
     variant = _explicit(social, nip_variants(social, 1)[0])
-    reused = service.explain(variant)
+    kernels = []
+    trace_kernel = tracing.trace_kernel
+
+    def spy(*args):
+        kernel = trace_kernel(*args)
+        kernels.append((args[5:] == (True,), kernel))
+        return kernel
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tracing, "trace_kernel", spy)
+        reused = service.explain(variant)
     assert "annotate" in reused.result.timings
+    assert kernels and all(recheck and kernel is not None for recheck, kernel in kernels)
+    assert not any("_append(" in kernel.source for _, kernel in kernels)
+    assert reused.result.trace.rechecks == len(kernels)
     traces = reused.result.trace.traces
     run_cols = [traces[op.op_id].cols for op in social.query.ops if not isinstance(op, TableAccess)]
     assert all(isinstance(cols, LazyColumns) for cols in run_cols)

@@ -371,6 +371,51 @@ def test_reannotation_without_run_kernel_scans(monkeypatch, nip_variants):
     assert difference is None, difference
 
 
+def test_gate_sees_dropped_recheck_hits(monkeypatch):
+    """Injection: recheck kernels that lose one check's hits (the first
+    operator's of each run) make the re-annotated axis of
+    ``test_tracer_equals_reference`` report a difference, so that gate
+    checks the recheck path."""
+    from repro.engine import kernels
+    from repro.fuzz import reference
+    from repro.scenarios import get_scenario
+    from repro.whynot.explain import RelaxedTrace, explain_reusing
+
+    scenario = get_scenario("GenSocial")
+    question = scenario.question(scale=10)
+    got = explain(question, alternatives=scenario.alternatives, validate=False)
+    _, ref_trace, ref_explanations = reference.reference_explain(
+        scenario.question(scale=10), alternatives=scenario.alternatives, validate=False
+    )
+    build = kernels.build_trace_kernel
+
+    def dropping(ops, layout, ctx, shapes, checks, recheck=False):
+        kernel = build(ops, layout, ctx, shapes, checks, recheck)
+        if not recheck:
+            return kernel
+
+        def fn(rows, args):
+            hits = kernel.fn(rows, args)
+            return (([],) + tuple(hits[0][1:]),) + tuple(hits[1:])
+
+        return kernels.CompiledKernel(fn, kernel.source, (), -1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_KERNEL_CACHE", {})
+        patch.setattr(kernels, "build_trace_kernel", dropping)
+        again, _ = explain_reusing(
+            question,
+            RelaxedTrace.of(question, got.sas, got.trace),
+            alternatives=scenario.alternatives,
+        )
+    assert again.trace.rechecks
+    assert reference.compare(got.trace, got.explanations, ref_trace, ref_explanations) is None
+    difference = reference.compare(
+        again.trace, again.explanations, ref_trace, ref_explanations
+    )
+    assert difference is not None
+
+
 @pytest.mark.parametrize("name", SA_SCENARIOS)
 def test_explain_columnar_equals_row(name):
     """The compiled answer path must not change any explanation: ``Q(D)``

@@ -476,6 +476,163 @@ def test_trace_kernel_source_golden(monkeypatch):
     assert kernel.layout.names == ("text", "country", "uName")
 
 
+def _social_recheck_tasks(monkeypatch):
+    """GenSocial's question, the SAs of a NIP variant and the tracer's
+    ``recheck_run`` calls when the variant re-annotates the question's
+    relaxed trace (each call's arguments after the SA contexts)."""
+    from repro.scenarios import get_scenario
+    from repro.whynot import tracing
+    from repro.whynot.explain import RelaxedTrace, explain, explain_reusing
+    from repro.whynot.placeholders import ANY
+    from repro.whynot.question import WhyNotQuestion
+
+    scenario = get_scenario("GenSocial")
+    question = scenario.question(1)
+    first = explain(question, alternatives=scenario.alternatives, validate=False)
+    relaxed = RelaxedTrace.of(question, first.sas, first.trace)
+    tasks = []
+    recheck_run = tracing.recheck_run
+
+    def capture(sa_contexts, *args):
+        tasks.append(args)
+        return recheck_run(sa_contexts, *args)
+
+    monkeypatch.setattr(tracing, "recheck_run", capture)
+    variant = WhyNotQuestion(
+        question.query, question.db, Tup(text=ANY, country=ANY, uName="someone_else")
+    )
+    again, _ = explain_reusing(variant, relaxed, alternatives=scenario.alternatives)
+    assert "annotate" in again.timings
+    return question, again.sas, tasks
+
+
+def test_recheck_kernel_source_golden(monkeypatch):
+    """Pin the recheck kernel of GenSocial's F60→Fᵀ3→π4→σ61→σ62 run (SA 0)
+    under a NIP variant.
+
+    Deliberate golden snapshot: the same checks as the trace kernel's
+    (``test_trace_kernel_source_golden``), but the selections emit nothing,
+    no value tuple or retained list is built, and the ``place.country``
+    read (``_t1_``), which only σ62 and the output row read, is dropped
+    with its input column (``_c3_``) — the bindings ``_g0``/``_g1`` it
+    made stay unused.  The kernel returns the per-operator hits alone.
+    """
+    from repro.engine.kernels import build_trace_kernel
+    from repro.whynot.matching import nip_shape
+    from repro.whynot.placeholders import ANY
+
+    question, sas, tasks = _social_recheck_tasks(monkeypatch)
+    rep, op_ids, parent_vals, nips, checks = tasks[0]
+    sa_query = sas[rep].query
+    assert [sa_query.op(i).label for i in op_ids] == ["F60", "Fᵀ3", "π4", "σ61", "σ62"]
+    assert nips[2] == Tup(text=ANY, country=ANY, uName="someone_else")
+    ops = [sa_query.op(i) for i in op_ids]
+    ctx = EvalContext(question.db, sa_query.infer_schemas(question.db))
+    shapes = [nip_shape(nip)[0] for nip in nips]
+    expected = textwrap.dedent(
+        """\
+        def _kernel(rows, _a):
+            _a0, _a1, _a2, _a3, _a4, _a5, _a6, = _a
+            _h0 = []
+            _h1 = []
+            _h2 = []
+            _l2 = [_r._values[2] for _r in rows]
+            for _k, _c2_ in enumerate(_l2):
+                if (_c2_._values[0] == _a2 if _c2_.__class__ is _Tup and _c2_._layout is _g2 else _a1(_c2_)):
+                    _h0.append(_k)
+                _t2_ = _c2_._values[0] if _c2_.__class__ is _Tup and _c2_._layout is _g2 else _g3(_c2_)
+                if _t2_ == _a4:
+                    _h1.append(_k)
+                if _t2_ == _a6:
+                    _h2.append(_k)
+            return ((_h0,), (_h1,), (_h2,), (_h2,), (_h2,),)
+        """
+    )
+    kernel = build_trace_kernel(ops, parent_vals[0].layout, ctx, shapes, checks, True)
+    assert kernel.source == expected
+    assert kernel.layout is None
+
+
+def test_recheck_drops_dead_temps_until_none_is_left():
+    """A recheck build drops loop-level temporaries no later line reads,
+    including one read only by a dropped one; chained and ``:=`` bindings
+    and nested statements stay."""
+    from repro.engine.kernels import _live_lines
+
+    lines = [
+        "        _t1_ = _c0_ + 1",
+        "        _t2_ = _t1_ * 2",
+        "        _t3_ = _t4_ = _c1_",
+        "        _t5_ = (_t6_ := _c2_) + 1",
+        "        if _c3_:",
+        "            _t7_ = _c3_",
+        "        _t8_ = _c4_",
+        "        if _t8_ == _a0:",
+        "            _h0.append(_k)",
+    ]
+    assert _live_lines(lines) == lines[2:]
+
+
+#: Scenarios whose explain traces at least one fused narrow run.
+_RUN_SCENARIOS = [
+    "C1", "C2", "C3", "D1", "D2", "D3", "D4", "D5", "GenSocial",
+    "Q10", "Q10F", "Q6", "Q6F", "T1", "T2", "T3", "T4", "T_ASD",
+]
+
+
+def _assert_recheck_hits_equal(monkeypatch, question, alternatives) -> list:
+    """Trace *question*; for every SA group a trace kernel traced, the
+    recheck kernel's hits over the same arguments equal the full kernel's.
+    Returns the compared calls' parent columns."""
+    from repro.whynot import tracing
+    from repro.whynot.explain import explain
+
+    calls = []
+    trace_run = tracing.trace_run
+
+    def capture(sa_contexts, *args):
+        out = trace_run(sa_contexts, *args)
+        if out is not None:
+            calls.append((sa_contexts, args, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tracing, "trace_run", capture)
+        result = explain(question, alternatives=alternatives, validate=False)
+    assert result.trace.runs and calls
+
+    def plain(hits):
+        return [[list(rows) for rows in op_hits] for op_hits in hits]
+
+    for sa_contexts, args, out in calls:
+        rechecked = tracing.recheck_run(sa_contexts, *args)
+        assert rechecked is not None
+        assert plain(rechecked) == plain(out[3]), [
+            sa_contexts.sa_op(args[0], op_id).label for op_id in args[1]
+        ]
+    return [args[2] for _, args, _ in calls]
+
+
+@pytest.mark.parametrize("name", _RUN_SCENARIOS)
+def test_recheck_hits_equal_trace_kernel_hits(name, monkeypatch):
+    """Every SA group's recheck kernel finds the hits its full trace kernel
+    found (``trace_run(...)[3]``) over the same input and NIPs."""
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario(name)
+    _assert_recheck_hits_equal(monkeypatch, scenario.question(scale=10), scenario.alternatives)
+
+
+def test_recheck_hits_remap_missing_rows(monkeypatch, running_question):
+    """The running example's π4 run reads an SA group whose flatten left a
+    row missing: the recheck hits come back as indices into the full
+    column, as the trace kernel's do."""
+    parents = _assert_recheck_hits_equal(
+        monkeypatch, running_question, [["person.address2", "person.address1"]]
+    )
+    assert any(v is None for column in parents for v in column)
+
+
 def test_row_level_nips_compile_no_fallback(monkeypatch):
     """A trace kernel tests whole rows, whose layout is settled at codegen,
     so a traced run compiles no fallback closure for a row-level NIP; only

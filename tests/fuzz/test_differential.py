@@ -82,6 +82,13 @@ class TestMiniSweep:
         # The matcher axis compared rows, and the summary line counts them.
         assert result.matcher_checks > 0
         assert f"{result.matcher_checks} matcher checks" in result.summary()
+        # Siblings re-annotated explain states through recheck kernels.
+        assert 0 < result.reannotated_checks <= result.stateful_checks
+        assert result.recheck_runs > 0
+        assert (
+            f"({result.reannotated_checks} re-annotated, "
+            f"{result.recheck_runs} recheck kernel runs)"
+        ) in result.summary()
 
     def test_different_seed_stays_clean_without_questions(self):
         result = run_sweep(77, 15, FuzzConfig(depth=3, ops=8), questions=False)
